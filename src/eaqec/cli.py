@@ -41,7 +41,6 @@ from .lpbound import (
     lp_feasible_general,
     lp_upper_bound,
 )
-from .pauli import PauliOperator
 
 BUDGET_ENV_VAR = "EAQEC_BUDGET_LOG2"
 
@@ -52,27 +51,6 @@ _GROUP_CHOICES = ("stabilizer", "isotropic", "logical", "normalizer", "combined"
 # input handling
 
 
-def parse_code_file(data: bytes) -> tuple[int, int, tuple[PauliOperator, ...]]:
-    """Parse a code file, auto-detecting the JSON and text formats.
-
-    Returns the header values and the stabilizer generators; any logical-pair
-    payload a JSON file carries is validated but not returned here.
-    """
-    n, k, generators, _ = _parse_code_payload(data)
-    return n, k, generators
-
-
-def _parse_code_payload(data: bytes):
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"input is not valid UTF-8 ({exc})") from None
-    if text.lstrip().startswith("{"):
-        return parse_code_json(text)
-    n, k, generators = parse_code_text(text)
-    return n, k, generators, None
-
-
 def _read_input(path: str) -> bytes:
     if path == "-":
         return sys.stdin.buffer.read()
@@ -80,8 +58,14 @@ def _read_input(path: str) -> bytes:
 
 
 def _load_code(path: str) -> EaqecCode:
-    n, k, generators, logical_pairs = _parse_code_payload(_read_input(path))
-    return build_code(n, k, generators, logical_pairs)
+    """Parse a code file, auto-detecting the JSON and text formats."""
+    try:
+        text = _read_input(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not valid UTF-8 ({exc})") from None
+    if text.lstrip().startswith("{"):
+        return build_code(*parse_code_json(text))
+    return build_code(*parse_code_text(text))
 
 
 def _budget(args: argparse.Namespace) -> int:
@@ -203,14 +187,7 @@ def _cmd_lp_bound(args: argparse.Namespace) -> int:
         else:
             print("feasible" if feasible else "infeasible")
         return 0
-    if maximal:
-        bound = lp_upper_bound(n, k, branch_and_bound=args.branch_and_bound)
-    else:
-        bound = n
-        for d in range(1, n + 1):
-            if not lp_feasible_general(n, k, c, d):
-                bound = d - 1
-                break
+    bound = lp_upper_bound(n, k, c, branch_and_bound=args.branch_and_bound)
     if args.format == "json":
         _print_json({"n": n, "k": k, "c": c, "upper_bound": bound})
     else:

@@ -32,9 +32,7 @@ from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .enumerator import _PYTHON_PATH_MAX_RANK, _check_budget, _gray_weights, _weight_blocks
+from .enumerator import weight_enumerator
 from .errors import (
     DimensionError,
     ParseError,
@@ -45,7 +43,6 @@ from .pauli import (
     MAX_QUBITS,
     PauliGroup,
     PauliOperator,
-    _vec,
     canonicalize,
     orthogonal_group,
     symplectic_gram_schmidt,
@@ -215,45 +212,22 @@ def dual(code: EaqecCode) -> EaqecCode:
 
 
 def min_distance(code: EaqecCode, budget_log2: int | None = None) -> int:
-    """Minimum weight over (L x S_I) \\ S_I, by enumerating the orthogonal group.
+    """Minimum weight over (L x S_I) \\ S_I, from two weight enumerators.
 
-    Elements are walked as XOR-combinations of the logical and isotropic
-    generators; a combination lies in S_I exactly when it uses no logical
-    generator, so membership is read off the subset index.  Raises
-    :class:`UndefinedDistanceError` when k = 0 (the difference set is empty)
-    and :class:`BudgetError` when 2^(n + k - c) exceeds the budget.
+    S_I is a subgroup of L x S_I, so the normalizer's count of weight-w
+    elements exceeds the isotropic group's exactly when the difference set
+    holds an operator of weight w; the distance is the smallest such w >= 1.
+    Raises :class:`UndefinedDistanceError` when k = 0 (the difference set is
+    empty) and :class:`BudgetError` when 2^(n + k - c) exceeds the budget.
     """
     code = complete_logical(code)
     if code.k == 0:
         raise UndefinedDistanceError(
             "code has no information qubits, so no operator set defines a distance"
         )
-    n = code.n
-    lvecs = [_vec(g) for pair in code.logical_pairs for g in pair]
-    ivecs = [_vec(g) for g in code.isotropic_gens]
-    vecs = lvecs + ivecs
-    _check_budget(len(vecs), budget_log2)
-    lmask = (1 << len(lvecs)) - 1
-    best = n + 1
-    if len(vecs) <= _PYTHON_PATH_MAX_RANK or 2 * n > 64:
-        for sel, w in _gray_weights(vecs, n):
-            if sel & lmask and w < best:
-                best = w
-                if best == 1:
-                    break
-    else:
-        offs = None
-        for start, weights in _weight_blocks(vecs, n):
-            if offs is None or len(offs) != len(weights):
-                offs = np.arange(len(weights), dtype=np.int64)
-            outside = ((start + offs) & lmask) != 0
-            if outside.any():
-                w = int(weights[outside].min())
-                if w < best:
-                    best = w
-                    if best == 1:
-                        break
-    return best
+    normalizer = weight_enumerator(code.normalizer_group, budget_log2).coeffs
+    isotropic = weight_enumerator(code.isotropic_group, budget_log2).coeffs
+    return next(w for w in range(1, code.n + 1) if normalizer[w] > isotropic[w])
 
 
 # ---------------------------------------------------------------------------

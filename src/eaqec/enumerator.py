@@ -18,10 +18,10 @@ where K_w(w', n) is the quaternary Krawtchouk polynomial and B the enumerator
 of V'.  For an entanglement-assisted code the identity specializes to the two
 group pairs exposed by :func:`eaqec_identities`.
 
-Enumeration visits every group element at the cost of one XOR per element: a
-Gray-code walk for small ranks, and a vectorized block scheme (XOR tables over
-a partition of the generator list) for large ones.  Both produce identical
-exact tallies.
+Enumeration visits every group element with one numpy kernel for all
+n <= 64: XOR tables of the low generators' X and Z halves, shifted block by
+block through a Gray-code walk over the remaining generators, with the weight
+of each element read off as the popcount of X | Z.
 """
 
 from __future__ import annotations
@@ -34,16 +34,13 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import BudgetError, InconsistencyError
-from .pauli import PauliGroup, _lsb, _vec
+from .pauli import PauliGroup, _lsb
 
 if TYPE_CHECKING:  # pragma: no cover
     from .codes import EaqecCode
 
 #: Default cap on log2(number of elements) a single enumeration may visit.
 DEFAULT_BUDGET_LOG2 = 30
-
-#: Ranks up to this size use the plain-Python Gray-code walk.
-_PYTHON_PATH_MAX_RANK = 16
 
 _BLOCK_LOG2 = 20
 
@@ -84,59 +81,37 @@ def _check_budget(rank: int, budget_log2: int | None) -> int:
     return budget
 
 
-def _popcount_u64(arr: np.ndarray) -> np.ndarray:
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(arr)
-    # SWAR popcount, for numpy builds without bitwise_count
-    m1 = np.uint64(0x5555555555555555)
-    m2 = np.uint64(0x3333333333333333)
-    m4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-    h = np.uint64(0x0101010101010101)
-    x = arr - ((arr >> np.uint64(1)) & m1)
-    x = (x & m2) + ((x >> np.uint64(2)) & m2)
-    x = (x + (x >> np.uint64(4))) & m4
-    return ((x * h) >> np.uint64(56)).astype(np.uint8)
+def _weight_blocks(group: PauliGroup) -> Iterator[np.ndarray]:
+    """Yield the Pauli weights of all ``2**rank`` elements of ``group`` in blocks.
 
-
-def _weight_blocks(
-    vecs: Sequence[int], n: int, block_log2: int = _BLOCK_LOG2
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(start_index, weights)`` blocks covering all XOR-subsets of ``vecs``.
-
-    Subset ``i`` (0 <= i < 2**len(vecs)) is the XOR of ``vecs[j]`` over the set
-    bits j of i, and the block containing it reports its Pauli weight at offset
-    ``i - start_index``.  Requires packed vectors that fit in 64 bits (n <= 32).
+    The low ``b = min(rank, _BLOCK_LOG2)`` generators are expanded into XOR
+    tables of their X and Z halves, one ``uint64`` word per element and half.
+    Each block XORs one element of the span of the remaining generators into
+    both tables (a Gray-code walk, one generator per step) and counts the set
+    bits of X | Z.  The yielded ``uint8`` array is reused by the next block.
     """
-    r = len(vecs)
-    if 2 * n > 64:
-        raise ValueError("vectorized enumeration requires n <= 32")
-    b = min(r, block_log2)
-    # XOR table of the low b generators, in plain binary-index order.
-    table = np.zeros(1, dtype=np.uint64)
-    for v in vecs[:b]:
-        table = np.concatenate([table, table ^ np.uint64(v)])
-    mask = np.uint64((1 << n) - 1)
-    shift = np.uint64(n)
-    prefix = 0
-    for hi in range(1 << (r - b)):
+    gens = group.generators
+    b = min(len(gens), _BLOCK_LOG2)
+    size = 1 << b
+    xs = np.zeros(size, dtype=np.uint64)
+    zs = np.zeros(size, dtype=np.uint64)
+    for j, g in enumerate(gens[:b]):
+        half = 1 << j
+        np.bitwise_xor(xs[:half], np.uint64(g.u), out=xs[half : 2 * half])
+        np.bitwise_xor(zs[:half], np.uint64(g.v), out=zs[half : 2 * half])
+    bx = np.empty_like(xs)
+    bz = np.empty_like(zs)
+    weights = np.empty(size, dtype=np.uint8)
+    u = v = 0
+    for hi in range(1 << (len(gens) - b)):
         if hi:
-            prefix ^= vecs[b + _lsb(hi)]  # Gray-code walk over the high generators
-        arr = table ^ np.uint64(prefix) if prefix else table
-        supp = (arr | (arr >> shift)) & mask
-        yield hi << b, _popcount_u64(supp).astype(np.int64)
-
-
-def _gray_weights(vecs: Sequence[int], n: int) -> Iterator[tuple[int, int]]:
-    """Yield ``(subset_mask, weight)`` for every XOR-subset, identity first."""
-    lowmask = (1 << n) - 1
-    acc = 0
-    sel = 0
-    yield 0, 0
-    for i in range(1, 1 << len(vecs)):
-        j = _lsb(i)
-        sel ^= 1 << j
-        acc ^= vecs[j]
-        yield sel, ((acc | (acc >> n)) & lowmask).bit_count()
+            g = gens[b + _lsb(hi)]
+            u ^= g.u
+            v ^= g.v
+        np.bitwise_xor(xs, np.uint64(u), out=bx)
+        np.bitwise_xor(zs, np.uint64(v), out=bz)
+        np.bitwise_or(bx, bz, out=bx)
+        yield np.bitwise_count(bx, out=weights)
 
 
 def weight_enumerator(group: PauliGroup, budget_log2: int | None = None) -> WeightEnumerator:
@@ -147,19 +122,11 @@ def weight_enumerator(group: PauliGroup, budget_log2: int | None = None) -> Weig
     enumerator can fall back on :func:`macwilliams_transform` instead.
     """
     n = group.n
-    r = group.rank
-    _check_budget(r, budget_log2)
-    vecs = group._vecs
-    counts = [0] * (n + 1)
-    if r <= _PYTHON_PATH_MAX_RANK or 2 * n > 64:
-        for _, w in _gray_weights(vecs, n):
-            counts[w] += 1
-    else:
-        tally = np.zeros(n + 1, dtype=np.int64)
-        for _, weights in _weight_blocks(vecs, n):
-            tally += np.bincount(weights, minlength=n + 1)
-        counts = [int(t) for t in tally]
-    return WeightEnumerator(n, tuple(counts))
+    _check_budget(group.rank, budget_log2)
+    tally = np.zeros(n + 1, dtype=np.int64)
+    for weights in _weight_blocks(group):
+        tally += np.bincount(weights, minlength=n + 1)
+    return WeightEnumerator(n, tuple(int(t) for t in tally))
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,8 @@ class DimensionError(EaqecError):
 
 
 class BudgetError(EaqecError):
-    """An enumeration would visit more group elements than the configured budget."""
+    """An enumeration would visit more group elements than the configured
+    budget, or an exact simplex solve ran past its pivot cap."""
 
 
 class InconsistencyError(EaqecError):

@@ -37,6 +37,7 @@ from typing import Iterator, Literal, Sequence
 
 from .codes import CodeRegistryEntry, registry
 from .enumerator import krawtchouk
+from .errors import BudgetError
 
 Sense = Literal["<=", "=", ">="]
 Row = tuple[Sequence[int], Sense, int]
@@ -147,7 +148,13 @@ def _solve_feasibility(num_vars: int, rows: Sequence[Row]) -> list[Fraction] | N
         basis[pivot_row] = enter
         if obj[-1] == 0:
             return _extract_point(num_vars, tableau, basis)
-    raise RuntimeError("simplex iteration cap exceeded")
+    raise BudgetError(f"exact simplex exceeded {_SIMPLEX_ITERATION_CAP} pivots")
+
+
+def _unit(num_vars: int, idx: int) -> list[int]:
+    row = [0] * num_vars
+    row[idx] = 1
+    return row
 
 
 def _extract_point(
@@ -192,28 +199,24 @@ class LpInstance:
         logical_order = 4**k
         a = lambda w: w
         b = lambda w: n + 1 + w
+        num = self.num_vars
 
-        def unit(idx: int) -> list[int]:
-            row = [0] * self.num_vars
-            row[idx] = 1
-            return row
-
-        rows: list[Row] = [(unit(a(0)), "=", 1), (unit(b(0)), "=", 1)]
+        rows: list[Row] = [(_unit(num, a(0)), "=", 1), (_unit(num, b(0)), "=", 1)]
         for w in range(1, n + 1):
-            rows.append((unit(a(w)), "<=", stab_order))
-            rows.append((unit(b(w)), "<=", logical_order))
+            rows.append((_unit(num, a(w)), "<=", stab_order))
+            rows.append((_unit(num, b(w)), "<=", logical_order))
         sum_a = [1] * (n + 1) + [0] * (n + 1)
         sum_b = [0] * (n + 1) + [1] * (n + 1)
         rows.append((sum_a, "=", stab_order))
         rows.append((sum_b, "=", logical_order))
         for w in range(n + 1):
-            row = [0] * self.num_vars
+            row = [0] * num
             for wp in range(n + 1):
                 row[a(wp)] = krawtchouk(w, wp, n)
             row[b(w)] = -stab_order
             rows.append((row, "=", 0))
         for w in range(1, d):
-            rows.append((unit(b(w)), "=", 0))
+            rows.append((_unit(num, b(w)), "=", 0))
         return rows
 
 
@@ -253,20 +256,15 @@ def integer_feasible(
         if frac_idx is None:
             return True
         floor = point[frac_idx].numerator // point[frac_idx].denominator
-
-        def unit(idx: int) -> list[int]:
-            row = [0] * num
-            row[idx] = 1
-            return row
-
-        stack.append(extra + [(unit(frac_idx), ">=", floor + 1)])
-        stack.append(extra + [(unit(frac_idx), "<=", floor)])
+        stack.append(extra + [(_unit(num, frac_idx), ">=", floor + 1)])
+        stack.append(extra + [(_unit(num, frac_idx), "<=", floor)])
     return False
 
 
 def lp_upper_bound(
     n: int,
     k: int,
+    c: int | None = None,
     *,
     branch_and_bound: bool = False,
     node_limit: int = DEFAULT_NODE_LIMIT,
@@ -275,13 +273,20 @@ def lp_upper_bound(
 
     Scans d = 1, 2, ... (adding a trial constraint only shrinks the feasible
     region, so the first infeasible d settles the rest) and returns n if every
-    trial distance up to n stays feasible.  With ``branch_and_bound`` the scan
-    also stops at a proven integer infeasibility.
+    trial distance up to n stays feasible.  ``c`` defaults to maximal
+    entanglement n - k, which uses :func:`lp_feasible`; a smaller c scans
+    with :func:`lp_feasible_general`.  With ``branch_and_bound`` (maximal
+    entanglement only) the scan also stops at a proven integer infeasibility.
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    if c is None:
+        c = n - k
+    maximal = c == n - k
+    if branch_and_bound and not maximal:
+        raise ValueError("branch-and-bound requires maximal entanglement (c = n - k)")
     for d in range(1, n + 1):
-        if not lp_feasible(n, k, d):
+        if not (lp_feasible(n, k, d) if maximal else lp_feasible_general(n, k, c, d)):
             return d - 1
         if branch_and_bound and integer_feasible(n, k, d, node_limit) is False:
             return d - 1
@@ -340,19 +345,14 @@ def lp_feasible_general(n: int, k: int, c: int, d: int) -> bool:
     blocks = [iso, stab, norm, comb]
     num = 4 * width
 
-    def unit(idx: int, val: int = 1) -> list[int]:
-        row = [0] * num
-        row[idx] = val
-        return row
-
     rows: list[Row] = []
     for blk, order in zip(blocks, orders):
-        rows.append((unit(blk(0)), "=", 1))
+        rows.append((_unit(num, blk(0)), "=", 1))
         total = [0] * num
         for w in range(width):
             total[blk(w)] = 1
             if w >= 1:
-                rows.append((unit(blk(w)), "<=", order))
+                rows.append((_unit(num, blk(w)), "<=", order))
         rows.append((total, "=", order))
     for w in range(width):
         row = [0] * num

@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
-from eaqec import ParseError, PauliOperator, WeightEnumerator
+from eaqec import WeightEnumerator
 from eaqec import cli as cli_module
-from eaqec.cli import main, parse_code_file
+from eaqec import lpbound
+from eaqec.cli import main
 from eaqec.enumerator import IdentityCheck
 
 FIVE_QUBIT_TEXT = "5 1\nXZZXI\nIXZZX\nXIXZZ\nZXIXZ\n"
@@ -31,27 +32,37 @@ def run(capsys, *argv):
 # file parsing
 
 
-def test_parse_code_file_text_examples():
-    n, k, gens = parse_code_file(b"2 1\nXX\nZI")
-    assert (n, k) == (2, 1)
-    assert [str(g) for g in gens] == ["XX", "ZI"]
+def test_code_file_text_input(capsys, tmp_path, five_qubit_file):
+    path = tmp_path / "pair.txt"
+    path.write_bytes(b"2 1\nXX\nZI")
+    code, out, _ = run(capsys, "distance", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"n": 2, "k": 1, "c": 1, "distance": 1}
+    # <XX, ZI> = {II, XX, ZI, YX}
+    code, out, _ = run(capsys, "wenum", str(path))
+    assert code == 0 and out == "0 1\n1 1\n2 2\n"
 
-    n, k, gens = parse_code_file(FIVE_QUBIT_TEXT.encode())
-    assert (n, k, len(gens)) == (5, 1, 4)
+    code, out, _ = run(capsys, "distance", five_qubit_file, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"n": 5, "k": 1, "c": 0, "distance": 3}
 
 
-def test_parse_code_file_detects_json():
-    payload = json.dumps({"n": 2, "k": 1, "generators": ["XX", "ZI"]}).encode()
-    n, k, gens = parse_code_file(payload)
-    assert (n, k) == (2, 1)
-    assert [str(g) for g in gens] == ["XX", "ZI"]
+def test_code_file_json_detection(capsys, tmp_path):
+    path = tmp_path / "pair.json"
+    payload = json.dumps({"n": 2, "k": 1, "generators": ["XX", "ZI"]})
+    path.write_bytes(b"  " + payload.encode())
+    code, out, _ = run(capsys, "wenum", str(path))
+    assert code == 0 and out == "0 1\n1 1\n2 2\n"
 
 
-def test_parse_code_file_rejects_malformed():
-    with pytest.raises(ParseError):
-        parse_code_file(b"2 1\nXXX")
-    with pytest.raises(ParseError):
-        parse_code_file(b"\xff\xfe")
+def test_code_file_malformed_input(capsys, tmp_path):
+    for name, payload in (("long.txt", b"2 1\nXXX"), ("binary.txt", b"\xff\xfe")):
+        path = tmp_path / name
+        path.write_bytes(payload)
+        code, out, err = run(capsys, "distance", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+    assert "UTF-8" in err
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +235,13 @@ def test_budget_env_var(capsys, five_qubit_file, monkeypatch):
     monkeypatch.setenv("EAQEC_BUDGET_LOG2", "not-a-number")
     code, _, err = run(capsys, "wenum", five_qubit_file)
     assert code == 2 and "EAQEC_BUDGET_LOG2" in err
+
+
+def test_simplex_iteration_cap_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(lpbound, "_SIMPLEX_ITERATION_CAP", 1)
+    code, out, err = run(capsys, "lp-bound", "--n", "5", "--k", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "pivots" in err
 
 
 def test_unknown_subcommand_exits_via_argparse(capsys):

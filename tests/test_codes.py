@@ -171,7 +171,7 @@ def test_min_distance_requires_logical_content():
 
 
 def test_repetition_family_distances():
-    for n in range(2, 9):
+    for n in (*range(2, 9), 33, 41):
         code = ea_repetition_code(n)
         assert (code.n, code.k, code.c) == (n, 1, n - 1)
         assert min_distance(code) == (n if n % 2 else n - 1)

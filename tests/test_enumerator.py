@@ -100,19 +100,29 @@ def test_weight_enumerator_matches_closure_oracle():
 
 
 def test_weight_enumerator_large_rank_block_path():
-    # rank 17 exceeds the pure-Python path, so this group is tallied by the
-    # vectorized scheme; its product structure gives a closed form to check:
-    # qubits 0..7 contribute (1 + 3y) each, qubit 8 contributes (1 + y).
-    n = 9
-    gens = [PauliOperator(n, 1 << i, 0) for i in range(9)]
-    gens += [PauliOperator(n, 0, 1 << i) for i in range(8)]
-    group = canonicalize(gens, n)
-    assert group.rank == 17
-    expected = [1]
-    for _ in range(8):
-        expected = _poly_mul(expected, [1, 3])
-    expected = _poly_mul(expected, [1, 1])
-    assert weight_enumerator(group).coeffs == tuple(expected)
+    # Groups generated by single-qubit operators have a closed form: a qubit
+    # carrying X and Z contributes (1 + 3y), one carrying a single Pauli
+    # (1 + y).  The n = 9 group (rank 17) fits one block; the n = 40 group
+    # (rank 24) spans sixteen blocks and has X and Z bits on qubits 32..39,
+    # both in the block tables and in the generators walked between blocks.
+    cases = (
+        (9, {q: "XZ" for q in range(8)} | {8: "X"}),
+        (40, {q: "XZ" for q in range(32, 40)}
+         | {q: "Z" for q in range(4)} | {q: "Y" for q in range(4, 8)}),
+    )
+    for n, letters in cases:
+        gens = [
+            PauliOperator(n, (p in "XY") << q, (p in "YZ") << q)
+            for q, ps in letters.items()
+            for p in ps
+        ]
+        group = canonicalize(gens, n)
+        assert group.rank == len(gens)
+        expected = [1]
+        for ps in letters.values():
+            expected = _poly_mul(expected, [1, 3] if len(ps) == 2 else [1, 1])
+        expected += [0] * (n + 1 - len(expected))
+        assert weight_enumerator(group).coeffs == tuple(expected)
 
 
 def test_weight_enumerator_budget():

@@ -132,6 +132,8 @@ def test_integer_feasibility():
     assert integer_feasible(2, 1, 2, node_limit=0) is None
     # branch-and-bound can only tighten, never loosen, the plain scan
     assert lp_upper_bound(5, 2, branch_and_bound=True) <= lp_upper_bound(5, 2)
+    with pytest.raises(ValueError):
+        lp_upper_bound(5, 2, 1, branch_and_bound=True)
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +169,7 @@ def test_general_system_admits_known_codes():
 def test_general_system_is_monotone_in_distance():
     verdicts = [lp_feasible_general(6, 2, 2, d) for d in range(1, 7)]
     assert verdicts == sorted(verdicts, reverse=True)
+    assert lp_upper_bound(6, 2, 2) == sum(verdicts)
 
 
 # ---------------------------------------------------------------------------
