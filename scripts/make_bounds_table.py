@@ -12,7 +12,17 @@ import json
 import time
 from pathlib import Path
 
-from eaqec import build_table
+from eaqec import BoundsTable, build_table
+
+
+def write_table(table: BoundsTable, out: Path) -> tuple[Path, Path]:
+    """Write ``bounds_table_n<nmax>.txt`` and ``.json`` into ``out``."""
+    out.mkdir(parents=True, exist_ok=True)
+    text_path = out / f"bounds_table_n{table.n_max}.txt"
+    json_path = out / f"bounds_table_n{table.n_max}.json"
+    text_path.write_text(table.to_text())
+    json_path.write_text(json.dumps(table.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    return text_path, json_path
 
 
 def main() -> int:
@@ -32,11 +42,7 @@ def main() -> int:
     table = build_table(args.nmax)
     elapsed = time.time() - start
 
-    args.out.mkdir(parents=True, exist_ok=True)
-    text_path = args.out / f"bounds_table_n{args.nmax}.txt"
-    json_path = args.out / f"bounds_table_n{args.nmax}.json"
-    text_path.write_text(table.to_text())
-    json_path.write_text(json.dumps(table.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    text_path, json_path = write_table(table, args.out)
 
     settled = sum(1 for cell in table.cells if cell.lower == cell.upper)
     print(f"built {len(table.cells)} cells up to n={args.nmax} in {elapsed:.1f}s")

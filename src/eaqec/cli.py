@@ -6,7 +6,7 @@ identities, LP distance bounds, the bounds table, the registry of known codes,
 and the extension rules.  Output is deterministic — identical inputs give
 byte-identical output — and ``--format json`` encodes the same numbers as the
 text form.  Exit status: 0 on success, 1 when a verification fails, 2 on any
-usage or input error.
+usage or input error, 130 when interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -390,6 +390,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -464,14 +464,19 @@ def parse_code_json(
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
+    except (RecursionError, ValueError) as exc:  # nesting depth, integer digit limit
+        raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ParseError("top-level JSON value must be an object")
     try:
-        n = int(obj["n"])
-        k = int(obj["k"])
-        raw_gens = obj["generators"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"missing or malformed field: {exc}") from None
+        n, k, raw_gens = obj["n"], obj["k"], obj["generators"]
+    except KeyError as exc:
+        raise ParseError(f"missing field: {exc}") from None
+    for name, value in (("n", n), ("k", k)):
+        if type(value) is not int:  # bool is an int subclass; floats truncate
+            raise ParseError(
+                f"'{name}' must be a JSON integer, got {type(value).__name__}"
+            )
     if not isinstance(raw_gens, list):
         raise ParseError("'generators' must be a list of Pauli strings")
 

@@ -22,6 +22,9 @@ Enumeration visits every group element with one numpy kernel for all
 n <= 64: XOR tables of the low generators' X and Z halves, shifted block by
 block through a Gray-code walk over the remaining generators, with the weight
 of each element read off as the popcount of X | Z.
+
+numpy is imported by the two functions that enumerate, so importing the
+package, the registry and the LP bounds never load it.
 """
 
 from __future__ import annotations
@@ -31,12 +34,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import BudgetError, InconsistencyError
 from .pauli import PauliGroup, _lsb
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from .codes import EaqecCode
 
 #: Default cap on log2(number of elements) a single enumeration may visit.
@@ -90,6 +93,8 @@ def _weight_blocks(group: PauliGroup) -> Iterator[np.ndarray]:
     both tables (a Gray-code walk, one generator per step) and counts the set
     bits of X | Z.  The yielded ``uint8`` array is reused by the next block.
     """
+    import numpy as np
+
     gens = group.generators
     b = min(len(gens), _BLOCK_LOG2)
     size = 1 << b
@@ -121,6 +126,8 @@ def weight_enumerator(group: PauliGroup, budget_log2: int | None = None) -> Weig
     (default ``2**30`` elements).  A caller holding the orthogonal group's
     enumerator can fall back on :func:`macwilliams_transform` instead.
     """
+    import numpy as np
+
     n = group.n
     _check_budget(group.rank, budget_log2)
     tally = np.zeros(n + 1, dtype=np.int64)

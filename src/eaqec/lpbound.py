@@ -1,27 +1,40 @@
-"""Linear-programming distance bounds for maximal-entanglement codes.
+"""Linear-programming distance bounds for entanglement-assisted codes.
 
-For an [[n, k, d; n-k]] code the isotropic subgroup is trivial, the distance
-is the minimum weight over the nonidentity logical group elements, and the two
-weight distributions (A for the stabilizer side, B for the logical side) must
-satisfy, with |S_S| = 4^(n-k) and |L| = 4^k:
+For an [[n, k, d; c]] code let S be the weight distribution of the
+stabilizer S_S x S_I, of order |S| = 2^(n-k+c), and C that of the combined
+group L x S_S x S_I, of order |C| = 2^(n+k+c).  Their symplectic complements
+are the normalizer L x S_I and the isotropic subgroup S_I, and the
+MacWilliams identities give those distributions N and I as
 
-    A_0 = B_0 = 1
-    A_w >= 0, B_w >= 0                      for w = 1..n
-    A_w <= |S_S|, B_w <= |L|                for w = 1..n
-    sum_w A_w = |S_S|,  sum_w B_w = |L|
-    B_w = (1/|S_S|) sum_w' K_w(w', n) A_w'  for w = 0..n
-    B_w = 0                                 for w = 1..d-1
+    |S| N_w = sum_w' K_w(w', n) S_w',    |C| I_w = sum_w' K_w(w', n) C_w'
 
-If no real nonnegative solution exists for some trial distance d, no code with
-that d exists; the smallest infeasible d minus one is an upper bound on the
-achievable distance.  Adding a trial constraint only shrinks the feasible set,
-so a single ascending scan locates the threshold.
+with K the quaternary Krawtchouk polynomials.  Every normalizer element of
+weight below d lies in S_I, so a code of distance d has N_w = I_w for
+1 <= w < d.  If no nonnegative real distributions satisfy that for a trial
+distance d, no such code exists; the smallest infeasible d minus one is an
+upper bound on the achievable distance.  Adding a trial constraint only
+shrinks the feasible set, so a single ascending scan locates the threshold.
 
-Everything is solved in exact rational arithmetic (a phase-one simplex over
-``fractions.Fraction`` with Bland's rule), so verdicts carry no floating-point
-caveats.  The rational relaxation is sound for upper bounds: any true code
-gives an integer solution.  A branch-and-bound search for integer solutions is
-available behind a flag for instances where the relaxation is too weak.
+The systems carry the free variables only.  Leading coefficients are 1 and
+are substituted in, and N and I are linear in S and C, so they enter as rows
+(through :func:`_dual_form`) rather than as variables:
+
+- at maximal entanglement (c = n - k) S_I is trivial, C is the whole Pauli
+  group and N is the logical distribution B; :class:`LpInstance` solves for
+  A_1..A_n, the stabilizer distribution, in n + 1 rows;
+- for 0 < c < n - k, :func:`_general_rows` solves for S_1..S_n and C_1..C_n
+  in 5n + 2 rows.
+
+Each docstring says why the rows it leaves out are implied.
+
+Everything is solved exactly, in integers: a phase-one simplex with Bland's
+rule and fraction-free pivoting (Edmonds, J. Res. NBS 71B, 1967; the scheme
+of Avis's lrs), described at :func:`_solve_feasibility`.  Verdicts carry no
+floating-point caveats, and a feasible point is the same rational vertex a
+``fractions.Fraction`` tableau reaches.  The rational relaxation is sound for
+upper bounds: any true code gives an integer solution.  A branch-and-bound
+search for solutions with A and B both integral is available behind a flag
+for instances where the relaxation is too weak.
 
 :func:`build_table` assembles the full bounds grid: upper bounds from the LP
 scan plus the even-n overrides, lower bounds from the code registry closed
@@ -30,12 +43,13 @@ under the two extension rules.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Literal, Sequence
+from typing import Literal, Sequence
 
-from .codes import CodeRegistryEntry, registry
+from .codes import registry
 from .enumerator import krawtchouk
 from .errors import BudgetError
 
@@ -46,109 +60,122 @@ DEFAULT_NODE_LIMIT = 100_000
 
 _SIMPLEX_ITERATION_CAP = 1_000_000
 
-
 def _solve_feasibility(num_vars: int, rows: Sequence[Row]) -> list[Fraction] | None:
     """Exact phase-one simplex: a nonnegative rational point satisfying all
     rows, or None when the system is infeasible.
+
+    Coefficients and right-hand sides must be integers; anything else raises
+    ``TypeError`` rather than being rounded.  The tableau is a matrix T of
+    integers over a common denominator ``det``, the last pivot (1 at the
+    start): the true tableau is T / det.  A pivot on p = T[r][e] keeps row r
+    and maps every other row, the objective included, to
+    ``(x * p - f * y) // det``, where f is that row's entry in column e and y
+    the pivot row's entry; then ``det = p``.  The division is exact because
+    every entry of T is a minor of the initial matrix, and det stays positive
+    because the ratio test only picks positive pivots, so every sign the
+    pivot rules read is the sign of the true tableau entry.  The ratio test
+    compares r_i / a_i by cross-multiplying.
 
     Bland's smallest-index rule for both the entering column and ratio-test
     ties guarantees termination; artificial columns never re-enter.  The
     search stops as soon as the artificial objective reaches zero.
     """
-    zero = Fraction(0)
-    one = Fraction(1)
     # Normalize to nonnegative right-hand sides.
-    norm: list[tuple[list[Fraction], str, Fraction]] = []
+    norm: list[tuple[list[int], str, int]] = []
     for coeffs, sense, rhs in rows:
-        dense = [Fraction(c) for c in coeffs]
-        frhs = Fraction(rhs)
-        if frhs < 0:
+        dense = [operator.index(c) for c in coeffs]
+        rhs = operator.index(rhs)
+        if rhs < 0:
             dense = [-c for c in dense]
-            frhs = -frhs
+            rhs = -rhs
             sense = {"<=": ">=", ">=": "<=", "=": "="}[sense]
-        norm.append((dense, sense, frhs))
+        norm.append((dense, sense, rhs))
 
     n_ineq = sum(1 for _, sense, _ in norm if sense != "=")
-    n_art = sum(1 for _, sense, _ in norm if sense != "<=")
-    total = num_vars + n_ineq + n_art
     art_start = num_vars + n_ineq
 
-    tableau: list[list[Fraction]] = []
+    # Artificial columns are numbered from art_start but not stored: they
+    # never re-enter, so no pivot rule reads them.
+    tableau: list[list[int]] = []
     basis: list[int] = []
     slack_at = num_vars
     art_at = art_start
-    for dense, sense, frhs in norm:
-        row = dense + [zero] * (total - num_vars) + [frhs]
+    for dense, sense, rhs in norm:
+        row = dense + [0] * n_ineq + [rhs]
         if sense != "=":
-            row[slack_at] = one if sense == "<=" else -one
+            row[slack_at] = 1 if sense == "<=" else -1
             if sense == "<=":
                 basis.append(slack_at)
             slack_at += 1
         if sense != "<=":
-            row[art_at] = one
             basis.append(art_at)
             art_at += 1
         tableau.append(row)
 
     # Phase-one objective: minimize the sum of artificials.  The objective row
     # holds reduced costs; its last entry is minus the current objective value.
-    obj = [zero] * (total + 1)
+    obj = [0] * (art_start + 1)
     for i, b in enumerate(basis):
         if b >= art_start:
             row = tableau[i]
-            for j in range(total + 1):
-                if j < art_start and row[j]:
-                    obj[j] -= row[j]
+            for j in range(art_start):
+                obj[j] -= row[j]
             obj[-1] -= row[-1]
 
+    det = 1
     if obj[-1] == 0:
-        return _extract_point(num_vars, tableau, basis)
+        return _extract_point(num_vars, tableau, basis, det)
 
     for _ in range(_SIMPLEX_ITERATION_CAP):
-        enter = -1
-        for j in range(art_start):  # artificials never re-enter
-            if obj[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(art_start) if obj[j] < 0), -1)
         if enter < 0:
-            return None if obj[-1] != 0 else _extract_point(num_vars, tableau, basis)
+            return None if obj[-1] else _extract_point(num_vars, tableau, basis, det)
         pivot_row = -1
-        best_ratio: Fraction | None = None
         for i, row in enumerate(tableau):
             a = row[enter]
             if a > 0:
-                ratio = row[-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[pivot_row])
-                ):
-                    best_ratio = ratio
+                if pivot_row < 0:
+                    pivot_row = i
+                    continue
+                best = tableau[pivot_row]
+                lhs = row[-1] * best[enter]
+                rhs = best[-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[pivot_row]):
                     pivot_row = i
         if pivot_row < 0:
             # Unbounded below cannot happen for a sum of nonnegative variables.
             return None
         prow = tableau[pivot_row]
         piv = prow[enter]
-        if piv != 1:
-            prow = [x / piv for x in prow]
-            tableau[pivot_row] = prow
-        nz = [j for j, x in enumerate(prow) if x]
-        for row in tableau:
-            if row is prow:
-                continue
-            f = row[enter]
-            if f:
-                for j in nz:
-                    row[j] -= f * prow[j]
-        f = obj[enter]
-        if f:
-            for j in nz:
-                obj[j] -= f * prow[j]
+        for i, row in enumerate(tableau):
+            if i != pivot_row:
+                tableau[i] = _eliminate(row, prow, piv, det, enter)
+        obj = _eliminate(obj, prow, piv, det, enter)
+        det = piv
         basis[pivot_row] = enter
         if obj[-1] == 0:
-            return _extract_point(num_vars, tableau, basis)
+            return _extract_point(num_vars, tableau, basis, det)
     raise BudgetError(f"exact simplex exceeded {_SIMPLEX_ITERATION_CAP} pivots")
+
+
+def _eliminate(row: list[int], prow: list[int], piv: int, det: int, enter: int) -> list[int]:
+    """One fraction-free update of ``row`` against the pivot row."""
+    f = row[enter]
+    if f:
+        return [(x * piv - f * y) // det for x, y in zip(row, prow)]
+    if piv == det:
+        return row
+    return [x * piv // det for x in row]
+
+
+def _extract_point(
+    num_vars: int, tableau: list[list[int]], basis: list[int], det: int
+) -> list[Fraction]:
+    point = [Fraction(0)] * num_vars
+    for i, b in enumerate(basis):
+        if b < num_vars:
+            point[b] = Fraction(tableau[i][-1], det)
+    return point
 
 
 def _unit(num_vars: int, idx: int) -> list[int]:
@@ -157,22 +184,33 @@ def _unit(num_vars: int, idx: int) -> list[int]:
     return row
 
 
-def _extract_point(
-    num_vars: int, tableau: list[list[Fraction]], basis: list[int]
-) -> list[Fraction]:
-    point = [Fraction(0)] * num_vars
-    for i, b in enumerate(basis):
-        if b < num_vars:
-            point[b] = tableau[i][-1]
-    return point
+def _dual_form(n: int, w: int) -> tuple[list[int], int]:
+    """The weight-w transform of a distribution X with X_0 = 1, as the pair
+    (coefficients of X_1..X_n, constant K_w(0)).
+
+    For X the distribution of a group V, the value is |V| Y_w with Y the
+    distribution of V's symplectic complement.
+    """
+    return [krawtchouk(w, wp, n) for wp in range(1, n + 1)], krawtchouk(w, 0, n)
 
 
 @dataclass(frozen=True)
 class LpInstance:
     """The feasibility system for a trial distance d at maximal entanglement.
 
-    Variables are A_0..A_n then B_0..B_n, exactly the two enumerators named in
-    the constraint list; c is pinned to n - k.
+    The variables are A_1..A_n, the stabilizer distribution with A_0 = 1
+    substituted in.  The logical distribution B is the linear form
+    4^(n-k) B_w = K_w(0) + sum_w' K_w(w') A_w'.  The n + 1 rows are
+
+        sum_{w>=1} A_w = 4^(n-k) - 1
+        4^(n-k) B_w = 0  for 1 <= w < d,   >= 0  for d <= w <= n
+
+    and the simplex keeps A >= 0.  The other constraints on the two
+    distributions are implied, because sum_w K_w(w') = 4^n [w' = 0]:
+    K_0(w') = 1 turns the sum row into B_0 = 1, and summing the forms over w
+    leaves 4^n A_0, so sum_w B_w = 4^k.  Each cap A_w <= 4^(n-k) and
+    B_w <= 4^k then follows from its sum and nonnegativity.  c is pinned to
+    n - k.
     """
 
     n: int
@@ -191,32 +229,14 @@ class LpInstance:
 
     @property
     def num_vars(self) -> int:
-        return 2 * (self.n + 1)
+        return self.n
 
     def rows(self) -> list[Row]:
-        n, k, d = self.n, self.k, self.d
-        stab_order = 4 ** (n - k)
-        logical_order = 4**k
-        a = lambda w: w
-        b = lambda w: n + 1 + w
-        num = self.num_vars
-
-        rows: list[Row] = [(_unit(num, a(0)), "=", 1), (_unit(num, b(0)), "=", 1)]
+        n, d = self.n, self.d
+        rows: list[Row] = [([1] * n, "=", 4 ** (n - self.k) - 1)]
         for w in range(1, n + 1):
-            rows.append((_unit(num, a(w)), "<=", stab_order))
-            rows.append((_unit(num, b(w)), "<=", logical_order))
-        sum_a = [1] * (n + 1) + [0] * (n + 1)
-        sum_b = [0] * (n + 1) + [1] * (n + 1)
-        rows.append((sum_a, "=", stab_order))
-        rows.append((sum_b, "=", logical_order))
-        for w in range(n + 1):
-            row = [0] * num
-            for wp in range(n + 1):
-                row[a(wp)] = krawtchouk(w, wp, n)
-            row[b(w)] = -stab_order
-            rows.append((row, "=", 0))
-        for w in range(1, d):
-            rows.append((_unit(num, b(w)), "=", 0))
+            coeffs, const = _dual_form(n, w)
+            rows.append((coeffs, "=" if w < d else ">=", -const))
         return rows
 
 
@@ -232,16 +252,21 @@ def lp_feasible(n: int, k: int, d: int) -> bool:
 def integer_feasible(
     n: int, k: int, d: int, node_limit: int = DEFAULT_NODE_LIMIT
 ) -> bool | None:
-    """Branch-and-bound search for an integer solution of the same system.
+    """Branch-and-bound search for a solution of the same system with A and B
+    both integral.
 
-    Returns True when an all-integer point is found, False when the search
-    space is exhausted (proving integer infeasibility), and None when the node
-    limit stops the search first — inconclusive, so callers must treat it as
+    Each node branches on the first fractional A_w, else on the first
+    fractional B_w; a bound on B_w enters as a row on its form 4^(n-k) B_w.
+    Returns True when such a point is found, False when the search space is
+    exhausted (proving integer infeasibility), and None when the node limit
+    stops the search first — inconclusive, so callers must treat it as
     feasible to stay sound.
     """
     inst = LpInstance(n, k, d)
     base = inst.rows()
-    num = inst.num_vars
+    # Each branching quantity as (coefficients, constant, denominator).
+    quantities = [(_unit(n, w - 1), 0, 1) for w in range(1, n + 1)]
+    quantities += [(*_dual_form(n, w), 4 ** (n - k)) for w in range(1, n + 1)]
     stack: list[list[Row]] = [[]]
     nodes = 0
     while stack:
@@ -249,15 +274,18 @@ def integer_feasible(
         nodes += 1
         if nodes > node_limit:
             return None
-        point = _solve_feasibility(num, base + extra)
+        point = _solve_feasibility(n, base + extra)
         if point is None:
             continue
-        frac_idx = next((i for i, x in enumerate(point) if x.denominator != 1), None)
-        if frac_idx is None:
+        for coeffs, const, denom in quantities:
+            value = Fraction(const + sum(c * x for c, x in zip(coeffs, point)), denom)
+            if value.denominator != 1:
+                break
+        else:
             return True
-        floor = point[frac_idx].numerator // point[frac_idx].denominator
-        stack.append(extra + [(_unit(num, frac_idx), ">=", floor + 1)])
-        stack.append(extra + [(_unit(num, frac_idx), "<=", floor)])
+        floor = value.numerator // value.denominator
+        stack.append(extra + [(coeffs, ">=", (floor + 1) * denom - const)])
+        stack.append(extra + [(coeffs, "<=", floor * denom - const)])
     return False
 
 
@@ -312,19 +340,62 @@ def apply_overrides(n: int, k: int, lp_bound: int) -> int:
 # the general system for 0 < c < n - k
 
 
-def lp_feasible_general(n: int, k: int, c: int, d: int) -> bool:
-    """Feasibility for partial entanglement, linking all four enumerators.
+def _general_rows(n: int, k: int, c: int, d: int) -> list[Row]:
+    """The partial-entanglement system over S_1..S_n then C_1..C_n.
 
-    Variable blocks are the distributions of S_I, of the stabilizer
-    S_S x S_I, of the normalizer L x S_I, and of the combined group
-    L x S_S x S_I.  Each block carries the nonnegativity, cap, total-sum, and
-    leading-coefficient constraints of its group; the two MacWilliams
-    identities link stabilizer to normalizer and combined to isotropic.  The
-    distance condition pins the normalizer and isotropic counts together below
-    the trial distance, and subgroup containment adds coefficientwise
-    dominance between nested blocks.  At c = n - k the isotropic block is
-    trivial and the system degenerates to :func:`lp_feasible`, which is used
-    directly.
+    S_0 = C_0 = 1 are substituted in, and the complement distributions are
+    the forms |S| N_w = K_w(0) + sum_w' K_w(w') S_w' and likewise |C| I_w
+    from C.  The rows are the two sums and, for each w = 1..n, five more:
+
+        sum_{w>=1} S_w = |S| - 1,   sum_{w>=1} C_w = |C| - 1
+        I_w >= 0
+        N_w - I_w = 0  for w < d,   >= 0  from d on
+        C_w >= N_w,   S_w >= I_w,   C_w >= S_w
+
+    each multiplied through to integers using |C| / |S| = 4^k; the last
+    three are the coefficientwise dominance of nested groups.  The rest of
+    the four-block system is implied, by the argument at
+    :class:`LpInstance`: the forms give N_0 = I_0 = 1 and the sums of N and
+    I, N >= 0 follows from N >= I >= 0, every cap from its sum and
+    nonnegativity, and dominance at w = 0 reads 1 >= 1.
+    """
+    stab_order = 1 << (n - k + c)
+    comb_order = 1 << (n + k + c)
+    scale = comb_order // stab_order  # 4^k
+    zeros = [0] * n
+    forms = [_dual_form(n, w) for w in range(1, n + 1)]
+    rows: list[Row] = [
+        ([1] * n + zeros, "=", stab_order - 1),
+        (zeros + [1] * n, "=", comb_order - 1),
+    ]
+    for coeffs, const in forms:  # |C| I_w
+        rows.append((zeros + coeffs, ">=", -const))
+    for w, (coeffs, const) in enumerate(forms, 1):  # |C| (N_w - I_w)
+        row = [scale * x for x in coeffs] + [-x for x in coeffs]
+        rows.append((row, "=" if w < d else ">=", const - scale * const))
+    for w, (coeffs, const) in enumerate(forms, 1):
+        neg = [-x for x in coeffs]
+        row = neg + zeros  # |S| (C_w - N_w)
+        row[n + w - 1] = stab_order
+        rows.append((row, ">=", const))
+        row = zeros + neg  # |C| (S_w - I_w)
+        row[w - 1] = comb_order
+        rows.append((row, ">=", const))
+        row = _unit(2 * n, n + w - 1)  # C_w - S_w
+        row[w - 1] = -1
+        rows.append((row, ">=", 0))
+    return rows
+
+
+def lp_feasible_general(n: int, k: int, c: int, d: int) -> bool:
+    """Feasibility for partial entanglement, over the stabilizer and combined
+    distributions (see :func:`_general_rows`).
+
+    The normalizer and isotropic distributions are their transforms; the
+    distance condition pins the two together below the trial distance, and
+    subgroup containment adds coefficientwise dominance between nested
+    groups.  At c = n - k the isotropic group is trivial and the system
+    degenerates to :func:`lp_feasible`, which is used directly.
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
@@ -334,50 +405,7 @@ def lp_feasible_general(n: int, k: int, c: int, d: int) -> bool:
         raise ValueError(f"need 1 <= d <= n, got d={d}")
     if c == n - k:
         return lp_feasible(n, k, d)
-
-    s = n - k - c
-    width = n + 1
-    orders = [1 << s, 1 << (n - k + c), 1 << (n + k - c), 1 << (n + k + c)]
-    iso = lambda w: w
-    stab = lambda w: width + w
-    norm = lambda w: 2 * width + w
-    comb = lambda w: 3 * width + w
-    blocks = [iso, stab, norm, comb]
-    num = 4 * width
-
-    rows: list[Row] = []
-    for blk, order in zip(blocks, orders):
-        rows.append((_unit(num, blk(0)), "=", 1))
-        total = [0] * num
-        for w in range(width):
-            total[blk(w)] = 1
-            if w >= 1:
-                rows.append((_unit(num, blk(w)), "<=", order))
-        rows.append((total, "=", order))
-    for w in range(width):
-        row = [0] * num
-        for wp in range(width):
-            row[stab(wp)] = krawtchouk(w, wp, n)
-        row[norm(w)] = -orders[1]
-        rows.append((row, "=", 0))
-    for w in range(width):
-        row = [0] * num
-        for wp in range(width):
-            row[comb(wp)] = krawtchouk(w, wp, n)
-        row[iso(w)] = -orders[3]
-        rows.append((row, "=", 0))
-    for w in range(1, d):
-        row = [0] * num
-        row[norm(w)] = 1
-        row[iso(w)] = -1
-        rows.append((row, "=", 0))
-    for w in range(width):
-        for lo, hi in ((iso, norm), (norm, comb), (iso, stab), (stab, comb)):
-            row = [0] * num
-            row[hi(w)] = 1
-            row[lo(w)] = -1
-            rows.append((row, ">=", 0))
-    return _solve_feasibility(num, rows) is not None
+    return _solve_feasibility(2 * n, _general_rows(n, k, c, d)) is not None
 
 
 # ---------------------------------------------------------------------------

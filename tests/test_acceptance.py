@@ -8,7 +8,9 @@ expansion, group closure).
 
 import math
 import random
+import runpy
 import time
+from pathlib import Path
 
 from eaqec import (
     build_table,
@@ -64,7 +66,7 @@ EXPECTED_LOWER = {
 }
 
 
-def test_criterion_1_table_reproduction():
+def test_criterion_1_table_reproduction(tmp_path):
     """Every cell of the n <= 15 bounds grid matches, exactly."""
     start = time.time()
     table = build_table(15)
@@ -77,7 +79,12 @@ def test_criterion_1_table_reproduction():
             if (cell.lower, cell.upper) != want:
                 mismatches.append((n, k, (cell.lower, cell.upper), want))
     assert not mismatches, f"cells differing from the published grid: {mismatches}"
-    print(f"criterion 1 (table reproduction, 104 cells in {elapsed:.0f}s): PASS")
+    # the committed artifacts are what the table script writes, byte for byte
+    root = Path(__file__).resolve().parent.parent
+    script = runpy.run_path(str(root / "scripts" / "make_bounds_table.py"))
+    for written in script["write_table"](table, tmp_path):
+        assert written.read_bytes() == (root / "artifacts" / written.name).read_bytes()
+    print(f"criterion 1 (table reproduction, 104 cells in {elapsed:.1f}s): PASS")
 
 
 def test_criterion_2_macwilliams_property_suite():

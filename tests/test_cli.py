@@ -56,13 +56,23 @@ def test_code_file_json_detection(capsys, tmp_path):
 
 
 def test_code_file_malformed_input(capsys, tmp_path):
-    for name, payload in (("long.txt", b"2 1\nXXX"), ("binary.txt", b"\xff\xfe")):
+    cases = (
+        ("long.txt", b"2 1\nXXX"),
+        ("binary.txt", b"\xff\xfe"),
+        ("overflow.json", b'{"n": 1e400, "k": 1, "generators": []}'),
+        ("float.json", b'{"n": 2.5, "k": 1, "generators": ["XX", "ZI"]}'),
+        ("bool.json", b'{"n": 2, "k": true, "generators": ["XX", "ZI"]}'),
+        ("deep.json", b'{"n": ' + b"[" * 100_000),
+        ("digits.json", b'{"n": 1' + b"0" * 5000 + b', "k": 1, "generators": []}'),
+    )
+    for name, payload in cases:
         path = tmp_path / name
         path.write_bytes(payload)
         code, out, err = run(capsys, "distance", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
-    assert "UTF-8" in err
+        if name == "binary.txt":
+            assert "UTF-8" in err
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +252,16 @@ def test_simplex_iteration_cap_exits_2(capsys, monkeypatch):
     code, out, err = run(capsys, "lp-bound", "--n", "5", "--k", "2")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "pivots" in err
+
+
+def test_keyboard_interrupt_exits_130(capsys, monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli_module, "_cmd_table", interrupted)
+    code, out, err = run(capsys, "table", "--nmax", "4")
+    assert code == 130 and out == ""
+    assert "Traceback" not in err
 
 
 def test_unknown_subcommand_exits_via_argparse(capsys):

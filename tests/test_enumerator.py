@@ -6,12 +6,17 @@ groups with independent single-qubit factors.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eaqec
 from eaqec import (
     BudgetError,
     InconsistencyError,
@@ -131,6 +136,21 @@ def test_weight_enumerator_budget():
     assert group.rank > 3
     with pytest.raises(BudgetError):
         weight_enumerator(group, budget_log2=3)
+
+
+def test_numpy_is_loaded_only_to_enumerate():
+    # the registry and the LP bounds stay clear of numpy's import cost
+    script = (
+        "import sys, eaqec; eaqec.registry(); eaqec.build_table(4); "
+        "assert 'numpy' not in sys.modules, 'numpy was imported'"
+    )
+    src = str(Path(eaqec.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------------------------
