@@ -11,10 +11,8 @@ from .codes import (
     CodeRegistryEntry,
     EaqecCode,
     Pair,
-    build_code,
     code_from_entry,
     code_to_json_dict,
-    complete_logical,
     dual,
     ea_repetition_code,
     extend_code,
@@ -90,12 +88,10 @@ __all__ = [
     "UndefinedDistanceError",
     "WeightEnumerator",
     "apply_overrides",
-    "build_code",
     "build_table",
     "canonicalize",
     "code_from_entry",
     "code_to_json_dict",
-    "complete_logical",
     "contains",
     "dual",
     "ea_repetition_code",

@@ -21,12 +21,11 @@ from typing import Sequence
 from .codes import (
     CodeRegistryEntry,
     EaqecCode,
-    build_code,
-    complete_logical,
     code_to_json_dict,
     dual,
     extend_code,
     format_code_text,
+    from_generators,
     min_distance,
     parse_code_json,
     parse_code_text,
@@ -37,7 +36,6 @@ from .errors import EaqecError, ParseError
 from .lpbound import (
     build_table,
     integer_feasible,
-    lp_feasible,
     lp_feasible_general,
     lp_upper_bound,
 )
@@ -64,8 +62,8 @@ def _load_code(path: str) -> EaqecCode:
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not valid UTF-8 ({exc})") from None
     if text.lstrip().startswith("{"):
-        return build_code(*parse_code_json(text))
-    return build_code(*parse_code_text(text))
+        return from_generators(*parse_code_json(text))
+    return from_generators(*parse_code_text(text))
 
 
 def _budget(args: argparse.Namespace) -> int:
@@ -100,7 +98,7 @@ def _cmd_dual(args: argparse.Namespace) -> int:
 
 
 def _cmd_wenum(args: argparse.Namespace) -> int:
-    code = complete_logical(_load_code(args.code_file))
+    code = _load_code(args.code_file)
     group = {
         "stabilizer": code.stabilizer_group,
         "isotropic": code.isotropic_group,
@@ -172,16 +170,12 @@ def _cmd_verify_mw(args: argparse.Namespace) -> int:
 def _cmd_lp_bound(args: argparse.Namespace) -> int:
     n, k = args.n, args.k
     c = args.c if args.c is not None else n - k
-    maximal = c == n - k
-    if args.branch_and_bound and not maximal:
+    if args.branch_and_bound and c != n - k:
         raise EaqecError("--branch-and-bound requires maximal entanglement (c = n - k)")
     if args.d is not None:
-        if maximal:
-            feasible = lp_feasible(n, k, args.d)
-            if feasible and args.branch_and_bound:
-                feasible = integer_feasible(n, k, args.d) is not False
-        else:
-            feasible = lp_feasible_general(n, k, c, args.d)
+        feasible = lp_feasible_general(n, k, c, args.d)
+        if feasible and args.branch_and_bound:
+            feasible = integer_feasible(n, k, args.d) is not False
         if args.format == "json":
             _print_json({"n": n, "k": k, "c": c, "d": args.d, "feasible": feasible})
         else:

@@ -28,7 +28,7 @@ qubit for an ebit ([[n, k, d; c]] -> [[n, k-1, d'; c+1]] with d' >= d).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, Sequence
 
@@ -59,8 +59,7 @@ class EaqecCode:
     ``symplectic_pairs`` are the c hyperbolic pairs of the entangled
     stabilizer part, ``isotropic_gens`` the s = n - k - c commuting
     generators, and ``logical_pairs`` the k hyperbolic pairs of the logical
-    group (optional: they are derivable from the rest and can be attached
-    later).  Construction validates the full commutation pattern: each pair
+    group.  Construction validates the full commutation pattern: each pair
     anticommutes internally, and all other generator products commute.
     """
 
@@ -69,7 +68,7 @@ class EaqecCode:
     c: int
     symplectic_pairs: tuple[Pair, ...]
     isotropic_gens: tuple[PauliOperator, ...]
-    logical_pairs: tuple[Pair, ...] | None = None
+    logical_pairs: tuple[Pair, ...]
 
     def __post_init__(self) -> None:
         n, k, c = self.n, self.k, self.c
@@ -87,11 +86,11 @@ class EaqecCode:
                 f"generator counts do not fit: k={k}, c={c}, {s} isotropic "
                 f"generators, but k + c + s must equal n={n}"
             )
-        if self.logical_pairs is not None and len(self.logical_pairs) != k:
+        if len(self.logical_pairs) != k:
             raise StructureError(
                 f"k={k} but {len(self.logical_pairs)} logical pairs given"
             )
-        pairs = self.symplectic_pairs + (self.logical_pairs or ())
+        pairs = self.symplectic_pairs + self.logical_pairs
         gens: list[PauliOperator] = [g for pair in pairs for g in pair]
         gens += list(self.isotropic_gens)
         for g in gens:
@@ -122,23 +121,17 @@ class EaqecCode:
 
     @cached_property
     def logical_group(self) -> PauliGroup:
-        if self.logical_pairs is None:
-            raise StructureError("logical pairs not attached; use complete_logical()")
         return canonicalize([g for pair in self.logical_pairs for g in pair], self.n)
 
     @cached_property
     def normalizer_group(self) -> PauliGroup:
         """L x S_I, the symplectic orthogonal of the simplified stabilizer."""
-        if self.logical_pairs is None:
-            raise StructureError("logical pairs not attached; use complete_logical()")
         flat = [g for pair in self.logical_pairs for g in pair]
         return canonicalize(flat + list(self.isotropic_gens), self.n)
 
     @cached_property
     def combined_group(self) -> PauliGroup:
         """L x S_S x S_I, everything commuting with the isotropic subgroup."""
-        if self.logical_pairs is None:
-            raise StructureError("logical pairs not attached; use complete_logical()")
         flat = [g for pair in self.logical_pairs + self.symplectic_pairs for g in pair]
         return canonicalize(flat + list(self.isotropic_gens), self.n)
 
@@ -147,32 +140,21 @@ class EaqecCode:
         return f"[[{self.n},{mid};{self.c}]]"
 
 
-def complete_logical(code: EaqecCode) -> EaqecCode:
-    """Return ``code`` with logical pairs attached, deriving them if absent.
-
-    The derivation takes the symplectic orthogonal of the stabilizer and
-    splits it into hyperbolic pairs modulo the isotropic subgroup, which by
-    construction reappears as the radical of that orthogonal group.
-    """
-    if code.logical_pairs is not None:
-        return code
-    ortho = orthogonal_group(code.stabilizer_group)
-    pairs, iso = symplectic_gram_schmidt(ortho)
-    if len(pairs) != code.k or canonicalize(iso, code.n) != code.isotropic_group:
-        raise StructureError(
-            "orthogonal complement does not split into k logical pairs over the "
-            "isotropic subgroup"
-        )
-    return replace(code, logical_pairs=pairs)
-
-
-def from_generators(n: int, k: int, generators: Iterable[PauliOperator]) -> EaqecCode:
+def from_generators(
+    n: int,
+    k: int,
+    generators: Iterable[PauliOperator],
+    logical_pairs: Sequence[Pair] | None = None,
+) -> EaqecCode:
     """Build an ``[[n, k; c]]`` code from its simplified stabilizer generators.
 
     The entanglement count c is inferred by splitting the generated group into
     hyperbolic pairs and an isotropic remainder; the generator rank must then
-    equal n - k + c.  Logical pairs are derived from the symplectic orthogonal
-    of the stabilizer, whose rank n + k - c complements it to 2n (checked).
+    equal n - k + c.  Supplied ``logical_pairs`` are validated against the
+    stabilizer by the code's constructor.  Otherwise they are derived from the
+    symplectic orthogonal of the stabilizer, whose rank n + k - c complements
+    it to 2n (checked) and which splits into k hyperbolic pairs over the
+    isotropic subgroup, its radical (checked).
     """
     if not 0 <= k <= n:
         raise ValueError(f"information qubit count k={k} out of range for n={n}")
@@ -184,14 +166,20 @@ def from_generators(n: int, k: int, generators: Iterable[PauliOperator]) -> Eaqe
             f"rank {group.rank} stabilizer with {c} hyperbolic pairs does not "
             f"match n - k + c = {n - k + c} for [[{n},{k};{c}]]"
         )
-    ortho = orthogonal_group(group)
-    if group.rank + ortho.rank != 2 * n:
-        raise StructureError(
-            f"stabilizer rank {group.rank} and orthogonal rank {ortho.rank} "
-            f"do not sum to 2n = {2 * n}"
-        )
-    code = EaqecCode(n, k, c, pairs, iso, None)
-    return complete_logical(code)
+    if logical_pairs is None:
+        ortho = orthogonal_group(group)
+        if group.rank + ortho.rank != 2 * n:
+            raise StructureError(
+                f"stabilizer rank {group.rank} and orthogonal rank {ortho.rank} "
+                f"do not sum to 2n = {2 * n}"
+            )
+        logical_pairs, radical = symplectic_gram_schmidt(ortho)
+        if len(logical_pairs) != k or canonicalize(radical, n) != canonicalize(iso, n):
+            raise StructureError(
+                "orthogonal complement does not split into k logical pairs over the "
+                "isotropic subgroup"
+            )
+    return EaqecCode(n, k, c, pairs, iso, tuple(logical_pairs))
 
 
 def dual(code: EaqecCode) -> EaqecCode:
@@ -200,7 +188,6 @@ def dual(code: EaqecCode) -> EaqecCode:
     Maps ``[[n, k, d; c]]`` to ``[[n, c, d'; k]]`` with the isotropic subgroup
     unchanged; applying it twice returns the original code exactly.
     """
-    code = complete_logical(code)
     return EaqecCode(
         n=code.n,
         k=code.c,
@@ -220,7 +207,6 @@ def min_distance(code: EaqecCode, budget_log2: int | None = None) -> int:
     Raises :class:`UndefinedDistanceError` when k = 0 (the difference set is
     empty) and :class:`BudgetError` when 2^(n + k - c) exceeds the budget.
     """
-    code = complete_logical(code)
     if code.k == 0:
         raise UndefinedDistanceError(
             "code has no information qubits, so no operator set defines a distance"
@@ -507,28 +493,10 @@ def parse_code_json(
 
 def code_to_json_dict(code: EaqecCode) -> dict:
     """JSON-ready dict mirroring the text format plus the logical pairs."""
-    out: dict = {
+    return {
         "n": code.n,
         "k": code.k,
         "c": code.c,
         "generators": [str(g) for g in code.stabilizer_group.generators],
+        "logical_pairs": [[str(g), str(h)] for g, h in code.logical_pairs],
     }
-    if code.logical_pairs is not None:
-        out["logical_pairs"] = [[str(g), str(h)] for g, h in code.logical_pairs]
-    return out
-
-
-def build_code(
-    n: int,
-    k: int,
-    generators: Sequence[PauliOperator],
-    logical_pairs: Sequence[Pair] | None = None,
-) -> EaqecCode:
-    """Construct a code from parsed file contents, attaching any explicitly
-    supplied logical pairs after validating them against the stabilizer."""
-    code = from_generators(n, k, generators)
-    if logical_pairs is None:
-        return code
-    return EaqecCode(
-        n, k, code.c, code.symplectic_pairs, code.isotropic_gens, tuple(logical_pairs)
-    )

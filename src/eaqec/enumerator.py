@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import BudgetError, InconsistencyError
 from .pauli import PauliGroup, _lsb
@@ -65,14 +65,6 @@ class WeightEnumerator:
     def order(self) -> int:
         """Total element count: sum of the coefficients, 2**rank for a group."""
         return sum(self.coeffs)
-
-    def to_strings(self) -> list[str]:
-        """Coefficients as decimal strings (the JSON wire form; exact at any size)."""
-        return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_strings(cls, n: int, coeffs: Sequence[str]) -> "WeightEnumerator":
-        return cls(n, tuple(int(c) for c in coeffs))
 
 
 def _check_budget(rank: int, budget_log2: int | None) -> int:

@@ -295,7 +295,6 @@ def lp_upper_bound(
     c: int | None = None,
     *,
     branch_and_bound: bool = False,
-    node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> int:
     """Largest d not excluded: the smallest infeasible trial distance minus 1.
 
@@ -316,7 +315,7 @@ def lp_upper_bound(
     for d in range(1, n + 1):
         if not (lp_feasible(n, k, d) if maximal else lp_feasible_general(n, k, c, d)):
             return d - 1
-        if branch_and_bound and integer_feasible(n, k, d, node_limit) is False:
+        if branch_and_bound and integer_feasible(n, k, d) is False:
             return d - 1
     return n
 

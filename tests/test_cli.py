@@ -130,10 +130,10 @@ def test_dual_round_trip_through_cli(capsys, five_qubit_file, tmp_path):
     code, out2, _ = run(capsys, "dual", str(dual_path))
     assert code == 0
     # dualizing twice returns the original stabilizer group
-    from eaqec import build_code, parse_code_text
+    from eaqec import from_generators, parse_code_text
 
-    original = build_code(*parse_code_text(FIVE_QUBIT_TEXT))
-    recovered = build_code(*parse_code_text(out2))
+    original = from_generators(*parse_code_text(FIVE_QUBIT_TEXT))
+    recovered = from_generators(*parse_code_text(out2))
     assert recovered.stabilizer_group == original.stabilizer_group
 
 

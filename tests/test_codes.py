@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eaqec.codes
 from eaqec import (
     DimensionError,
     EaqecCode,
@@ -14,11 +15,9 @@ from eaqec import (
     ParseError,
     StructureError,
     UndefinedDistanceError,
-    build_code,
     canonicalize,
     code_from_entry,
     code_to_json_dict,
-    complete_logical,
     contains,
     dual,
     ea_repetition_code,
@@ -99,27 +98,43 @@ def test_from_generators_five_qubit():
     code = five_qubit_code()
     assert (code.n, code.k, code.c) == (5, 1, 0)
     assert len(code.isotropic_gens) == 4
-    assert code.logical_pairs is not None and len(code.logical_pairs) == 1
+    assert len(code.logical_pairs) == 1
     with pytest.raises(StructureError):
         from_generators(
             5, 2, [PauliOperator.from_string(s) for s in FIVE_QUBIT_GENERATORS]
         )
 
 
-def test_complete_logical_is_idempotent_and_valid():
+def test_from_generators_derives_valid_logical_pairs():
     rng = random.Random(31)
     for _ in range(20):
         code = random_code(rng, rng.randint(2, 5))
-        bare = EaqecCode(
-            code.n, code.k, code.c, code.symplectic_pairs, code.isotropic_gens, None
-        )
-        completed = complete_logical(bare)
-        assert completed.logical_pairs is not None
-        assert len(completed.logical_pairs) == code.k
-        assert complete_logical(completed) is completed
+        rebuilt = from_generators(code.n, code.k, code.stabilizer_group.generators)
+        assert (rebuilt.n, rebuilt.k, rebuilt.c) == (code.n, code.k, code.c)
+        assert len(rebuilt.logical_pairs) == code.k
         # same stabilizer, and the derived logicals normalize it
-        assert completed.stabilizer_group == code.stabilizer_group
-        assert completed.normalizer_group == code.normalizer_group
+        assert rebuilt.stabilizer_group == code.stabilizer_group
+        assert rebuilt.normalizer_group == code.normalizer_group
+
+
+def test_from_generators_builds_and_validates_once(monkeypatch):
+    calls = {"orthogonal_group": 0, "validate": 0}
+    orthogonal_group = eaqec.codes.orthogonal_group
+    post_init = EaqecCode.__post_init__
+
+    def counting_orthogonal_group(group):
+        calls["orthogonal_group"] += 1
+        return orthogonal_group(group)
+
+    def counting_post_init(self):
+        calls["validate"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(eaqec.codes, "orthogonal_group", counting_orthogonal_group)
+    monkeypatch.setattr(EaqecCode, "__post_init__", counting_post_init)
+    gens = [PauliOperator.from_string(s) for s in FIVE_QUBIT_GENERATORS]
+    from_generators(5, 1, gens)
+    assert calls == {"orthogonal_group": 1, "validate": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +333,7 @@ def test_text_round_trip_is_canonical():
         code = random_code(rng, rng.randint(1, 5))
         n, k, gens = parse_code_text(format_code_text(code))
         assert (n, k) == (code.n, code.k)
-        reparsed = build_code(n, k, gens)
+        reparsed = from_generators(n, k, gens)
         assert reparsed.stabilizer_group == code.stabilizer_group
         assert format_code_text(reparsed) == format_code_text(code)
 
@@ -327,7 +342,7 @@ def test_json_round_trip_with_logical_pairs():
     code = five_qubit_code()
     payload = json.dumps(code_to_json_dict(code))
     n, k, gens, logical = parse_code_json(payload)
-    rebuilt = build_code(n, k, gens, logical)
+    rebuilt = from_generators(n, k, gens, logical)
     assert rebuilt == code
     assert code_to_json_dict(rebuilt) == code_to_json_dict(code)
 
@@ -347,13 +362,13 @@ def test_parse_code_json_rejections():
         parse_code_json('{"n": 2, "k": 1, "generators": ["XX"], "logical_pairs": ["IX"]}')
 
 
-def test_build_code_rejects_inconsistent_logical_pairs():
+def test_from_generators_rejects_inconsistent_logical_pairs():
     xx = PauliOperator.from_string("XX")
     zi = PauliOperator.from_string("ZI")
     ix = PauliOperator.from_string("IX")
     with pytest.raises(StructureError):
         # supplied logical pair commutes internally
-        build_code(2, 1, [xx, zi], [(ix, ix * xx)])
+        from_generators(2, 1, [xx, zi], [(ix, ix * xx)])
 
 
 # ---------------------------------------------------------------------------
