@@ -45,10 +45,8 @@ from .errors import (
 from .lpbound import (
     BoundsCell,
     BoundsTable,
-    LpInstance,
     apply_overrides,
     build_table,
-    integer_feasible,
     lp_feasible,
     lp_feasible_general,
     lp_upper_bound,
@@ -78,7 +76,6 @@ __all__ = [
     "EaqecError",
     "IdentityCheck",
     "InconsistencyError",
-    "LpInstance",
     "MAX_QUBITS",
     "Pair",
     "ParseError",
@@ -99,7 +96,6 @@ __all__ = [
     "extend_code",
     "format_code_text",
     "from_generators",
-    "integer_feasible",
     "krawtchouk",
     "lp_feasible",
     "lp_feasible_general",

@@ -33,12 +33,7 @@ from .codes import (
 )
 from .enumerator import DEFAULT_BUDGET_LOG2, eaqec_identities, weight_enumerator
 from .errors import EaqecError, ParseError
-from .lpbound import (
-    build_table,
-    integer_feasible,
-    lp_feasible_general,
-    lp_upper_bound,
-)
+from .lpbound import build_table, lp_feasible_general, lp_upper_bound
 
 BUDGET_ENV_VAR = "EAQEC_BUDGET_LOG2"
 
@@ -170,18 +165,14 @@ def _cmd_verify_mw(args: argparse.Namespace) -> int:
 def _cmd_lp_bound(args: argparse.Namespace) -> int:
     n, k = args.n, args.k
     c = args.c if args.c is not None else n - k
-    if args.branch_and_bound and c != n - k:
-        raise EaqecError("--branch-and-bound requires maximal entanglement (c = n - k)")
     if args.d is not None:
         feasible = lp_feasible_general(n, k, c, args.d)
-        if feasible and args.branch_and_bound:
-            feasible = integer_feasible(n, k, args.d) is not False
         if args.format == "json":
             _print_json({"n": n, "k": k, "c": c, "d": args.d, "feasible": feasible})
         else:
             print("feasible" if feasible else "infeasible")
         return 0
-    bound = lp_upper_bound(n, k, c, branch_and_bound=args.branch_and_bound)
+    bound = lp_upper_bound(n, k, c)
     if args.format == "json":
         _print_json({"n": n, "k": k, "c": c, "upper_bound": bound})
     else:
@@ -333,11 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--d", type=int, default=None, help="trial distance to test instead of scanning"
-    )
-    p.add_argument(
-        "--branch-and-bound",
-        action="store_true",
-        help="also rule out trial distances with no integer solution",
     )
     add_format(p)
     p.set_defaults(func=_cmd_lp_bound)

@@ -20,8 +20,8 @@ are substituted in, and N and I are linear in S and C, so they enter as rows
 (through :func:`_dual_form`) rather than as variables:
 
 - at maximal entanglement (c = n - k) S_I is trivial, C is the whole Pauli
-  group and N is the logical distribution B; :class:`LpInstance` solves for
-  A_1..A_n, the stabilizer distribution, in n + 1 rows;
+  group and N is the logical distribution B; :func:`_maximal_rows` solves
+  for A_1..A_n, the stabilizer distribution, in n + 1 rows;
 - for 0 < c < n - k, :func:`_general_rows` solves for S_1..S_n and C_1..C_n
   in 5n + 2 rows.
 
@@ -32,9 +32,7 @@ rule and fraction-free pivoting (Edmonds, J. Res. NBS 71B, 1967; the scheme
 of Avis's lrs), described at :func:`_solve_feasibility`.  Verdicts carry no
 floating-point caveats, and a feasible point is the same rational vertex a
 ``fractions.Fraction`` tableau reaches.  The rational relaxation is sound for
-upper bounds: any true code gives an integer solution.  A branch-and-bound
-search for solutions with A and B both integral is available behind a flag
-for instances where the relaxation is too weak.
+upper bounds: any true code gives an integer solution.
 
 :func:`build_table` assembles the full bounds grid: upper bounds from the LP
 scan plus the even-n overrides, lower bounds from the code registry closed
@@ -55,8 +53,6 @@ from .errors import BudgetError
 
 Sense = Literal["<=", "=", ">="]
 Row = tuple[Sequence[int], Sense, int]
-
-DEFAULT_NODE_LIMIT = 100_000
 
 _SIMPLEX_ITERATION_CAP = 1_000_000
 
@@ -178,12 +174,6 @@ def _extract_point(
     return point
 
 
-def _unit(num_vars: int, idx: int) -> list[int]:
-    row = [0] * num_vars
-    row[idx] = 1
-    return row
-
-
 def _dual_form(n: int, w: int) -> tuple[list[int], int]:
     """The weight-w transform of a distribution X with X_0 = 1, as the pair
     (coefficients of X_1..X_n, constant K_w(0)).
@@ -194,8 +184,11 @@ def _dual_form(n: int, w: int) -> tuple[list[int], int]:
     return [krawtchouk(w, wp, n) for wp in range(1, n + 1)], krawtchouk(w, 0, n)
 
 
-@dataclass(frozen=True)
-class LpInstance:
+# ---------------------------------------------------------------------------
+# the two systems: maximal entanglement, and 0 < c < n - k
+
+
+def _maximal_rows(n: int, k: int, d: int) -> list[Row]:
     """The feasibility system for a trial distance d at maximal entanglement.
 
     The variables are A_1..A_n, the stabilizer distribution with A_0 = 1
@@ -212,131 +205,11 @@ class LpInstance:
     B_w <= 4^k then follows from its sum and nonnegativity.  c is pinned to
     n - k.
     """
-
-    n: int
-    k: int
-    d: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.k < self.n:
-            raise ValueError(f"need 1 <= k < n, got k={self.k}, n={self.n}")
-        if not 1 <= self.d <= self.n:
-            raise ValueError(f"need 1 <= d <= n, got d={self.d}")
-
-    @property
-    def c(self) -> int:
-        return self.n - self.k
-
-    @property
-    def num_vars(self) -> int:
-        return self.n
-
-    def rows(self) -> list[Row]:
-        n, d = self.n, self.d
-        rows: list[Row] = [([1] * n, "=", 4 ** (n - self.k) - 1)]
-        for w in range(1, n + 1):
-            coeffs, const = _dual_form(n, w)
-            rows.append((coeffs, "=" if w < d else ">=", -const))
-        return rows
-
-
-def lp_feasible(n: int, k: int, d: int) -> bool:
-    """Whether the rational relaxation for trial distance d has a solution.
-
-    A False verdict proves no [[n, k, d; n-k]] code exists.
-    """
-    inst = LpInstance(n, k, d)
-    return _solve_feasibility(inst.num_vars, inst.rows()) is not None
-
-
-def integer_feasible(
-    n: int, k: int, d: int, node_limit: int = DEFAULT_NODE_LIMIT
-) -> bool | None:
-    """Branch-and-bound search for a solution of the same system with A and B
-    both integral.
-
-    Each node branches on the first fractional A_w, else on the first
-    fractional B_w; a bound on B_w enters as a row on its form 4^(n-k) B_w.
-    Returns True when such a point is found, False when the search space is
-    exhausted (proving integer infeasibility), and None when the node limit
-    stops the search first — inconclusive, so callers must treat it as
-    feasible to stay sound.
-    """
-    inst = LpInstance(n, k, d)
-    base = inst.rows()
-    # Each branching quantity as (coefficients, constant, denominator).
-    quantities = [(_unit(n, w - 1), 0, 1) for w in range(1, n + 1)]
-    quantities += [(*_dual_form(n, w), 4 ** (n - k)) for w in range(1, n + 1)]
-    stack: list[list[Row]] = [[]]
-    nodes = 0
-    while stack:
-        extra = stack.pop()
-        nodes += 1
-        if nodes > node_limit:
-            return None
-        point = _solve_feasibility(n, base + extra)
-        if point is None:
-            continue
-        for coeffs, const, denom in quantities:
-            value = Fraction(const + sum(c * x for c, x in zip(coeffs, point)), denom)
-            if value.denominator != 1:
-                break
-        else:
-            return True
-        floor = value.numerator // value.denominator
-        stack.append(extra + [(coeffs, ">=", (floor + 1) * denom - const)])
-        stack.append(extra + [(coeffs, "<=", floor * denom - const)])
-    return False
-
-
-def lp_upper_bound(
-    n: int,
-    k: int,
-    c: int | None = None,
-    *,
-    branch_and_bound: bool = False,
-) -> int:
-    """Largest d not excluded: the smallest infeasible trial distance minus 1.
-
-    Scans d = 1, 2, ... (adding a trial constraint only shrinks the feasible
-    region, so the first infeasible d settles the rest) and returns n if every
-    trial distance up to n stays feasible.  ``c`` defaults to maximal
-    entanglement n - k, which uses :func:`lp_feasible`; a smaller c scans
-    with :func:`lp_feasible_general`.  With ``branch_and_bound`` (maximal
-    entanglement only) the scan also stops at a proven integer infeasibility.
-    """
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    if c is None:
-        c = n - k
-    maximal = c == n - k
-    if branch_and_bound and not maximal:
-        raise ValueError("branch-and-bound requires maximal entanglement (c = n - k)")
-    for d in range(1, n + 1):
-        if not (lp_feasible(n, k, d) if maximal else lp_feasible_general(n, k, c, d)):
-            return d - 1
-        if branch_and_bound and integer_feasible(n, k, d) is False:
-            return d - 1
-    return n
-
-
-def apply_overrides(n: int, k: int, lp_bound: int) -> int:
-    """Cap an LP upper bound with the known nonexistence results.
-
-    Codes meeting d = n at k = 1 and d = 2 at k = n - 1 exist only for odd n,
-    so even-n bounds in those columns cap at n - 1 and 1; every bound also
-    caps at n trivially.
-    """
-    bound = min(lp_bound, n)
-    if k == 1 and n % 2 == 0:
-        bound = min(bound, n - 1)
-    if k == n - 1 and n % 2 == 0:
-        bound = min(bound, 1)
-    return bound
-
-
-# ---------------------------------------------------------------------------
-# the general system for 0 < c < n - k
+    rows: list[Row] = [([1] * n, "=", 4 ** (n - k) - 1)]
+    for w in range(1, n + 1):
+        coeffs, const = _dual_form(n, w)
+        rows.append((coeffs, "=" if w < d else ">=", -const))
+    return rows
 
 
 def _general_rows(n: int, k: int, c: int, d: int) -> list[Row]:
@@ -354,7 +227,7 @@ def _general_rows(n: int, k: int, c: int, d: int) -> list[Row]:
     each multiplied through to integers using |C| / |S| = 4^k; the last
     three are the coefficientwise dominance of nested groups.  The rest of
     the four-block system is implied, by the argument at
-    :class:`LpInstance`: the forms give N_0 = I_0 = 1 and the sums of N and
+    :func:`_maximal_rows`: the forms give N_0 = I_0 = 1 and the sums of N and
     I, N >= 0 follows from N >= I >= 0, every cap from its sum and
     nonnegativity, and dominance at w = 0 reads 1 >= 1.
     """
@@ -380,10 +253,27 @@ def _general_rows(n: int, k: int, c: int, d: int) -> list[Row]:
         row = zeros + neg  # |C| (S_w - I_w)
         row[w - 1] = comb_order
         rows.append((row, ">=", const))
-        row = _unit(2 * n, n + w - 1)  # C_w - S_w
-        row[w - 1] = -1
+        row = [0] * (2 * n)  # C_w - S_w
+        row[w - 1], row[n + w - 1] = -1, 1
         rows.append((row, ">=", 0))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# feasibility, the bound scan and the overrides
+
+
+def lp_feasible(n: int, k: int, d: int) -> bool:
+    """Whether the rational relaxation for trial distance d has a solution
+    (see :func:`_maximal_rows`).
+
+    A False verdict proves no [[n, k, d; n-k]] code exists.
+    """
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    if not 1 <= d <= n:
+        raise ValueError(f"need 1 <= d <= n, got d={d}")
+    return _solve_feasibility(n, _maximal_rows(n, k, d)) is not None
 
 
 def lp_feasible_general(n: int, k: int, c: int, d: int) -> bool:
@@ -405,6 +295,52 @@ def lp_feasible_general(n: int, k: int, c: int, d: int) -> bool:
     if c == n - k:
         return lp_feasible(n, k, d)
     return _solve_feasibility(2 * n, _general_rows(n, k, c, d)) is not None
+
+
+def lp_upper_bound(n: int, k: int, c: int | None = None) -> int:
+    """Largest d not excluded: the smallest infeasible trial distance minus 1.
+
+    Scans d = 1, 2, ... with :func:`lp_feasible_general` (adding a trial
+    constraint only shrinks the feasible region, so the first infeasible d
+    settles the rest) and returns n if every trial distance up to n stays
+    feasible.  ``c`` defaults to maximal entanglement n - k.
+    """
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    if c is None:
+        c = n - k
+    for d in range(1, n + 1):
+        if not lp_feasible_general(n, k, c, d):
+            return d - 1
+    return n
+
+
+def apply_overrides(n: int, k: int, lp_bound: int) -> int:
+    """Cap an LP upper bound with the known nonexistence results.
+
+    Codes meeting d = n at k = 1 and d = 2 at k = n - 1 exist only for odd n,
+    so even-n bounds in those columns cap at n - 1 and 1; every bound also
+    caps at n trivially.
+
+    Proof of the two caps.  Two single-qubit Paulis that are both
+    non-identity and differ anticommute, so two n-qubit Paulis that are
+    non-identity and differ on every qubit have symplectic product n mod 2.
+    A symplectic pair needs product 1, so such a pair forces odd n.
+
+    - k = 1, d = n: S_I is trivial, so the three non-identity logicals a, b
+      and ab all have full weight.  Then a and b are non-identity on every
+      qubit, and differ there because ab is non-identity too.
+    - k = n - 1, d = 2: the stabilizer is one symplectic pair g, h, and every
+      weight-1 Pauli must anticommute with g or h.  On each qubit the linear
+      map P -> (<P, g>, <P, h>) then sends X, Y and Z to nonzero values, so
+      it is injective, which needs g and h non-identity and different there.
+    """
+    bound = min(lp_bound, n)
+    if k == 1 and n % 2 == 0:
+        bound = min(bound, n - 1)
+    if k == n - 1 and n % 2 == 0:
+        bound = min(bound, 1)
+    return bound
 
 
 # ---------------------------------------------------------------------------

@@ -227,11 +227,16 @@ def test_malformed_input_is_an_error(capsys, tmp_path):
     assert "line 2" in err
 
 
-def test_branch_and_bound_requires_maximal_entanglement(capsys):
-    code, _, err = run(
-        capsys, "lp-bound", "--n", "6", "--k", "1", "--c", "1", "--branch-and-bound"
-    )
-    assert code == 2 and "maximal entanglement" in err
+def test_lp_bound_rejects_removed_integrality_flag(capsys):
+    # scripts still passing the deleted flag get a usage error, not a
+    # silently different bound
+    with pytest.raises(SystemExit) as exc_info:
+        main(["lp-bound", "--n", "5", "--k", "2", "--branch-and-bound"])
+    assert exc_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_budget_env_var(capsys, five_qubit_file, monkeypatch):

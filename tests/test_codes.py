@@ -11,6 +11,7 @@ import eaqec.codes
 from eaqec import (
     DimensionError,
     EaqecCode,
+    EaqecError,
     PauliOperator,
     ParseError,
     StructureError,
@@ -360,6 +361,47 @@ def test_parse_code_json_rejections():
         parse_code_json('{"n": 2, "k": 1, "generators": ["XXX"]}')
     with pytest.raises(ParseError):
         parse_code_json('{"n": 2, "k": 1, "generators": ["XX"], "logical_pairs": ["IX"]}')
+
+
+@st.composite
+def _code_text(draw):
+    """Text-format input with a well-formed header and Pauli lines, which
+    parses and sometimes describes a valid code."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, n))
+    gens = draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), max_size=2 * n))
+    return "\n".join([f"{n} {k}", *gens]) + "\n"
+
+
+def _code_json(text):
+    n, k, *gens = text.split()
+    return json.dumps({"n": int(n), "k": int(k), "generators": gens})
+
+
+def _parsed_code(parse, text):
+    """The code ``parse`` reads from ``text``, or None when parsing or
+    ``from_generators`` rejects it; ``parse`` may raise only ParseError."""
+    try:
+        n, k, gens, *logical = parse(text)
+    except ParseError:
+        return None
+    try:
+        return from_generators(n, k, gens, *logical)
+    except EaqecError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), _code_text(), _code_text().map(_code_json)))
+def test_parsers_raise_only_parse_error_and_round_trip(text):
+    for parse in (parse_code_text, parse_code_json):
+        code = _parsed_code(parse, text)
+        if code is None:
+            continue
+        n, k, gens = parse_code_text(format_code_text(code))
+        again = from_generators(n, k, gens)
+        assert (again.n, again.k) == (code.n, code.k)
+        assert again.stabilizer_group == code.stabilizer_group
 
 
 def test_from_generators_rejects_inconsistent_logical_pairs():

@@ -16,16 +16,14 @@ from hypothesis import strategies as st
 from eaqec import (
     apply_overrides,
     build_table,
-    integer_feasible,
     krawtchouk,
     lp_feasible,
     lp_feasible_general,
     lp_upper_bound,
-    LpInstance,
 )
 from eaqec import lpbound
 from eaqec.errors import BudgetError
-from eaqec.lpbound import _general_rows, _solve_feasibility
+from eaqec.lpbound import _general_rows, _maximal_rows, _solve_feasibility
 
 
 def assert_satisfies(point, rows):
@@ -328,8 +326,6 @@ def test_solver_matches_fraction_reference_on_every_scan_solve(monkeypatch):
             lp_upper_bound(n, k)
             for c in range(1, n - k) if n <= 5 else ():
                 lp_upper_bound(n, k, c)
-            for d in range(1, n + 1) if n <= 6 else ():
-                integer_feasible(n, k, d)
     assert len(solves) > 200
     for num_vars, rows, point in solves:
         assert point == fraction_simplex(num_vars, rows)
@@ -340,24 +336,23 @@ def test_solver_matches_fraction_reference_on_every_scan_solve(monkeypatch):
 
 
 def test_lp_instance_validation():
-    with pytest.raises(ValueError):
-        LpInstance(5, 5, 2)
-    with pytest.raises(ValueError):
-        LpInstance(5, 0, 2)
-    with pytest.raises(ValueError):
-        LpInstance(5, 2, 0)
-    with pytest.raises(ValueError):
-        LpInstance(5, 2, 6)
+    with pytest.raises(ValueError, match="need 1 <= k < n"):
+        lp_feasible(5, 5, 2)
+    with pytest.raises(ValueError, match="need 1 <= k < n"):
+        lp_feasible(5, 0, 2)
+    with pytest.raises(ValueError, match="need 1 <= d <= n"):
+        lp_feasible(5, 2, 0)
+    with pytest.raises(ValueError, match="need 1 <= d <= n"):
+        lp_feasible(5, 2, 6)
 
 
 def test_lp_instance_solution_satisfies_rows():
     # the reduced point, lifted to A and B, solves the full two-enumerator system
     for n, k, d in ((5, 2, 3), (5, 2, 4), (7, 2, 5), (9, 4, 5), (11, 1, 9)):
-        inst = LpInstance(n, k, d)
-        rows = inst.rows()
-        assert inst.num_vars == n and len(rows) == n + 1
+        rows = _maximal_rows(n, k, d)
+        assert len(rows) == n + 1
         assert all(len(coeffs) == n for coeffs, _, _ in rows)
-        point = _solve_feasibility(inst.num_vars, rows)
+        point = _solve_feasibility(n, rows)
         assert point is not None
         assert_satisfies(point, rows)
         a = [Fraction(1)] + point
@@ -407,35 +402,6 @@ def test_apply_overrides():
     assert apply_overrides(5, 2, 9) == 5
 
 
-def test_integer_feasibility():
-    assert integer_feasible(2, 1, 2) is True
-    assert integer_feasible(2, 1, 2, node_limit=0) is None
-    # branch-and-bound can only tighten, never loosen, the plain scan
-    assert lp_upper_bound(5, 2, branch_and_bound=True) <= lp_upper_bound(5, 2)
-    with pytest.raises(ValueError):
-        lp_upper_bound(5, 2, 1, branch_and_bound=True)
-
-
-def test_integer_feasibility_makes_both_distributions_integral(monkeypatch):
-    # at [[10,3,5;7]] some LP points have integral A and fractional B, so the
-    # search must branch on B as well
-    n, k, d = 10, 3, 5
-    points = []
-    solve = lpbound._solve_feasibility
-
-    def recording(num_vars, rows):
-        point = solve(num_vars, rows)
-        points.append(point)
-        return point
-
-    monkeypatch.setattr(lpbound, "_solve_feasibility", recording)
-    assert integer_feasible(n, k, d) is True
-    a = [Fraction(1)] + points[-1]
-    b = transform(a, 4 ** (n - k))
-    assert all(x.denominator == 1 for x in a + b)
-    assert_satisfies(a + b, full_maximal_rows(n, k, d))
-
-
 # ---------------------------------------------------------------------------
 # the general system
 
@@ -454,6 +420,9 @@ def test_general_system_validation():
 def test_general_system_matches_maximal_at_boundary():
     for n, k, d in ((4, 2, 2), (4, 2, 3), (5, 2, 4), (5, 2, 5), (5, 3, 3)):
         assert lp_feasible_general(n, k, n - k, d) == lp_feasible(n, k, d)
+    for n in range(2, 8):
+        for k in range(1, n):
+            assert lp_upper_bound(n, k, n - k) == lp_upper_bound(n, k), (n, k)
 
 
 def test_general_system_admits_known_codes():
