@@ -5,8 +5,10 @@ dualizing, weight enumeration, minimum distance, checking the transform
 identities, LP distance bounds, the bounds table, the registry of known codes,
 and the extension rules.  Output is deterministic — identical inputs give
 byte-identical output — and ``--format json`` encodes the same numbers as the
-text form.  Exit status: 0 on success, 1 when a verification fails, 2 on any
-usage or input error, 130 when interrupted (Ctrl-C).
+text form.  Each subcommand computes its result once and returns it as an
+:class:`Output`; :func:`main` is the one place output is rendered and written.
+Exit status: 0 on success, 1 when a verification fails, 2 on any usage, input
+or output error, 130 when interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from os import environ
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .codes import (
     CodeRegistryEntry,
@@ -34,8 +35,6 @@ from .codes import (
 from .enumerator import DEFAULT_BUDGET_LOG2, eaqec_identities, weight_enumerator
 from .errors import EaqecError, ParseError
 from .lpbound import build_table, lp_feasible_general, lp_upper_bound
-
-BUDGET_ENV_VAR = "EAQEC_BUDGET_LOG2"
 
 _GROUP_CHOICES = ("stabilizer", "isotropic", "logical", "normalizer", "combined")
 
@@ -61,177 +60,125 @@ def _load_code(path: str) -> EaqecCode:
     return from_generators(*parse_code_text(text))
 
 
-def _budget(args: argparse.Namespace) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = environ.get(BUDGET_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise EaqecError(
-                f"{BUDGET_ENV_VAR} must be an integer, got {env!r}"
-            ) from None
-    return DEFAULT_BUDGET_LOG2
-
-
-def _print_json(obj: object) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_dual(args: argparse.Namespace) -> int:
+class Output(NamedTuple):
+    """A subcommand's result: the JSON record, its text rendering, and the
+    exit status."""
+
+    record: object
+    text: str
+    status: int = 0
+
+
+def _cmd_dual(args: argparse.Namespace) -> Output:
     code = dual(_load_code(args.code_file))
-    if args.format == "json":
-        _print_json(code_to_json_dict(code))
-    else:
-        sys.stdout.write(format_code_text(code))
-    return 0
+    return Output(code_to_json_dict(code), format_code_text(code))
 
 
-def _cmd_wenum(args: argparse.Namespace) -> int:
+def _cmd_wenum(args: argparse.Namespace) -> Output:
     code = _load_code(args.code_file)
-    group = {
-        "stabilizer": code.stabilizer_group,
-        "isotropic": code.isotropic_group,
-        "logical": code.logical_group,
-        "normalizer": code.normalizer_group,
-        "combined": code.combined_group,
-    }[args.group]
-    enum = weight_enumerator(group, budget_log2=_budget(args))
-    if args.format == "json":
-        _print_json(
-            {
-                "n": enum.n,
-                "group": args.group,
-                "order": enum.order,
-                "coefficients": list(enum.coeffs),
-            }
-        )
-    else:
-        for w, count in enumerate(enum.coeffs):
-            print(f"{w} {count}")
-    return 0
+    group = getattr(code, f"{args.group}_group")
+    enum = weight_enumerator(group, budget_log2=args.budget)
+    record = {
+        "n": enum.n,
+        "group": args.group,
+        "order": enum.order,
+        "coefficients": list(enum.coeffs),
+    }
+    text = "".join(f"{w} {count}\n" for w, count in enumerate(enum.coeffs))
+    return Output(record, text)
 
 
-def _cmd_distance(args: argparse.Namespace) -> int:
+def _cmd_distance(args: argparse.Namespace) -> Output:
     code = _load_code(args.code_file)
-    d = min_distance(code, budget_log2=_budget(args))
-    if args.format == "json":
-        _print_json({"n": code.n, "k": code.k, "c": code.c, "distance": d})
-    else:
-        print(d)
-    return 0
+    d = min_distance(code, budget_log2=args.budget)
+    return Output({"n": code.n, "k": code.k, "c": code.c, "distance": d}, f"{d}\n")
 
 
-def _cmd_verify_mw(args: argparse.Namespace) -> int:
+def _cmd_verify_mw(args: argparse.Namespace) -> Output:
     code = _load_code(args.code_file)
-    normalizer_check, isotropic_check = eaqec_identities(
-        code, budget_log2=_budget(args)
-    )
+    normalizer_check, isotropic_check = eaqec_identities(code, budget_log2=args.budget)
     ok = normalizer_check.holds and isotropic_check.holds
     checks = (
         ("normalizer-from-stabilizer", normalizer_check),
         ("isotropic-from-combined", isotropic_check),
     )
-    if args.format == "json":
-        _print_json(
-            {
-                "checks": {
-                    name: {
-                        "direct": list(check.direct.coeffs),
-                        "transformed": list(check.transformed.coeffs),
-                        "holds": check.holds,
-                    }
-                    for name, check in checks
-                },
-                "holds": ok,
+    record = {
+        "checks": {
+            name: {
+                "direct": list(check.direct.coeffs),
+                "transformed": list(check.transformed.coeffs),
+                "holds": check.holds,
             }
-        )
-    else:
-        for name, check in checks:
-            print(f"{name}: {'ok' if check.holds else 'MISMATCH'}")
-            print("  direct:      " + " ".join(str(x) for x in check.direct.coeffs))
-            print(
-                "  transformed: " + " ".join(str(x) for x in check.transformed.coeffs)
-            )
-        print("verification passed" if ok else "verification FAILED")
-    return 0 if ok else 1
+            for name, check in checks
+        },
+        "holds": ok,
+    }
+    text = "".join(
+        f"{name}: {'ok' if check.holds else 'MISMATCH'}\n"
+        f"  direct:      {' '.join(map(str, check.direct.coeffs))}\n"
+        f"  transformed: {' '.join(map(str, check.transformed.coeffs))}\n"
+        for name, check in checks
+    )
+    text += "verification passed\n" if ok else "verification FAILED\n"
+    return Output(record, text, 0 if ok else 1)
 
 
-def _cmd_lp_bound(args: argparse.Namespace) -> int:
+def _cmd_lp_bound(args: argparse.Namespace) -> Output:
     n, k = args.n, args.k
     c = args.c if args.c is not None else n - k
     if args.d is not None:
         feasible = lp_feasible_general(n, k, c, args.d)
-        if args.format == "json":
-            _print_json({"n": n, "k": k, "c": c, "d": args.d, "feasible": feasible})
-        else:
-            print("feasible" if feasible else "infeasible")
-        return 0
+        record = {"n": n, "k": k, "c": c, "d": args.d, "feasible": feasible}
+        return Output(record, "feasible\n" if feasible else "infeasible\n")
     bound = lp_upper_bound(n, k, c)
-    if args.format == "json":
-        _print_json({"n": n, "k": k, "c": c, "upper_bound": bound})
-    else:
-        print(bound)
-    return 0
+    return Output({"n": n, "k": k, "c": c, "upper_bound": bound}, f"{bound}\n")
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace) -> Output:
     table = build_table(args.nmax)
-    if args.format == "json":
-        _print_json(table.to_json_dict())
-    else:
-        sys.stdout.write(table.to_text())
-    return 0
+    return Output(table.to_json_dict(), table.to_text())
 
 
-def _cmd_registry(args: argparse.Namespace) -> int:
+def _cmd_registry(args: argparse.Namespace) -> Output:
     entries = registry()
     if args.nmax is not None:
         entries = tuple(e for e in entries if e.n <= args.nmax)
-    if args.format == "json":
-        _print_json(
+    record = {
+        "entries": [
             {
-                "entries": [
-                    {
-                        "n": e.n,
-                        "k": e.k,
-                        "d": e.d,
-                        "c": e.c,
-                        "source": e.source,
-                        "has_generators": e.generators is not None,
-                    }
-                    for e in entries
-                ]
+                "n": e.n,
+                "k": e.k,
+                "d": e.d,
+                "c": e.c,
+                "source": e.source,
+                "has_generators": e.generators is not None,
             }
-        )
-    else:
-        for e in entries:
-            has_gens = "yes" if e.generators is not None else "no"
-            print(f"{e.params_str} source={e.source} generators={has_gens}")
-    return 0
+            for e in entries
+        ]
+    }
+    text = "".join(
+        f"{e.params_str} source={e.source} "
+        f"generators={'yes' if e.generators is not None else 'no'}\n"
+        for e in entries
+    )
+    return Output(record, text)
 
 
-def _cmd_extend(args: argparse.Namespace) -> int:
+def _cmd_extend(args: argparse.Namespace) -> Output:
     entry = CodeRegistryEntry(args.n, args.k, args.c, args.d, "literature")
     result = extend_code(entry, args.mode)
-    if args.format == "json":
-        _print_json(
-            {
-                "n": result.n,
-                "k": result.k,
-                "d": result.d,
-                "c": result.c,
-                "mode": args.mode,
-            }
-        )
-    else:
-        print(result.params_str)
-    return 0
+    record = {
+        "n": result.n,
+        "k": result.k,
+        "d": result.d,
+        "c": result.c,
+        "mode": args.mode,
+    }
+    return Output(record, f"{result.params_str}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -248,23 +195,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--format",
-            choices=("text", "json"),
-            default="text",
-            help="output format (default: text)",
-        )
-
     def add_budget(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--budget",
             type=int,
             metavar="LOG2",
-            default=None,
+            default=DEFAULT_BUDGET_LOG2,
             help=(
                 "enumeration budget as log2 of the element count "
-                f"(default: ${BUDGET_ENV_VAR} or {DEFAULT_BUDGET_LOG2})"
+                "(default: %(default)s)"
             ),
         )
 
@@ -280,7 +219,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "dual", help="swap entangled stabilizer pairs with logical pairs"
     )
     add_code_file(p)
-    add_format(p)
     p.set_defaults(func=_cmd_dual)
 
     p = sub.add_parser("wenum", help="weight enumerator of one of the code's groups")
@@ -292,13 +230,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="which subgroup to enumerate (default: stabilizer)",
     )
     add_budget(p)
-    add_format(p)
     p.set_defaults(func=_cmd_wenum)
 
     p = sub.add_parser("distance", help="minimum distance by group enumeration")
     add_code_file(p)
     add_budget(p)
-    add_format(p)
     p.set_defaults(func=_cmd_distance)
 
     p = sub.add_parser(
@@ -307,7 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add_code_file(p)
     add_budget(p)
-    add_format(p)
     p.set_defaults(func=_cmd_verify_mw)
 
     p = sub.add_parser(
@@ -325,7 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--d", type=int, default=None, help="trial distance to test instead of scanning"
     )
-    add_format(p)
     p.set_defaults(func=_cmd_lp_bound)
 
     p = sub.add_parser(
@@ -333,14 +267,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="bounds grid for all maximal-entanglement parameters up to --nmax",
     )
     p.add_argument("--nmax", type=int, required=True, help="largest qubit count")
-    add_format(p)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("registry", help="list the known codes")
     p.add_argument(
         "--nmax", type=int, default=None, help="only list codes with n <= NMAX"
     )
-    add_format(p)
     p.set_defaults(func=_cmd_registry)
 
     p = sub.add_parser("extend", help="apply an extension rule to known parameters")
@@ -354,20 +286,28 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="lengthen: [[n,k,d;c]] -> [[n+1,k,d;c+1]]; trade: -> [[n,k-1,d;c+1]]",
     )
-    add_format(p)
     p.set_defaults(func=_cmd_extend)
 
+    for p in sub.choices.values():
+        p.add_argument(
+            "--format",
+            choices=("text", "json"),
+            default="text",
+            help="output format (default: text)",
+        )
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except EaqecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+        out = args.func(args)
+        if args.format == "json":
+            sys.stdout.write(json.dumps(out.record, indent=2, sort_keys=True) + "\n")
+        else:
+            sys.stdout.write(out.text)
+        return out.status
+    except (EaqecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

@@ -152,9 +152,9 @@ def from_generators(
     hyperbolic pairs and an isotropic remainder; the generator rank must then
     equal n - k + c.  Supplied ``logical_pairs`` are validated against the
     stabilizer by the code's constructor.  Otherwise they are derived from the
-    symplectic orthogonal of the stabilizer, whose rank n + k - c complements
-    it to 2n (checked) and which splits into k hyperbolic pairs over the
-    isotropic subgroup, its radical (checked).
+    symplectic orthogonal of the stabilizer: its rank is 2n - (n - k + c), and
+    its radical S ∩ S^⊥ is the isotropic subgroup, so it splits into
+    (n + k - c - (n - k - c)) / 2 = k hyperbolic pairs over that subgroup.
     """
     if not 0 <= k <= n:
         raise ValueError(f"information qubit count k={k} out of range for n={n}")
@@ -167,18 +167,7 @@ def from_generators(
             f"match n - k + c = {n - k + c} for [[{n},{k};{c}]]"
         )
     if logical_pairs is None:
-        ortho = orthogonal_group(group)
-        if group.rank + ortho.rank != 2 * n:
-            raise StructureError(
-                f"stabilizer rank {group.rank} and orthogonal rank {ortho.rank} "
-                f"do not sum to 2n = {2 * n}"
-            )
-        logical_pairs, radical = symplectic_gram_schmidt(ortho)
-        if len(logical_pairs) != k or canonicalize(radical, n) != canonicalize(iso, n):
-            raise StructureError(
-                "orthogonal complement does not split into k logical pairs over the "
-                "isotropic subgroup"
-            )
+        logical_pairs, _ = symplectic_gram_schmidt(orthogonal_group(group))
     return EaqecCode(n, k, c, pairs, iso, tuple(logical_pairs))
 
 

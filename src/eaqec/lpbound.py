@@ -49,7 +49,7 @@ from typing import Literal, Sequence
 
 from .codes import registry
 from .enumerator import krawtchouk
-from .errors import BudgetError
+from .errors import BudgetError, EaqecError
 
 Sense = Literal["<=", "=", ">="]
 Row = tuple[Sequence[int], Sense, int]
@@ -139,8 +139,10 @@ def _solve_feasibility(num_vars: int, rows: Sequence[Row]) -> list[Fraction] | N
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[pivot_row]):
                     pivot_row = i
         if pivot_row < 0:
-            # Unbounded below cannot happen for a sum of nonnegative variables.
-            return None
+            raise EaqecError(
+                "exact simplex found no positive entry in an entering column; a "
+                "sum of nonnegative artificials cannot be unbounded below"
+            )
         prow = tableau[pivot_row]
         piv = prow[enter]
         for i, row in enumerate(tableau):

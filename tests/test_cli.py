@@ -201,6 +201,52 @@ def test_json_output_matches_text_numbers(capsys, five_qubit_file):
     assert "  n=3 k=1 lower=3(registry) upper=3(trivial)" in text_out.splitlines()
     assert cells[(3, 1)]["lower"] == 3 and cells[(3, 1)]["upper"] == 3
 
+    _, text_out, _ = run(capsys, "registry", "--nmax", "5")
+    _, json_out, _ = run(capsys, "registry", "--nmax", "5", "--format", "json")
+    entries = json.loads(json_out)["entries"]
+    assert len(entries) == len(text_out.splitlines()) > 0
+    for e, line in zip(entries, text_out.splitlines()):
+        has_gens = "yes" if e["has_generators"] else "no"
+        params = f"[[{e['n']},{e['k']},{e['d']};{e['c']}]]"
+        assert line == f"{params} source={e['source']} generators={has_gens}"
+
+    extend_args = (
+        "extend", "--n", "13", "--k", "9", "--c", "4", "--d", "4", "--mode", "trade"
+    )
+    _, text_out, _ = run(capsys, *extend_args)
+    _, json_out, _ = run(capsys, *extend_args, "--format", "json")
+    e = json.loads(json_out)
+    assert text_out == f"[[{e['n']},{e['k']},{e['d']};{e['c']}]]\n"
+    assert e["mode"] == "trade"
+
+    for d, verdict in (("5", True), ("6", False)):
+        lp_args = ("lp-bound", "--n", "7", "--k", "2", "--d", d)
+        _, text_out, _ = run(capsys, *lp_args)
+        _, json_out, _ = run(capsys, *lp_args, "--format", "json")
+        payload = json.loads(json_out)
+        assert payload["feasible"] is verdict
+        assert text_out == ("feasible\n" if verdict else "infeasible\n")
+
+    code, text_out, _ = run(capsys, "verify-mw", five_qubit_file)
+    assert code == 0
+    code, json_out, _ = run(capsys, "verify-mw", five_qubit_file, "--format", "json")
+    payload = json.loads(json_out)
+    assert code == 0 and payload["holds"] is True
+    text_lines = text_out.splitlines()
+    for name, check in payload["checks"].items():
+        at = text_lines.index(f"{name}: {'ok' if check['holds'] else 'MISMATCH'}")
+        assert text_lines[at + 1].split()[1:] == [str(x) for x in check["direct"]]
+        assert text_lines[at + 2].split()[1:] == [str(x) for x in check["transformed"]]
+
+    _, text_out, _ = run(capsys, "dual", five_qubit_file)
+    _, json_out, _ = run(capsys, "dual", five_qubit_file, "--format", "json")
+    from eaqec import from_generators, parse_code_json, parse_code_text
+
+    from_text = from_generators(*parse_code_text(text_out))
+    from_json = from_generators(*parse_code_json(json_out))
+    assert (from_text.k, from_text.c) == (from_json.k, from_json.c) == (0, 1)
+    assert from_text.stabilizer_group == from_json.stabilizer_group
+
 
 def test_dual_json_output(capsys, five_qubit_file):
     code, out, _ = run(capsys, "dual", five_qubit_file, "--format", "json")
@@ -239,17 +285,33 @@ def test_lp_bound_rejects_removed_integrality_flag(capsys):
     assert "Traceback" not in captured.err
 
 
-def test_budget_env_var(capsys, five_qubit_file, monkeypatch):
-    monkeypatch.setenv("EAQEC_BUDGET_LOG2", "1")
-    code, _, err = run(capsys, "wenum", five_qubit_file)
-    assert code == 2 and "error:" in err
-    # the flag beats the environment
+def test_budget_flag(capsys, five_qubit_file, monkeypatch):
+    code, out, err = run(capsys, "wenum", five_qubit_file, "--budget", "1")
+    assert code == 2 and out == "" and err.startswith("error:")
     code, out, _ = run(capsys, "wenum", five_qubit_file, "--budget", "30")
+    assert code == 0 and out.startswith("0 1\n")
+    # the flag is the only budget setting: the environment is not read
+    monkeypatch.setenv("EAQEC_BUDGET_LOG2", "1")
+    code, _, _ = run(capsys, "wenum", five_qubit_file)
     assert code == 0
 
-    monkeypatch.setenv("EAQEC_BUDGET_LOG2", "not-a-number")
-    code, _, err = run(capsys, "wenum", five_qubit_file)
-    assert code == 2 and "EAQEC_BUDGET_LOG2" in err
+
+def test_stdout_write_error_exits_2(capsys, monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    for fmt in ("text", "json"):
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["table", "--nmax", "3", "--format", fmt])
+        monkeypatch.undo()
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Broken pipe" in err
+        assert "Traceback" not in err
 
 
 def test_simplex_iteration_cap_exits_2(capsys, monkeypatch):
