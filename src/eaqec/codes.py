@@ -257,16 +257,20 @@ def extend_code(entry: CodeRegistryEntry, mode: str) -> CodeRegistryEntry:
 
     ``lengthen`` maps [[n, k, d; c]] to [[n+1, k, d; c+1]] (requires c < n);
     ``trade`` maps it to [[n, k-1, d; c+1]] where the recorded d remains valid
-    as a lower bound (requires k >= 1).  Generators are not carried over: the
-    rules assert existence, not an explicit construction.
+    as a lower bound (requires k >= 2: a k = 0 code has no distance).
+    Generators are not carried over: the rules assert existence, not an
+    explicit construction.
     """
     if mode == "lengthen":
         if entry.c >= entry.n:
             raise ValueError(f"cannot lengthen {entry.params_str}: needs c < n")
         return CodeRegistryEntry(entry.n + 1, entry.k, entry.c + 1, entry.d, "extension")
     if mode == "trade":
-        if entry.k < 1:
-            raise ValueError(f"cannot trade {entry.params_str}: needs k >= 1")
+        if entry.k < 2:
+            raise ValueError(
+                f"cannot trade {entry.params_str}: needs k >= 2, "
+                "since a code with k = 0 has no distance"
+            )
         return CodeRegistryEntry(entry.n, entry.k - 1, entry.c + 1, entry.d, "extension")
     raise ValueError(f"unknown extension mode {mode!r}, expected 'lengthen' or 'trade'")
 

@@ -102,6 +102,11 @@ def test_extend_command(capsys):
         "--mode", "trade",
     )
     assert code == 0 and out == "[[13,8,4;5]]\n"
+    code, out, err = run(
+        capsys, "extend", "--n", "5", "--k", "1", "--c", "4", "--d", "3",
+        "--mode", "trade",
+    )
+    assert code == 2 and out == "" and err.startswith("error:") and "k >= 2" in err
 
 
 def test_distance_command(capsys, five_qubit_file):

@@ -248,6 +248,9 @@ def test_extend_code_rejections():
     with pytest.raises(ValueError):
         extend_code(CodeRegistryEntry(3, 0, 2, 1, "literature"), "trade")
     with pytest.raises(ValueError):
+        # k = 0 leaves no logical operator, so no distance to carry over
+        extend_code(CodeRegistryEntry(5, 1, 4, 3, "literature"), "trade")
+    with pytest.raises(ValueError):
         extend_code(CodeRegistryEntry(3, 1, 2, 3, "literature"), "sideways")
 
 

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eaqec
+from eaqec import enumerator
 from eaqec import (
     BudgetError,
     InconsistencyError,
@@ -32,8 +33,15 @@ from eaqec import (
     verify_macwilliams,
     weight_enumerator,
 )
+from eaqec.enumerator import _split, _split_counts
 
-from conftest import naive_closure, naive_weight_distribution, random_code, random_group
+from conftest import (
+    naive_closure,
+    naive_weight_distribution,
+    random_code,
+    random_group,
+    random_operator,
+)
 
 FIVE_QUBIT_GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 
@@ -99,17 +107,33 @@ def test_weight_enumerator_matches_closure_oracle():
         assert weight_enumerator(group).coeffs == expected
 
 
-def test_weight_enumerator_large_rank_block_path():
+def _kernel_blocks(monkeypatch) -> list[int]:
+    """Patch the enumeration kernel to record the size of every block it yields."""
+    sizes: list[int] = []
+    kernel = enumerator._weight_blocks
+
+    def counting(*args):
+        for weights in kernel(*args):
+            sizes.append(len(weights))
+            yield weights
+
+    monkeypatch.setattr(enumerator, "_weight_blocks", counting)
+    return sizes
+
+
+def test_weight_enumerator_large_rank_split_path(monkeypatch):
     # Groups generated by single-qubit operators have a closed form: a qubit
     # carrying X and Z contributes (1 + 3y), one carrying a single Pauli
-    # (1 + y).  The n = 9 group (rank 17) fits one block; the n = 40 group
-    # (rank 24) spans sixteen blocks and has X and Z bits on qubits 32..39,
-    # both in the block tables and in the generators walked between blocks.
+    # (1 + y).  Both groups are the product of their parts on the two qubit
+    # halves, so the split counts them as one coset (q = 0).  The n = 40
+    # group (rank 24) has X and Z bits on qubits 32..39, in the tables of the
+    # B half.
     cases = (
         (9, {q: "XZ" for q in range(8)} | {8: "X"}),
         (40, {q: "XZ" for q in range(32, 40)}
          | {q: "Z" for q in range(4)} | {q: "Y" for q in range(4, 8)}),
     )
+    sizes = _kernel_blocks(monkeypatch)
     for n, letters in cases:
         gens = [
             PauliOperator(n, (p in "XY") << q, (p in "YZ") << q)
@@ -118,11 +142,37 @@ def test_weight_enumerator_large_rank_block_path():
         ]
         group = canonicalize(gens, n)
         assert group.rank == len(gens)
+        in_a, in_b, reps = _split(group)
+        assert len(in_a) + len(in_b) == group.rank and not reps
         expected = [1]
         for ps in letters.values():
             expected = _poly_mul(expected, [1, 3] if len(ps) == 2 else [1, 1])
         expected += [0] * (n + 1 - len(expected))
+        sizes.clear()
         assert weight_enumerator(group).coeffs == tuple(expected)
+        assert sum(sizes) == (1 << len(in_a)) + (1 << len(in_b))
+
+
+def test_weight_enumerator_large_rank_block_path(monkeypatch):
+    # Pairs X_i X_{i+24}, Z_i Z_{i+24} straddle the qubit halves of n = 48:
+    # no element but the identity lives on one half, so the split cannot
+    # shorten the walk and all 2^24 elements go through sixteen blocks of the
+    # Gray-code walk, with bits above 32 in the tables and in the generators
+    # walked between blocks.  Each pair spans {II, XX, YY, ZZ}: (1 + 3y^2).
+    n, m = 48, 12
+    gens = [PauliOperator(n, (1 << i) | (1 << (i + 24)), 0) for i in range(m)]
+    gens += [PauliOperator(n, 0, (1 << i) | (1 << (i + 24))) for i in range(m)]
+    group = canonicalize(gens, n)
+    assert group.rank == 2 * m
+    in_a, in_b, reps = _split(group)
+    assert not in_a and not in_b and len(reps) == 2 * m
+    expected = [1]
+    for _ in range(m):
+        expected = _poly_mul(expected, [1, 0, 3])
+    expected += [0] * (n + 1 - len(expected))
+    sizes = _kernel_blocks(monkeypatch)
+    assert weight_enumerator(group).coeffs == tuple(expected)
+    assert sizes == [1 << 20] * 16
 
 
 def test_weight_enumerator_budget():
@@ -131,6 +181,81 @@ def test_weight_enumerator_budget():
     assert group.rank > 3
     with pytest.raises(BudgetError):
         weight_enumerator(group, budget_log2=3)
+
+
+# ---------------------------------------------------------------------------
+# the split count over the two qubit halves
+
+
+def _random_group_of_rank(rng: random.Random, n: int, rank: int):
+    ops: list[PauliOperator] = []
+    while (group := canonicalize(ops, n)).rank < rank:
+        ops.append(random_operator(rng, n))
+    return group
+
+
+def test_split_counts_match_closure_oracle():
+    # the split is called directly, past the routing rule, so groups of
+    # every shape and size are counted through their halves
+    rng = random.Random(29)
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        group = random_group(rng, n)
+        in_a, in_b, reps = _split(group)
+        assert len(in_a) + len(in_b) + len(reps) == group.rank
+        half = n // 2
+        assert all(set(str(PauliOperator(n, *w))[half:]) <= {"I"} for w in in_a)
+        assert all(set(str(PauliOperator(n, *w))[:half]) <= {"I"} for w in in_b)
+        expected = naive_weight_distribution(
+            naive_closure(list(group.generators), n), n
+        )
+        assert tuple(_split_counts(n, in_a, in_b, reps)) == expected
+
+
+def test_whole_pauli_group_closed_form():
+    # the whole group is the product of its halves: one coset, q = 0
+    for n in range(1, 16):
+        gens = [PauliOperator(n, 1 << q, 0) for q in range(n)]
+        gens += [PauliOperator(n, 0, 1 << q) for q in range(n)]
+        group = canonicalize(gens, n)
+        expected = tuple(math.comb(n, w) * 3**w for w in range(n + 1))
+        in_a, in_b, reps = _split(group)
+        assert (len(in_a), len(in_b), len(reps)) == (2 * (n // 2), 2 * (n - n // 2), 0)
+        assert tuple(_split_counts(n, in_a, in_b, reps)) == expected
+        assert weight_enumerator(group).coeffs == expected
+
+
+def test_whole_pauli_group_visits_only_its_halves(monkeypatch):
+    n = 15
+    gens = [PauliOperator(n, 1 << q, 0) for q in range(n)]
+    gens += [PauliOperator(n, 0, 1 << q) for q in range(n)]
+    group = canonicalize(gens, n)
+    sizes = _kernel_blocks(monkeypatch)
+    enum = weight_enumerator(group)
+    assert enum.coeffs == tuple(math.comb(n, w) * 3**w for w in range(n + 1))
+    assert sum(sizes) == (1 << 14) + (1 << 16) < 1 << 20
+
+
+def test_split_and_plain_routes_agree_through_macwilliams(monkeypatch):
+    # A group of rank above n + 2 and its orthogonal, of rank below n - 2,
+    # are counted by different routes; the MacWilliams identity ties the two
+    # counts together, so this checks one route against the other through
+    # the theorem rather than the split against itself.
+    rng = random.Random(31)
+    sizes = _kernel_blocks(monkeypatch)
+    split_groups = 0
+    for _ in range(40):
+        n = rng.randint(8, 14)
+        group = _random_group_of_rank(rng, n, rng.randint(n + 3, 2 * n))
+        ortho = orthogonal_group(group)
+        sizes.clear()
+        direct = weight_enumerator(group)
+        split_groups += sum(sizes) < group.order
+        sizes.clear()
+        ortho_enum = weight_enumerator(ortho)
+        assert sum(sizes) == ortho.order  # the plain walk
+        assert macwilliams_transform(ortho_enum, ortho.order) == direct
+    assert 10 <= split_groups < 40
 
 
 def test_numpy_is_loaded_only_to_enumerate():
