@@ -47,7 +47,7 @@ def main() -> int:
             else:
                 print(f"ok   {entry.params_str} ({entry.source}) distance={d}")
             checked_hard += 1
-        elif entry.is_maximal_entanglement and entry.k >= 1:
+        elif entry.is_maximal_entanglement:
             cap = table.cell(entry.n, entry.k).upper
             if entry.d > cap:
                 failures += 1

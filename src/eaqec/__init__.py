@@ -56,11 +56,9 @@ from .pauli import (
     PauliGroup,
     PauliOperator,
     canonicalize,
-    contains,
     orthogonal_group,
     symplectic_gram_schmidt,
     symplectic_product,
-    weight,
 )
 
 __version__ = "0.1.0"
@@ -89,7 +87,6 @@ __all__ = [
     "canonicalize",
     "code_from_entry",
     "code_to_json_dict",
-    "contains",
     "dual",
     "ea_repetition_code",
     "eaqec_identities",
@@ -109,6 +106,5 @@ __all__ = [
     "symplectic_gram_schmidt",
     "symplectic_product",
     "verify_macwilliams",
-    "weight",
     "weight_enumerator",
 ]

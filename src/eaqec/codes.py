@@ -56,16 +56,18 @@ Pair = tuple[PauliOperator, PauliOperator]
 class EaqecCode:
     """An entanglement-assisted stabilizer code, stored by generator structure.
 
-    ``symplectic_pairs`` are the c hyperbolic pairs of the entangled
-    stabilizer part, ``isotropic_gens`` the s = n - k - c commuting
-    generators, and ``logical_pairs`` the k hyperbolic pairs of the logical
-    group.  Construction validates the full commutation pattern: each pair
-    anticommutes internally, and all other generator products commute.
+    ``symplectic_pairs`` are the hyperbolic pairs of the entangled stabilizer
+    part, ``isotropic_gens`` the commuting generators, and ``logical_pairs``
+    the hyperbolic pairs of the logical group.  Nothing else is stored: the
+    ebit count ``c`` and the information qubit count ``k`` are the numbers of
+    symplectic and logical pairs, and the groups are derived from the
+    generators.  Construction validates the counts (k + c + s = n for s
+    isotropic generators), the full commutation pattern (each pair
+    anticommutes internally, all other generator products commute), and the
+    independence of the generators.
     """
 
     n: int
-    k: int
-    c: int
     symplectic_pairs: tuple[Pair, ...]
     isotropic_gens: tuple[PauliOperator, ...]
     logical_pairs: tuple[Pair, ...]
@@ -74,21 +76,11 @@ class EaqecCode:
         n, k, c = self.n, self.k, self.c
         if not 1 <= n <= MAX_QUBITS:
             raise DimensionError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
-        if not 0 <= k <= n:
-            raise StructureError(f"information qubit count k={k} out of range for n={n}")
-        if c != len(self.symplectic_pairs):
-            raise StructureError(
-                f"c={c} but {len(self.symplectic_pairs)} symplectic pairs given"
-            )
         s = len(self.isotropic_gens)
         if k + c + s != n:
             raise StructureError(
                 f"generator counts do not fit: k={k}, c={c}, {s} isotropic "
                 f"generators, but k + c + s must equal n={n}"
-            )
-        if len(self.logical_pairs) != k:
-            raise StructureError(
-                f"k={k} but {len(self.logical_pairs)} logical pairs given"
             )
         pairs = self.symplectic_pairs + self.logical_pairs
         gens: list[PauliOperator] = [g for pair in pairs for g in pair]
@@ -104,8 +96,18 @@ class EaqecCode:
                     raise StructureError(
                         f"commutation pattern violated between generators {i} and {j}"
                     )
-        if canonicalize(gens, n).rank != len(gens):
+        if self.combined_group.rank != len(gens):
             raise StructureError("generators are not independent")
+
+    @property
+    def k(self) -> int:
+        """Information qubits: the number of logical pairs."""
+        return len(self.logical_pairs)
+
+    @property
+    def c(self) -> int:
+        """Ebits: the number of symplectic pairs."""
+        return len(self.symplectic_pairs)
 
     # --- group views -------------------------------------------------------
 
@@ -131,7 +133,10 @@ class EaqecCode:
 
     @cached_property
     def combined_group(self) -> PauliGroup:
-        """L x S_S x S_I, everything commuting with the isotropic subgroup."""
+        """L x S_S x S_I, everything commuting with the isotropic subgroup.
+
+        Its generators are exactly the code's, so validation reads its rank.
+        """
         flat = [g for pair in self.logical_pairs + self.symplectic_pairs for g in pair]
         return canonicalize(flat + list(self.isotropic_gens), self.n)
 
@@ -168,7 +173,7 @@ def from_generators(
         )
     if logical_pairs is None:
         logical_pairs, _ = symplectic_gram_schmidt(orthogonal_group(group))
-    return EaqecCode(n, k, c, pairs, iso, tuple(logical_pairs))
+    return EaqecCode(n, pairs, iso, tuple(logical_pairs))
 
 
 def dual(code: EaqecCode) -> EaqecCode:
@@ -177,14 +182,7 @@ def dual(code: EaqecCode) -> EaqecCode:
     Maps ``[[n, k, d; c]]`` to ``[[n, c, d'; k]]`` with the isotropic subgroup
     unchanged; applying it twice returns the original code exactly.
     """
-    return EaqecCode(
-        n=code.n,
-        k=code.c,
-        c=code.k,
-        symplectic_pairs=code.logical_pairs,
-        isotropic_gens=code.isotropic_gens,
-        logical_pairs=code.symplectic_pairs,
-    )
+    return EaqecCode(code.n, code.logical_pairs, code.isotropic_gens, code.symplectic_pairs)
 
 
 def min_distance(code: EaqecCode, budget_log2: int | None = None) -> int:
@@ -215,8 +213,9 @@ _SOURCES = ("literature", "construction", "extension")
 @dataclass(frozen=True)
 class CodeRegistryEntry:
     """A known ``[[n, k, d; c]]`` code: d is an achievable distance for the
-    parameters, hence a lower bound on the optimum.  ``generators`` is set
-    only where the construction is explicit enough to rebuild the code."""
+    parameters, hence a lower bound on the optimum.  A distance needs at
+    least one information qubit, so k >= 1.  ``generators`` is set only where
+    the construction is explicit enough to rebuild the code."""
 
     n: int
     k: int
@@ -230,6 +229,8 @@ class CodeRegistryEntry:
             raise DimensionError(f"qubit count must be in 1..{MAX_QUBITS}, got {self.n}")
         if not 0 <= self.k <= self.n:
             raise StructureError(f"k={self.k} out of range for n={self.n}")
+        if self.k == 0:
+            raise StructureError("k=0 leaves no information qubit: a distance needs k >= 1")
         if not 0 <= self.c <= self.n - self.k:
             raise StructureError(
                 f"ebit count c={self.c} out of range for [[{self.n},{self.k}]]"
@@ -255,22 +256,16 @@ class CodeRegistryEntry:
 def extend_code(entry: CodeRegistryEntry, mode: str) -> CodeRegistryEntry:
     """Apply one extension rule to a known code.
 
-    ``lengthen`` maps [[n, k, d; c]] to [[n+1, k, d; c+1]] (requires c < n);
-    ``trade`` maps it to [[n, k-1, d; c+1]] where the recorded d remains valid
-    as a lower bound (requires k >= 2: a k = 0 code has no distance).
+    ``lengthen`` maps [[n, k, d; c]] to [[n+1, k, d; c+1]]; ``trade`` maps it
+    to [[n, k-1, d; c+1]], where the recorded d remains valid as a lower
+    bound.  Trading the last information qubit raises :class:`StructureError`
+    from the entry's constructor, since a k = 0 code has no distance.
     Generators are not carried over: the rules assert existence, not an
     explicit construction.
     """
     if mode == "lengthen":
-        if entry.c >= entry.n:
-            raise ValueError(f"cannot lengthen {entry.params_str}: needs c < n")
         return CodeRegistryEntry(entry.n + 1, entry.k, entry.c + 1, entry.d, "extension")
     if mode == "trade":
-        if entry.k < 2:
-            raise ValueError(
-                f"cannot trade {entry.params_str}: needs k >= 2, "
-                "since a code with k = 0 has no distance"
-            )
         return CodeRegistryEntry(entry.n, entry.k - 1, entry.c + 1, entry.d, "extension")
     raise ValueError(f"unknown extension mode {mode!r}, expected 'lengthen' or 'trade'")
 

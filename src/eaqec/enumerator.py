@@ -86,13 +86,12 @@ class WeightEnumerator:
         return sum(self.coeffs)
 
 
-def _check_budget(rank: int, budget_log2: int | None) -> int:
+def _check_budget(rank: int, budget_log2: int | None) -> None:
     budget = DEFAULT_BUDGET_LOG2 if budget_log2 is None else budget_log2
     if rank > budget:
         raise BudgetError(
             f"group has 2^{rank} elements, more than the enumeration budget of 2^{budget}"
         )
-    return budget
 
 
 def _weight_blocks(
@@ -167,6 +166,12 @@ def _echelon(vecs: Iterable[int], cols: int) -> tuple[list[int], list[int]]:
     return [row for _, row in kept], vanished
 
 
+def _words(rows: Iterable[int], n: int) -> list[tuple[int, int]]:
+    """Packed ``u | (v << n)`` rows as raw ``(u, v)`` words."""
+    mask = (1 << n) - 1
+    return [(row & mask, row >> n) for row in rows]
+
+
 def _split(group: PauliGroup) -> tuple[list[tuple[int, int]], ...]:
     """Split ``group`` over the qubit halves A = [0, n//2) and B = [n//2, n).
 
@@ -178,12 +183,11 @@ def _split(group: PauliGroup) -> tuple[list[tuple[int, int]], ...]:
     high = ((1 << n) - 1) ^ low
     cols_a = low | (low << n)
     cols_b = high | (high << n)
-    vecs = list(group._vecs)
-    in_a = _echelon(vecs, cols_b)[1]
-    in_b = _echelon(vecs, cols_a)[1]
-    reps = _echelon(in_a + in_b + vecs, cols_a | cols_b)[0][len(in_a) + len(in_b) :]
-    mask = (1 << n) - 1
-    return tuple([(vec & mask, vec >> n) for vec in part] for part in (in_a, in_b, reps))
+    rows = list(group.rows)
+    in_a = _echelon(rows, cols_b)[1]
+    in_b = _echelon(rows, cols_a)[1]
+    reps = _echelon(in_a + in_b + rows, cols_a | cols_b)[0][len(in_a) + len(in_b) :]
+    return tuple(_words(part, n) for part in (in_a, in_b, reps))
 
 
 def _split_counts(
@@ -233,7 +237,7 @@ def weight_enumerator(group: PauliGroup, budget_log2: int | None = None) -> Weig
         cost = (1 << len(reps)) * ((1 << len(in_a)) + (1 << len(in_b)) + _COSET_COST)
         if cost < order:
             return WeightEnumerator(n, tuple(_split_counts(n, in_a, in_b, reps)))
-    tally = _tally([(g.u, g.v) for g in group.generators], n)
+    tally = _tally(_words(group.rows, n), n)
     return WeightEnumerator(n, tuple(tally.tolist()))
 
 

@@ -9,7 +9,9 @@ space GF(2)^(2n).
 Row vectors used by the linear algebra here pack an operator as ``u | (v << n)``:
 column c < n is the X bit of qubit c and column n + c is the Z bit.  Echelon
 forms always process columns in that fixed order, so canonical generator
-matrices are unique per group.
+matrices are unique per group.  A :class:`PauliGroup` stores only ``n`` and
+that reduced row-echelon basis of packed rows; its operators, rank and order
+are derived from the rows.
 
 Two operators commute iff their symplectic inner product
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DimensionError, StructureError
+from .errors import DimensionError
 
 MAX_QUBITS = 64
 
@@ -93,11 +95,6 @@ class PauliOperator:
         return self.u == 0 and self.v == 0
 
 
-def weight(op: PauliOperator) -> int:
-    """Number of non-identity tensor factors of ``op``."""
-    return op.weight
-
-
 def symplectic_product(a: PauliOperator, b: PauliOperator) -> int:
     """Symplectic inner product: 0 when the operators commute, 1 otherwise."""
     if a.n != b.n:
@@ -158,35 +155,37 @@ def _reduce(vec: int, basis: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class PauliGroup:
-    """A subgroup of the phase-free Pauli group, stored by canonical generators.
+    """A subgroup of the phase-free Pauli group, stored by its canonical basis.
 
-    The generator list is the reduced row-echelon basis of the subgroup as a
-    GF(2) row space (columns ordered u bits then v bits), so two equal
-    subgroups always compare equal structurally.  Use :func:`canonicalize` to
-    build one from arbitrary generators.
+    ``rows`` is the reduced row-echelon basis of the subgroup as a GF(2) row
+    space of packed ``u | (v << n)`` vectors (columns ordered u bits then v
+    bits).  The constructor reduces whatever rows it is given, so dependent or
+    unreduced rows are accepted and two equal subgroups always compare equal
+    structurally.  The generators as operators, the rank and the order are
+    derived from ``rows``.  Use :func:`canonicalize` to build one from
+    operators.
     """
 
     n: int
-    generators: tuple[PauliOperator, ...]
+    rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_QUBITS:
             raise DimensionError(f"qubit count must be in 1..{MAX_QUBITS}, got {self.n}")
-        vecs = []
-        for g in self.generators:
-            if g.n != self.n:
-                raise DimensionError("generator qubit count differs from group")
-            vecs.append(_vec(g))
-        if list(vecs) != _rref(vecs):
-            raise StructureError("generators are not in canonical reduced echelon form")
+        rows = tuple(self.rows)
+        limit = 1 << (2 * self.n)
+        for row in rows:
+            if not 0 <= row < limit:
+                raise DimensionError(f"row {row} out of range for n={self.n}")
+        object.__setattr__(self, "rows", tuple(_rref(rows)))
 
     @cached_property
-    def _vecs(self) -> tuple[int, ...]:
-        return tuple(_vec(g) for g in self.generators)
+    def generators(self) -> tuple[PauliOperator, ...]:
+        return tuple(_op(self.n, r) for r in self.rows)
 
     @property
     def rank(self) -> int:
-        return len(self.generators)
+        return len(self.rows)
 
     @property
     def order(self) -> int:
@@ -195,7 +194,7 @@ class PauliGroup:
     def contains(self, op: PauliOperator) -> bool:
         if op.n != self.n:
             raise DimensionError(f"operator on {op.n} qubits, group on {self.n}")
-        return _reduce(_vec(op), self._vecs) == 0
+        return _reduce(_vec(op), self.rows) == 0
 
     def __contains__(self, op: PauliOperator) -> bool:
         return self.contains(op)
@@ -205,7 +204,7 @@ class PauliGroup:
         acc = 0
         yield _op(self.n, 0)
         for i in range(1, 1 << self.rank):
-            acc ^= self._vecs[_lsb(i)]
+            acc ^= self.rows[_lsb(i)]
             yield _op(self.n, acc)
 
 
@@ -216,22 +215,14 @@ def canonicalize(generators: Iterable[PauliOperator], n: int | None = None) -> P
     list is empty and must otherwise agree with the operators.
     """
     ops = list(generators)
-    if not ops:
-        if n is None:
-            raise DimensionError("qubit count required for an empty generator list")
-        return PauliGroup(n, ())
     if n is None:
+        if not ops:
+            raise DimensionError("qubit count required for an empty generator list")
         n = ops[0].n
     for g in ops:
         if g.n != n:
             raise DimensionError(f"generator on {g.n} qubits, expected {n}")
-    rows = _rref(_vec(g) for g in ops)
-    return PauliGroup(n, tuple(_op(n, r) for r in rows))
-
-
-def contains(group: PauliGroup, op: PauliOperator) -> bool:
-    """Membership test by reduction against the canonical echelon basis."""
-    return group.contains(op)
+    return PauliGroup(n, tuple(_vec(g) for g in ops))
 
 
 def orthogonal_group(group: PauliGroup) -> PauliGroup:
@@ -242,7 +233,7 @@ def orthogonal_group(group: PauliGroup) -> PauliGroup:
     """
     n = group.n
     ncols = 2 * n
-    rows = _rref(_swap_halves(v, n) for v in group._vecs)
+    rows = _rref(_swap_halves(v, n) for v in group.rows)
     pivots = {_lsb(r) for r in rows}
     kernel = []
     for col in range(ncols):
@@ -253,7 +244,7 @@ def orthogonal_group(group: PauliGroup) -> PauliGroup:
             if (r >> col) & 1:
                 vec |= 1 << _lsb(r)
         kernel.append(vec)
-    return PauliGroup(n, tuple(_op(n, r) for r in _rref(kernel)))
+    return PauliGroup(n, tuple(kernel))
 
 
 def symplectic_gram_schmidt(
@@ -269,7 +260,7 @@ def symplectic_gram_schmidt(
     2c + s equals the rank, and the output spans the original group.
     """
     n = group.n
-    work = list(group._vecs)
+    work = list(group.rows)
     swapped = [_swap_halves(v, n) for v in work]
     pairs: list[tuple[PauliOperator, PauliOperator]] = []
     isotropic: list[PauliOperator] = []

@@ -109,4 +109,4 @@ def random_code(
     entangled = tuple(pairs[:c])
     logical = tuple(pairs[c : c + k])
     isotropic = tuple(g for g, _ in pairs[c + k :])
-    return EaqecCode(n, k, c, entangled, isotropic, logical)
+    return EaqecCode(n, entangled, isotropic, logical)

@@ -106,7 +106,12 @@ def test_extend_command(capsys):
         capsys, "extend", "--n", "5", "--k", "1", "--c", "4", "--d", "3",
         "--mode", "trade",
     )
-    assert code == 2 and out == "" and err.startswith("error:") and "k >= 2" in err
+    assert code == 2 and out == "" and err.startswith("error:") and "k >= 1" in err
+    code, out, err = run(
+        capsys, "extend", "--n", "4", "--k", "0", "--c", "2", "--d", "3",
+        "--mode", "lengthen",
+    )
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_distance_command(capsys, five_qubit_file):
