@@ -7,7 +7,9 @@ must be at least the recorded d, and both transform identities must hold
 coefficientwise.  Entries without generators (published parameters and
 consequences of the extension rules) are checked for internal consistency
 only: they must not exceed the upper bound of their cell in the bounds table
-(the LP bound capped by the known nonexistence results).
+(the LP bound capped by the known nonexistence results).  An entry whose
+rebuild, distance or identities raise is reported as a failure and the audit
+carries on with the next entry.
 
 Enumeration runs at the library's default budget, which covers the largest
 group of any registry code with generators (rank 30, the combined group of
@@ -17,7 +19,14 @@ fails, so this doubles as a CI gate.
 
 import sys
 
-from eaqec import build_table, code_from_entry, eaqec_identities, min_distance, registry
+from eaqec import (
+    EaqecError,
+    build_table,
+    code_from_entry,
+    eaqec_identities,
+    min_distance,
+    registry,
+)
 
 
 def main() -> int:
@@ -29,18 +38,21 @@ def main() -> int:
 
     for entry in entries:
         if entry.generators is not None:
-            code = code_from_entry(entry)
             problems = []
-            if (code.n, code.k, code.c) != (entry.n, entry.k, entry.c):
-                problems.append(
-                    f"rebuilt as [[{code.n},{code.k};{code.c}]]"
-                )
-            d = min_distance(code)
-            if d < entry.d:
-                problems.append(f"distance {d} below recorded {entry.d}")
-            normalizer_check, isotropic_check = eaqec_identities(code)
-            if not (normalizer_check.holds and isotropic_check.holds):
-                problems.append("transform identity mismatch")
+            try:
+                code = code_from_entry(entry)
+                if (code.n, code.k, code.c) != (entry.n, entry.k, entry.c):
+                    problems.append(
+                        f"rebuilt as [[{code.n},{code.k};{code.c}]]"
+                    )
+                d = min_distance(code)
+                if d < entry.d:
+                    problems.append(f"distance {d} below recorded {entry.d}")
+                normalizer_check, isotropic_check = eaqec_identities(code)
+                if not (normalizer_check.holds and isotropic_check.holds):
+                    problems.append("transform identity mismatch")
+            except (EaqecError, ValueError) as exc:
+                problems.append(str(exc))
             if problems:
                 failures += 1
                 print(f"FAIL {entry.params_str} ({entry.source}): " + "; ".join(problems))

@@ -42,7 +42,7 @@ under the two extension rules.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Literal, Sequence
@@ -404,20 +404,7 @@ class BoundsTable:
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "cells": [
-                {
-                    "n": cell.n,
-                    "k": cell.k,
-                    "lower": cell.lower,
-                    "upper": cell.upper,
-                    "lower_source": cell.lower_source,
-                    "upper_source": cell.upper_source,
-                }
-                for cell in self.cells
-            ],
-        }
+        return {"n_max": self.n_max, "cells": [asdict(cell) for cell in self.cells]}
 
 
 def _registry_lower_bounds(n_max: int) -> dict[tuple[int, int], tuple[int, str]]:

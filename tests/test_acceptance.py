@@ -8,7 +8,6 @@ expansion, group closure).
 
 import math
 import random
-import runpy
 import time
 from pathlib import Path
 
@@ -29,6 +28,7 @@ from eaqec import (
     InconsistencyError,
     WeightEnumerator,
 )
+from eaqec.cli import main
 
 from conftest import all_operators, naive_closure, random_code, random_group
 
@@ -66,7 +66,7 @@ EXPECTED_LOWER = {
 }
 
 
-def test_criterion_1_table_reproduction(tmp_path):
+def test_criterion_1_table_reproduction(capsys):
     """Every cell of the n <= 15 bounds grid matches, exactly."""
     start = time.time()
     table = build_table(15)
@@ -79,11 +79,12 @@ def test_criterion_1_table_reproduction(tmp_path):
             if (cell.lower, cell.upper) != want:
                 mismatches.append((n, k, (cell.lower, cell.upper), want))
     assert not mismatches, f"cells differing from the published grid: {mismatches}"
-    # the committed artifacts are what the table script writes, byte for byte
-    root = Path(__file__).resolve().parent.parent
-    script = runpy.run_path(str(root / "scripts" / "make_bounds_table.py"))
-    for written in script["write_table"](table, tmp_path):
-        assert written.read_bytes() == (root / "artifacts" / written.name).read_bytes()
+    # the committed artifacts are what `eaqec table` prints, byte for byte
+    artifacts = Path(__file__).resolve().parent.parent / "artifacts"
+    for suffix, extra in (("txt", []), ("json", ["--format", "json"])):
+        assert main(["table", "--nmax", "15", *extra]) == 0
+        want = (artifacts / f"bounds_table_n15.{suffix}").read_bytes()
+        assert capsys.readouterr().out.encode() == want
     print(f"criterion 1 (table reproduction, 104 cells in {elapsed:.1f}s): PASS")
 
 

@@ -2,6 +2,8 @@
 
 import json
 import random
+import runpy
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -227,8 +229,9 @@ def test_dual_repetition_distances():
 
 
 def test_dual_repetition_large_n_bounded_scan():
-    # for n = 13, 15 the full enumeration is big, so check d = 2 directly:
-    # no weight-1 operator normalizes the stabilizer, some weight-2 does
+    # a letter-level oracle for n = 13, 15 that does not go through the
+    # enumerator: no weight-1 operator normalizes the stabilizer, some
+    # weight-2 operator does, so d = 2
     for n in (13, 15):
         entry = next(
             e
@@ -305,13 +308,38 @@ def test_registry_grid_coverage_and_known_entries():
     )
 
 
-def test_registry_generators_rebuild_small():
+def test_registry_generators_rebuild():
     for entry in registry():
-        if entry.generators is None or entry.n > 9:
+        if entry.generators is None:
             continue
         code = code_from_entry(entry)
         assert (code.n, code.k, code.c) == (entry.n, entry.k, entry.c)
         assert min_distance(code) >= entry.d
+
+
+def test_registry_audit_reports_every_failure(monkeypatch, capsys):
+    # the five-qubit generators recorded with the wrong c: the rebuild raises,
+    # and the audit must report it and go on to the entries after it
+    script = Path(__file__).resolve().parent.parent / "scripts" / "check_registry.py"
+    audit = runpy.run_path(str(script))["main"]
+    bad = CodeRegistryEntry(
+        5, 1, 4, 3, "construction",
+        tuple(PauliOperator.from_string(s) for s in FIVE_QUBIT_GENERATORS),
+    )
+    entries = (bad, *registry())
+    monkeypatch.setitem(audit.__globals__, "registry", lambda: entries)
+    assert audit() == 1
+    out = capsys.readouterr().out
+    assert (
+        "FAIL [[5,1,3;4]] (construction): "
+        "stored generators for [[5,1,3;4]] produce c=0\n"
+    ) in out
+    assert "ok   [[15,1,15;14]] (construction) distance=15" in out
+    assert "ok   [[15,14,2;1]] (construction) distance=2" in out
+    assert out.endswith(
+        "23 entries rebuilt and verified, "
+        "147 cross-checked against LP bounds, 1 failures\n"
+    )
 
 
 # ---------------------------------------------------------------------------

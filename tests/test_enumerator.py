@@ -319,6 +319,21 @@ def test_macwilliams_transform_rejects_bad_order():
         macwilliams_transform(WeightEnumerator(1, (1, 1)), 4)
 
 
+def test_macwilliams_transform_order_is_not_the_coefficient_sum():
+    # the trivial group's distribution with one at weight 0 added: the
+    # coefficient sum 2 would transform it to (1, 9, 27, 27), the exact
+    # distribution of the trivial group's orthogonal, so only the stated
+    # order 1 catches the mutation
+    mutated = WeightEnumerator(3, (2, 0, 0, 0))
+    with pytest.raises(ValueError):
+        macwilliams_transform(mutated, 1)
+    trivial = canonicalize([], 3)
+    assert macwilliams_transform(mutated, 2) == weight_enumerator(
+        orthogonal_group(trivial)
+    )
+    assert macwilliams_transform(mutated, 2).coeffs == (1, 9, 27, 27)
+
+
 def test_macwilliams_transform_detects_non_enumerator():
     # (1, 2) sums to 3, which is no power of two, so no order matches; with a
     # forced order the divisibility check trips instead
@@ -378,6 +393,34 @@ def test_identities_random_codes():
         normalizer_check, isotropic_check = eaqec_identities(code)
         assert normalizer_check.holds
         assert isotropic_check.holds
+
+
+def test_budget_is_checked_before_any_counting(monkeypatch):
+    calls = []
+    kernel = enumerator._weight_blocks
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(enumerator, "_weight_blocks", counting)
+    # stabilizer, normalizer, isotropic and combined ranks (8, 2, 0, 10):
+    # the combined group is over budget, and nothing is counted first
+    code = ea_repetition_code(5)
+    ranks = (code.stabilizer_group.rank, code.normalizer_group.rank,
+             code.isotropic_group.rank, code.combined_group.rank)
+    assert ranks == (8, 2, 0, 10)
+    with pytest.raises(BudgetError, match=r"2\^10 elements"):
+        eaqec_identities(code, budget_log2=9)
+    assert calls == []
+    # a rank-3 group on 5 qubits fits a 2^5 budget, its rank-7 orthogonal not
+    group = canonicalize(
+        [PauliOperator.from_string(s) for s in ("XIIII", "ZIIII", "IXIII")]
+    )
+    assert (group.rank, orthogonal_group(group).rank) == (3, 7)
+    with pytest.raises(BudgetError, match=r"2\^7 elements"):
+        verify_macwilliams(group, budget_log2=5)
+    assert calls == []
 
 
 @settings(max_examples=60, deadline=None)
