@@ -15,17 +15,21 @@ distance d, no such code exists; the smallest infeasible d minus one is an
 upper bound on the achievable distance.  Adding a trial constraint only
 shrinks the feasible set, so a single ascending scan locates the threshold.
 
-The systems carry the free variables only.  Leading coefficients are 1 and
-are substituted in, and N and I are linear in S and C, so they enter as rows
-(through :func:`_dual_form`) rather than as variables:
+The systems are posed on the complement side, where the distance condition
+removes variables instead of adding rows.  Leading coefficients are 1 and
+are substituted in, and the direct distributions are linear in the
+complement ones, so they enter as rows (through :func:`_dual_form`):
 
-- at maximal entanglement (c = n - k) S_I is trivial, C is the whole Pauli
-  group and N is the logical distribution B; :func:`_maximal_rows` solves
-  for A_1..A_n, the stabilizer distribution, in n + 1 rows;
-- for 0 < c < n - k, :func:`_general_rows` solves for S_1..S_n and C_1..C_n
-  in 5n + 2 rows.
+- at maximal entanglement (c = n - k) S_I is trivial and N is the logical
+  distribution B; :func:`_maximal_rows` solves for B_d..B_n in n + 1 rows;
+- for 0 < c < n - k, :func:`_general_rows` solves for I_1..I_n and the
+  excess M_d..M_n = N - I of the normalizer in 3n + 2 rows.
 
-Each docstring says why the rows it leaves out are implied.
+Every inequality holds strictly at the origin, where the direct
+distributions are proportional to the 3^w C(n, w) Paulis of each weight, so
+its slack starts in the basis: phase one starts with one artificial
+(maximal) or two (general), one per sum row.  Each docstring says why the
+rows it leaves out are implied.
 
 Everything is solved exactly, in integers: a phase-one simplex with Bland's
 rule and fraction-free pivoting (Edmonds, J. Res. NBS 71B, 1967; the scheme
@@ -177,12 +181,9 @@ def _extract_point(
 
 
 def _dual_form(n: int, w: int) -> tuple[list[int], int]:
-    """The weight-w transform of a distribution X with X_0 = 1, as the pair
-    (coefficients of X_1..X_n, constant K_w(0)).
-
-    For X the distribution of a group V, the value is |V| Y_w with Y the
-    distribution of V's symplectic complement.
-    """
+    """The weight-w transform of the distribution X of a group V, X_0 = 1, as
+    (coefficients of X_1..X_n, constant K_w(0)); its value is |V| Y_w, with Y
+    the distribution of V's symplectic complement."""
     return [krawtchouk(w, wp, n) for wp in range(1, n + 1)], krawtchouk(w, 0, n)
 
 
@@ -193,71 +194,73 @@ def _dual_form(n: int, w: int) -> tuple[list[int], int]:
 def _maximal_rows(n: int, k: int, d: int) -> list[Row]:
     """The feasibility system for a trial distance d at maximal entanglement.
 
-    The variables are A_1..A_n, the stabilizer distribution with A_0 = 1
-    substituted in.  The logical distribution B is the linear form
-    4^(n-k) B_w = K_w(0) + sum_w' K_w(w') A_w'.  The n + 1 rows are
+    The variables are B_d..B_n, the logical distribution with B_0 = 1
+    substituted in and B_w = 0 below d left out.  The stabilizer
+    distribution A is the linear form 4^k A_w = K_w(0) + sum_w' K_w(w') B_w'.
+    The n + 1 rows are
 
-        sum_{w>=1} A_w = 4^(n-k) - 1
-        4^(n-k) B_w = 0  for 1 <= w < d,   >= 0  for d <= w <= n
+        sum_{w>=d} B_w = 4^k - 1
+        4^k A_w >= 0  for 1 <= w <= n
 
-    and the simplex keeps A >= 0.  The other constraints on the two
+    and the simplex keeps B >= 0.  The other constraints on the two
     distributions are implied, because sum_w K_w(w') = 4^n [w' = 0]:
-    K_0(w') = 1 turns the sum row into B_0 = 1, and summing the forms over w
-    leaves 4^n A_0, so sum_w B_w = 4^k.  Each cap A_w <= 4^(n-k) and
-    B_w <= 4^k then follows from its sum and nonnegativity.  c is pinned to
-    n - k.
+    K_0(w') = 1 turns the sum row into A_0 = 1, and summing the forms over w
+    leaves 4^n B_0, so sum_w A_w = 4^(n-k).  Each cap A_w <= 4^(n-k) and
+    B_w <= 4^k then follows from its sum and nonnegativity.
     """
-    rows: list[Row] = [([1] * n, "=", 4 ** (n - k) - 1)]
+    rows: list[Row] = [([1] * (n - d + 1), "=", 4**k - 1)]
     for w in range(1, n + 1):
         coeffs, const = _dual_form(n, w)
-        rows.append((coeffs, "=" if w < d else ">=", -const))
+        rows.append((coeffs[d - 1 :], ">=", -const))
     return rows
 
 
 def _general_rows(n: int, k: int, c: int, d: int) -> list[Row]:
-    """The partial-entanglement system over S_1..S_n then C_1..C_n.
+    """The partial-entanglement system over I_1..I_n then M_d..M_n.
 
-    S_0 = C_0 = 1 are substituted in, and the complement distributions are
-    the forms |S| N_w = K_w(0) + sum_w' K_w(w') S_w' and likewise |C| I_w
-    from C.  The rows are the two sums and, for each w = 1..n, five more:
+    I is the isotropic distribution and M = N - I the normalizer's excess
+    over it: M >= 0 is the dominance N >= I of nested groups, and a code of
+    distance d has N_w = I_w below d, so M_1..M_(d-1) are not variables.
+    With I_0 = N_0 = 1 substituted in, the direct distributions are the forms
+    |N| S_w = K_w(0) + sum_w' K_w(w') (I + M)_w' and |I| C_w = K_w(0) +
+    sum_w' K_w(w') I_w'.  The rows are two sums and, for each w = 1..n,
+    three dominance rows, scaled to integers using |N| / |I| = 4^k:
 
-        sum_{w>=1} S_w = |S| - 1,   sum_{w>=1} C_w = |C| - 1
-        I_w >= 0
-        N_w - I_w = 0  for w < d,   >= 0  from d on
-        C_w >= N_w,   S_w >= I_w,   C_w >= S_w
+        sum_{w>=1} I_w = |I| - 1,   sum_{w>=1} I_w + sum_{w>=d} M_w = |N| - 1
+        S_w >= I_w,   C_w >= N_w,   C_w >= S_w
 
-    each multiplied through to integers using |C| / |S| = 4^k; the last
-    three are the coefficientwise dominance of nested groups.  The rest of
-    the four-block system is implied, by the argument at
-    :func:`_maximal_rows`: the forms give N_0 = I_0 = 1 and the sums of N and
-    I, N >= 0 follows from N >= I >= 0, every cap from its sum and
-    nonnegativity, and dominance at w = 0 reads 1 >= 1.
+    Each dominance row holds strictly at the origin: normalized, its
+    right-hand side is -K_w(0) or -(4^k - 1) K_w(0).
+
+    The rest of the four-block system is implied: S >= 0 follows from
+    S >= I >= 0, C >= 0 from C >= N = I + M >= 0, and, by the argument at
+    :func:`_maximal_rows`, the two sums give S_0 = C_0 = 1 and the sums of S
+    and C, every cap follows from its sum and nonnegativity, and dominance
+    at w = 0 reads 1 >= 1.  The transform squares to 4^n times the identity,
+    so (I, M) -> (S, C) is invertible: posed over S and C, the system has
+    the same feasible set and verdict.
     """
-    stab_order = 1 << (n - k + c)
-    comb_order = 1 << (n + k + c)
-    scale = comb_order // stab_order  # 4^k
-    zeros = [0] * n
-    forms = [_dual_form(n, w) for w in range(1, n + 1)]
+    iso_order = 1 << (n - k - c)
+    norm_order = 1 << (n + k - c)
+    scale = norm_order // iso_order - 1  # 4^k - 1
+    excess = n - d + 1
     rows: list[Row] = [
-        ([1] * n + zeros, "=", stab_order - 1),
-        (zeros + [1] * n, "=", comb_order - 1),
+        ([1] * n + [0] * excess, "=", iso_order - 1),
+        ([1] * (n + excess), "=", norm_order - 1),
     ]
-    for coeffs, const in forms:  # |C| I_w
-        rows.append((zeros + coeffs, ">=", -const))
-    for w, (coeffs, const) in enumerate(forms, 1):  # |C| (N_w - I_w)
-        row = [scale * x for x in coeffs] + [-x for x in coeffs]
-        rows.append((row, "=" if w < d else ">=", const - scale * const))
-    for w, (coeffs, const) in enumerate(forms, 1):
-        neg = [-x for x in coeffs]
-        row = neg + zeros  # |S| (C_w - N_w)
-        row[n + w - 1] = stab_order
-        rows.append((row, ">=", const))
-        row = zeros + neg  # |C| (S_w - I_w)
-        row[w - 1] = comb_order
-        rows.append((row, ">=", const))
-        row = [0] * (2 * n)  # C_w - S_w
-        row[w - 1], row[n + w - 1] = -1, 1
-        rows.append((row, ">=", 0))
+    for w in range(1, n + 1):
+        coeffs, const = _dual_form(n, w)
+        tail = coeffs[d - 1 :]
+        row = coeffs + tail  # |N| (S_w - I_w)
+        row[w - 1] -= norm_order
+        rows.append((row, ">=", -const))
+        row = coeffs + [0] * excess  # |I| (C_w - N_w)
+        row[w - 1] -= iso_order
+        if w >= d:
+            row[n + w - d] -= iso_order
+        rows.append((row, ">=", -const))
+        row = [scale * x for x in coeffs] + [-x for x in tail]  # |N| (C_w - S_w)
+        rows.append((row, ">=", -scale * const))
     return rows
 
 
@@ -275,18 +278,15 @@ def lp_feasible(n: int, k: int, d: int) -> bool:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d={d}")
-    return _solve_feasibility(n, _maximal_rows(n, k, d)) is not None
+    return _solve_feasibility(n - d + 1, _maximal_rows(n, k, d)) is not None
 
 
 def lp_feasible_general(n: int, k: int, c: int, d: int) -> bool:
-    """Feasibility for partial entanglement, over the stabilizer and combined
-    distributions (see :func:`_general_rows`).
+    """Feasibility for partial entanglement, over the isotropic and
+    normalizer distributions (see :func:`_general_rows`).
 
-    The normalizer and isotropic distributions are their transforms; the
-    distance condition pins the two together below the trial distance, and
-    subgroup containment adds coefficientwise dominance between nested
-    groups.  At c = n - k the isotropic group is trivial and the system
-    degenerates to :func:`lp_feasible`, which is used directly.
+    At c = n - k the isotropic group is trivial and the system degenerates
+    to :func:`lp_feasible`, which is used directly.
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
@@ -296,7 +296,7 @@ def lp_feasible_general(n: int, k: int, c: int, d: int) -> bool:
         raise ValueError(f"need 1 <= d <= n, got d={d}")
     if c == n - k:
         return lp_feasible(n, k, d)
-    return _solve_feasibility(2 * n, _general_rows(n, k, c, d)) is not None
+    return _solve_feasibility(2 * n - d + 1, _general_rows(n, k, c, d)) is not None
 
 
 def lp_upper_bound(n: int, k: int, c: int | None = None) -> int:

@@ -6,8 +6,10 @@ all two (maximal entanglement) or four (partial) weight distributions, which
 the reduced systems' points are lifted back into with ``krawtchouk``.
 """
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -232,12 +234,12 @@ def transform(dist, order):
     ]
 
 
-def lift_general(n, k, c, point):
-    """I, S, N, C recovered from a point over S_1..S_n, C_1..C_n."""
-    stab = [Fraction(1)] + point[:n]
-    comb = [Fraction(1)] + point[n:]
-    norm = transform(stab, 1 << (n - k + c))
-    iso = transform(comb, 1 << (n + k + c))
+def lift_general(n, k, c, d, point):
+    """I, S, N, C recovered from a point over I_1..I_n, M_d..M_n."""
+    iso = [Fraction(1)] + point[:n]
+    norm = iso[:d] + [x + m for x, m in zip(iso[d:], point[n:])]
+    stab = transform(norm, 1 << (n + k - c))
+    comb = transform(iso, 1 << (n - k - c))
     return iso + stab + norm + comb
 
 
@@ -351,12 +353,12 @@ def test_lp_instance_solution_satisfies_rows():
     for n, k, d in ((5, 2, 3), (5, 2, 4), (7, 2, 5), (9, 4, 5), (11, 1, 9)):
         rows = _maximal_rows(n, k, d)
         assert len(rows) == n + 1
-        assert all(len(coeffs) == n for coeffs, _, _ in rows)
-        point = _solve_feasibility(n, rows)
+        assert all(len(coeffs) == n - d + 1 for coeffs, _, _ in rows)
+        point = _solve_feasibility(n - d + 1, rows)
         assert point is not None
         assert_satisfies(point, rows)
-        a = [Fraction(1)] + point
-        assert_satisfies(a + transform(a, 4 ** (n - k)), full_maximal_rows(n, k, d))
+        b = [Fraction(1)] + [Fraction(0)] * (d - 1) + point
+        assert_satisfies(transform(b, 4**k) + b, full_maximal_rows(n, k, d))
 
 
 def test_lp_verdicts_match_full_system():
@@ -449,26 +451,40 @@ def test_general_rows_shape_and_lift():
             for c in range(1, n - k):
                 for d in range(1, n + 1):
                     rows = _general_rows(n, k, c, d)
-                    assert len(rows) == 5 * n + 2
-                    assert all(len(coeffs) == 2 * n for coeffs, _, _ in rows)
-                    point = _solve_feasibility(2 * n, rows)
+                    num_vars = 2 * n - d + 1
+                    assert len(rows) == 3 * n + 2
+                    assert all(len(coeffs) == num_vars for coeffs, _, _ in rows)
+                    point = _solve_feasibility(num_vars, rows)
                     full_rows = full_general_rows(n, k, c, d)
                     if point is None:
                         assert fraction_simplex(4 * (n + 1), full_rows) is None
                     else:
                         assert_satisfies(point, rows)
-                        assert_satisfies(lift_general(n, k, c, point), full_rows)
+                        assert_satisfies(lift_general(n, k, c, d, point), full_rows)
+
+
+def test_general_bounds_match_pinned_values():
+    # every partial-entanglement bound with n <= 10, pinned from the system
+    # over S and C; its n <= 5 rows are the benchmark's frozen values
+    root = Path(__file__).resolve().parent.parent
+    pinned = json.loads((root / "tests" / "data" / "lp_general_n10.json").read_text())
+    cells = [(n, k, c) for n in range(3, 11) for k in range(1, n) for c in range(1, n - k)]
+    assert [tuple(row[:3]) for row in pinned["lp_general"]] == cells
+    assert [[n, k, c, lp_upper_bound(n, k, c)] for n, k, c in cells] == pinned["lp_general"]
+    frozen = json.loads((root / "perfbench" / "expected.json").read_text())["lp_general"]
+    assert [row for row in pinned["lp_general"] if row[0] <= 5] == frozen
 
 
 def test_general_dominance_of_combined_over_normalizer():
     # C_w >= N_w is not implied by the other rows; no verdict depends on it,
     # so this pins it: asking for C_1 <= N_1 - 1 must be infeasible
     n, k, c = 4, 1, 1
-    stab_order = 1 << (n - k + c)
+    iso_order = 1 << (n - k - c)
     coeffs = [krawtchouk(1, wp, n) for wp in range(1, n + 1)]
-    row = [-x for x in coeffs] + [0] * n  # |S| (C_1 - N_1) <= -|S|
-    row[n] = stab_order
-    extra = (row, "<=", krawtchouk(1, 0, n) - stab_order)
+    row = coeffs + [0] * n  # |I| (C_1 - N_1) <= -|I|, over I_1..I_n, M_1..M_n
+    row[0] -= iso_order
+    row[n] -= iso_order
+    extra = (row, "<=", -krawtchouk(1, 0, n) - iso_order)
     assert _solve_feasibility(2 * n, _general_rows(n, k, c, 1)) is not None
     assert _solve_feasibility(2 * n, _general_rows(n, k, c, 1) + [extra]) is None
 
