@@ -6,13 +6,13 @@ checked against independent oracles (letter-level scans, polynomial
 expansion, group closure).
 """
 
+import json
 import math
 import random
 import time
 from pathlib import Path
 
 from eaqec import (
-    build_table,
     code_from_entry,
     dual,
     eaqec_identities,
@@ -68,23 +68,24 @@ EXPECTED_LOWER = {
 
 def test_criterion_1_table_reproduction(capsys):
     """Every cell of the n <= 15 bounds grid matches, exactly."""
+    artifacts = Path(__file__).resolve().parent.parent / "artifacts"
     start = time.time()
-    table = build_table(15)
+    assert main(["table", "--nmax", "15", "--format", "json"]) == 0
     elapsed = time.time() - start
+    out = capsys.readouterr().out
+    cells = {(c["n"], c["k"]): (c["lower"], c["upper"]) for c in json.loads(out)["cells"]}
     mismatches = []
     for n in range(3, 16):
         for k in range(1, n):
-            cell = table.cell(n, k)
+            got = cells[(n, k)]
             want = (EXPECTED_LOWER[n][k - 1], EXPECTED_UPPER[n][k - 1])
-            if (cell.lower, cell.upper) != want:
-                mismatches.append((n, k, (cell.lower, cell.upper), want))
+            if got != want:
+                mismatches.append((n, k, got, want))
     assert not mismatches, f"cells differing from the published grid: {mismatches}"
     # the committed artifacts are what `eaqec table` prints, byte for byte
-    artifacts = Path(__file__).resolve().parent.parent / "artifacts"
-    for suffix, extra in (("txt", []), ("json", ["--format", "json"])):
-        assert main(["table", "--nmax", "15", *extra]) == 0
-        want = (artifacts / f"bounds_table_n15.{suffix}").read_bytes()
-        assert capsys.readouterr().out.encode() == want
+    assert out.encode() == (artifacts / "bounds_table_n15.json").read_bytes()
+    assert main(["table", "--nmax", "15"]) == 0
+    assert capsys.readouterr().out.encode() == (artifacts / "bounds_table_n15.txt").read_bytes()
     print(f"criterion 1 (table reproduction, 104 cells in {elapsed:.1f}s): PASS")
 
 
