@@ -21,15 +21,16 @@ are substituted in, and the direct distributions are linear in the
 complement ones, so they enter as rows (through :func:`_dual_form`):
 
 - at maximal entanglement (c = n - k) S_I is trivial and N is the logical
-  distribution B; :func:`_maximal_rows` solves for B_d..B_n in n + 1 rows;
+  distribution B; :func:`_maximal_rows` solves for B_d..B_n;
 - for 0 < c < n - k, :func:`_general_rows` solves for I_1..I_n and the
-  excess M_d..M_n = N - I of the normalizer in 3n + 2 rows.
+  excess M_d..M_n = N - I of the normalizer.
 
-Every inequality holds strictly at the origin, where the direct
-distributions are proportional to the 3^w C(n, w) Paulis of each weight, so
-its slack starts in the basis: phase one starts with one artificial
-(maximal) or two (general), one per sum row.  Each docstring says why the
-rows it leaves out are implied.
+Both return the one row form the solver takes: equalities, and floors
+a.x >= b that hold at the origin (b <= 0); any other a.x >= b would be the
+equality a.x - t = b over one more variable t >= 0.  Every floor here holds
+strictly, as the direct distributions at the origin are proportional to the
+3^w C(n, w) Paulis of each weight, so its slack starts in the basis.  Each
+docstring says why the rows it leaves out are implied.
 
 Everything is solved exactly, in integers: a phase-one simplex with Bland's
 rule and fraction-free pivoting (Edmonds, J. Res. NBS 71B, 1967; the scheme
@@ -49,20 +50,27 @@ import operator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Literal, Sequence
+from typing import Sequence
 
 from .codes import registry
 from .enumerator import krawtchouk
 from .errors import BudgetError, EaqecError
 
-Sense = Literal["<=", "=", ">="]
-Row = tuple[Sequence[int], Sense, int]
+Row = tuple[Sequence[int], int]
 
 _SIMPLEX_ITERATION_CAP = 1_000_000
 
-def _solve_feasibility(num_vars: int, rows: Sequence[Row]) -> list[Fraction] | None:
-    """Exact phase-one simplex: a nonnegative rational point satisfying all
-    rows, or None when the system is infeasible.
+def _solve_feasibility(
+    num_vars: int, equalities: Sequence[Row], floors: Sequence[Row]
+) -> list[Fraction] | None:
+    """Exact phase-one simplex: a nonnegative rational point x with a.x = b
+    for every equality (a, b) and a.x >= b for every floor (a, b), or None.
+
+    Every floor must hold at the origin, b <= 0 (else ``ValueError``), so it
+    enters as -a.x + s = -b with its slack s in the starting basis.  Any
+    other inequality a.x >= b is the equality a.x - t = b over one more
+    variable t >= 0.  An equality with b < 0 is negated, and each equality
+    gets an artificial.  Columns are numbered variables, slacks, artificials.
 
     Coefficients and right-hand sides must be integers; anything else raises
     ``TypeError`` rather than being rounded.  The tableau is a matrix T of
@@ -80,56 +88,37 @@ def _solve_feasibility(num_vars: int, rows: Sequence[Row]) -> list[Fraction] | N
     ties guarantees termination; artificial columns never re-enter.  The
     search stops as soon as the artificial objective reaches zero.
     """
-    # Normalize to nonnegative right-hand sides.
-    norm: list[tuple[list[int], str, int]] = []
-    for coeffs, sense, rhs in rows:
-        dense = [operator.index(c) for c in coeffs]
-        rhs = operator.index(rhs)
-        if rhs < 0:
-            dense = [-c for c in dense]
-            rhs = -rhs
-            sense = {"<=": ">=", ">=": "<=", "=": "="}[sense]
-        norm.append((dense, sense, rhs))
-
-    n_ineq = sum(1 for _, sense, _ in norm if sense != "=")
-    art_start = num_vars + n_ineq
-
+    n_floors = len(floors)
+    art_start = num_vars + n_floors
     # Artificial columns are numbered from art_start but not stored: they
     # never re-enter, so no pivot rule reads them.
     tableau: list[list[int]] = []
-    basis: list[int] = []
-    slack_at = num_vars
-    art_at = art_start
-    for dense, sense, rhs in norm:
-        row = dense + [0] * n_ineq + [rhs]
-        if sense != "=":
-            row[slack_at] = 1 if sense == "<=" else -1
-            if sense == "<=":
-                basis.append(slack_at)
-            slack_at += 1
-        if sense != "<=":
-            basis.append(art_at)
-            art_at += 1
+    for coeffs, rhs in equalities:
+        sign = -1 if operator.index(rhs) < 0 else 1
+        tableau.append([sign * operator.index(a) for a in coeffs] + [0] * n_floors + [sign * rhs])
+    for i, (coeffs, rhs) in enumerate(floors):
+        if operator.index(rhs) > 0:
+            raise ValueError(f"a floor must hold at the origin, got right-hand side {rhs}")
+        row = [-operator.index(a) for a in coeffs] + [0] * n_floors + [-rhs]
+        row[num_vars + i] = 1
         tableau.append(row)
+    # Each equality starts on its artificial, each floor on its slack.
+    basis = [art_start + i for i in range(len(equalities))] + list(range(num_vars, art_start))
 
     # Phase-one objective: minimize the sum of artificials.  The objective row
     # holds reduced costs; its last entry is minus the current objective value.
     obj = [0] * (art_start + 1)
-    for i, b in enumerate(basis):
-        if b >= art_start:
-            row = tableau[i]
-            for j in range(art_start):
-                obj[j] -= row[j]
-            obj[-1] -= row[-1]
+    for row in tableau[: len(equalities)]:
+        obj = [o - x for o, x in zip(obj, row)]
 
     det = 1
-    if obj[-1] == 0:
-        return _extract_point(num_vars, tableau, basis, det)
-
-    for _ in range(_SIMPLEX_ITERATION_CAP):
+    pivots = 0
+    while obj[-1]:
+        if pivots == _SIMPLEX_ITERATION_CAP:
+            raise BudgetError(f"exact simplex exceeded {_SIMPLEX_ITERATION_CAP} pivots")
         enter = next((j for j in range(art_start) if obj[j] < 0), -1)
         if enter < 0:
-            return None if obj[-1] else _extract_point(num_vars, tableau, basis, det)
+            return None
         pivot_row = -1
         for i, row in enumerate(tableau):
             a = row[enter]
@@ -155,29 +144,19 @@ def _solve_feasibility(num_vars: int, rows: Sequence[Row]) -> list[Fraction] | N
         obj = _eliminate(obj, prow, piv, det, enter)
         det = piv
         basis[pivot_row] = enter
-        if obj[-1] == 0:
-            return _extract_point(num_vars, tableau, basis, det)
-    raise BudgetError(f"exact simplex exceeded {_SIMPLEX_ITERATION_CAP} pivots")
+        pivots += 1
 
-
-def _eliminate(row: list[int], prow: list[int], piv: int, det: int, enter: int) -> list[int]:
-    """One fraction-free update of ``row`` against the pivot row."""
-    f = row[enter]
-    if f:
-        return [(x * piv - f * y) // det for x, y in zip(row, prow)]
-    if piv == det:
-        return row
-    return [x * piv // det for x in row]
-
-
-def _extract_point(
-    num_vars: int, tableau: list[list[int]], basis: list[int], det: int
-) -> list[Fraction]:
     point = [Fraction(0)] * num_vars
     for i, b in enumerate(basis):
         if b < num_vars:
             point[b] = Fraction(tableau[i][-1], det)
     return point
+
+
+def _eliminate(row: list[int], prow: list[int], piv: int, det: int, enter: int) -> list[int]:
+    """One fraction-free update of ``row`` against the pivot row."""
+    f = row[enter]
+    return [(x * piv - f * y) // det for x, y in zip(row, prow)]
 
 
 def _dual_form(n: int, w: int) -> tuple[list[int], int]:
@@ -191,13 +170,13 @@ def _dual_form(n: int, w: int) -> tuple[list[int], int]:
 # the two systems: maximal entanglement, and 0 < c < n - k
 
 
-def _maximal_rows(n: int, k: int, d: int) -> list[Row]:
+def _maximal_rows(n: int, k: int, d: int) -> tuple[list[Row], list[Row]]:
     """The feasibility system for a trial distance d at maximal entanglement.
 
     The variables are B_d..B_n, the logical distribution with B_0 = 1
     substituted in and B_w = 0 below d left out.  The stabilizer
     distribution A is the linear form 4^k A_w = K_w(0) + sum_w' K_w(w') B_w'.
-    The n + 1 rows are
+    The rows are one equality and n floors,
 
         sum_{w>=d} B_w = 4^k - 1
         4^k A_w >= 0  for 1 <= w <= n
@@ -208,14 +187,14 @@ def _maximal_rows(n: int, k: int, d: int) -> list[Row]:
     leaves 4^n B_0, so sum_w A_w = 4^(n-k).  Each cap A_w <= 4^(n-k) and
     B_w <= 4^k then follows from its sum and nonnegativity.
     """
-    rows: list[Row] = [([1] * (n - d + 1), "=", 4**k - 1)]
+    floors: list[Row] = []
     for w in range(1, n + 1):
         coeffs, const = _dual_form(n, w)
-        rows.append((coeffs[d - 1 :], ">=", -const))
-    return rows
+        floors.append((coeffs[d - 1 :], -const))
+    return [([1] * (n - d + 1), 4**k - 1)], floors
 
 
-def _general_rows(n: int, k: int, c: int, d: int) -> list[Row]:
+def _general_rows(n: int, k: int, c: int, d: int) -> tuple[list[Row], list[Row]]:
     """The partial-entanglement system over I_1..I_n then M_d..M_n.
 
     I is the isotropic distribution and M = N - I the normalizer's excess
@@ -224,7 +203,7 @@ def _general_rows(n: int, k: int, c: int, d: int) -> list[Row]:
     With I_0 = N_0 = 1 substituted in, the direct distributions are the forms
     |N| S_w = K_w(0) + sum_w' K_w(w') (I + M)_w' and |I| C_w = K_w(0) +
     sum_w' K_w(w') I_w'.  The rows are two sums and, for each w = 1..n,
-    three dominance rows, scaled to integers using |N| / |I| = 4^k:
+    three dominance floors, scaled to integers using |N| / |I| = 4^k:
 
         sum_{w>=1} I_w = |I| - 1,   sum_{w>=1} I_w + sum_{w>=d} M_w = |N| - 1
         S_w >= I_w,   C_w >= N_w,   C_w >= S_w
@@ -244,24 +223,25 @@ def _general_rows(n: int, k: int, c: int, d: int) -> list[Row]:
     norm_order = 1 << (n + k - c)
     scale = norm_order // iso_order - 1  # 4^k - 1
     excess = n - d + 1
-    rows: list[Row] = [
-        ([1] * n + [0] * excess, "=", iso_order - 1),
-        ([1] * (n + excess), "=", norm_order - 1),
+    equalities: list[Row] = [
+        ([1] * n + [0] * excess, iso_order - 1),
+        ([1] * (n + excess), norm_order - 1),
     ]
+    floors: list[Row] = []
     for w in range(1, n + 1):
         coeffs, const = _dual_form(n, w)
         tail = coeffs[d - 1 :]
         row = coeffs + tail  # |N| (S_w - I_w)
         row[w - 1] -= norm_order
-        rows.append((row, ">=", -const))
+        floors.append((row, -const))
         row = coeffs + [0] * excess  # |I| (C_w - N_w)
         row[w - 1] -= iso_order
         if w >= d:
             row[n + w - d] -= iso_order
-        rows.append((row, ">=", -const))
+        floors.append((row, -const))
         row = [scale * x for x in coeffs] + [-x for x in tail]  # |N| (C_w - S_w)
-        rows.append((row, ">=", -scale * const))
-    return rows
+        floors.append((row, -scale * const))
+    return equalities, floors
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +258,7 @@ def lp_feasible(n: int, k: int, d: int) -> bool:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d={d}")
-    return _solve_feasibility(n - d + 1, _maximal_rows(n, k, d)) is not None
+    return _solve_feasibility(n - d + 1, *_maximal_rows(n, k, d)) is not None
 
 
 def lp_feasible_general(n: int, k: int, c: int, d: int) -> bool:
@@ -296,7 +276,7 @@ def lp_feasible_general(n: int, k: int, c: int, d: int) -> bool:
         raise ValueError(f"need 1 <= d <= n, got d={d}")
     if c == n - k:
         return lp_feasible(n, k, d)
-    return _solve_feasibility(2 * n - d + 1, _general_rows(n, k, c, d)) is not None
+    return _solve_feasibility(2 * n - d + 1, *_general_rows(n, k, c, d)) is not None
 
 
 def lp_upper_bound(n: int, k: int, c: int | None = None) -> int:

@@ -40,6 +40,20 @@ def assert_satisfies(point, rows):
             assert value >= rhs
 
 
+def general_rows(equalities, floors):
+    """The solver's rows in ``fraction_simplex``'s form, each floor a.x >= b
+    written as -a.x <= -b, so its slack starts in the basis there too."""
+    return [(a, "=", b) for a, b in equalities] + [
+        ([-x for x in a], "<=", -b) for a, b in floors
+    ]
+
+
+def is_sublist(small, big):
+    """Whether ``small`` is ``big`` with some rows left out, in order."""
+    rest = iter(big)
+    return all(row in rest for row in small)
+
+
 # ---------------------------------------------------------------------------
 # reference oracles
 
@@ -248,57 +262,65 @@ def lift_general(n, k, c, d, point):
 
 
 def test_solver_finds_exact_point():
-    rows = [([1, 1], "=", 1), ([1, -1], "=", 1)]
-    point = _solve_feasibility(2, rows)
+    point = _solve_feasibility(2, [([1, 1], 1), ([1, -1], 1)], [])
     assert point == [Fraction(1), Fraction(0)]
 
 
 def test_solver_reports_infeasibility():
-    assert _solve_feasibility(1, [([1], "=", 1), ([1], "=", 2)]) is None
-    assert _solve_feasibility(1, [([1], "<=", -1)]) is None
-    assert _solve_feasibility(2, [([1, 1], "<=", 1), ([1, 1], ">=", 2)]) is None
+    assert _solve_feasibility(1, [([1], 1), ([1], 2)], []) is None
+    # x <= -1 is -x >= 1, which fails at the origin: -x - t = 1
+    assert _solve_feasibility(2, [([-1, -1], 1)], []) is None
+    # x + y <= 1 is a floor; x + y >= 2 is x + y - t = 2
+    assert _solve_feasibility(3, [([1, 1, -1], 2)], [([-1, -1, 0], -1)]) is None
 
 
 def test_solver_handles_inequalities_and_negative_rhs():
-    rows = [([1], ">=", 2), ([1], "<=", 3)]
-    point = _solve_feasibility(1, rows)
-    assert point is not None
-    assert_satisfies(point, rows)
-    # negative right-hand side flips the sense during normalization
-    rows = [([-1], "<=", -2)]
-    point = _solve_feasibility(1, rows)
+    # x >= 2 fails at the origin, so it is x - t = 2; x <= 3 is the floor -x >= -3
+    equalities, floors = [([1, -1], 2)], [([-1, 0], -3)]
+    point = _solve_feasibility(2, equalities, floors)
+    assert point is not None and 2 <= point[0] <= 3
+    assert_satisfies(point, general_rows(equalities, floors))
+    # an equality with a negative right-hand side is negated: -x + t = -2
+    point = _solve_feasibility(2, [([-1, 1], -2)], [])
     assert point is not None and point[0] >= 2
+    # a floor through the origin keeps its slack in the basis
+    assert _solve_feasibility(2, [([1, 1], 2)], [([1, -1], 0)]) == [Fraction(2), Fraction(0)]
+    # a floor that fails at the origin would start phase one infeasible
+    with pytest.raises(ValueError, match="hold at the origin"):
+        _solve_feasibility(1, [], [([1], 2)])
 
 
 def test_solver_trivial_system():
-    assert _solve_feasibility(3, []) == [Fraction(0)] * 3
+    assert _solve_feasibility(3, [], []) == [Fraction(0)] * 3
 
 
 def test_solver_fractional_point():
-    rows = [([2], "=", 1)]
-    assert _solve_feasibility(1, rows) == [Fraction(1, 2)]
+    assert _solve_feasibility(1, [([2], 1)], []) == [Fraction(1, 2)]
 
 
 def test_solver_rejects_non_integer_rows():
-    with pytest.raises(TypeError):
-        _solve_feasibility(1, [([Fraction(1, 2)], "=", 1)])
-    with pytest.raises(TypeError):
-        _solve_feasibility(1, [([1.0], "=", 1)])
-    with pytest.raises(TypeError):
-        _solve_feasibility(1, [([1], "=", 0.5)])
+    not_integer = "cannot be interpreted as an integer"
+    with pytest.raises(TypeError, match=not_integer):
+        _solve_feasibility(1, [([Fraction(1, 2)], 1)], [])
+    with pytest.raises(TypeError, match=not_integer):
+        _solve_feasibility(1, [([1.0], 1)], [])
+    with pytest.raises(TypeError, match=not_integer):
+        _solve_feasibility(1, [([1], 0.5)], [])
+    with pytest.raises(TypeError, match=not_integer):
+        _solve_feasibility(1, [], [([Fraction(1, 2)], -1)])
+    with pytest.raises(TypeError, match=not_integer):
+        _solve_feasibility(1, [], [([1], -0.5)])
+
+
+def _random_rows(m, rhs):
+    return st.lists(
+        st.tuples(st.lists(st.integers(-5, 5), min_size=m, max_size=m), rhs), max_size=6
+    )
 
 
 _small_system = st.integers(1, 4).flatmap(
     lambda m: st.tuples(
-        st.just(m),
-        st.lists(
-            st.tuples(
-                st.lists(st.integers(-5, 5), min_size=m, max_size=m),
-                st.sampled_from(["<=", "=", ">="]),
-                st.integers(-8, 8),
-            ),
-            max_size=6,
-        ),
+        st.just(m), _random_rows(m, st.integers(-8, 8)), _random_rows(m, st.integers(-8, 0))
     )
 )
 
@@ -306,8 +328,9 @@ _small_system = st.integers(1, 4).flatmap(
 @settings(max_examples=300, deadline=None)
 @given(_small_system)
 def test_solver_matches_fraction_reference_on_small_systems(system):
-    num_vars, rows = system
-    point = _solve_feasibility(num_vars, rows)
+    num_vars, equalities, floors = system
+    point = _solve_feasibility(num_vars, equalities, floors)
+    rows = general_rows(equalities, floors)
     assert point == fraction_simplex(num_vars, rows)
     if point is not None:
         assert_satisfies(point, rows)
@@ -317,9 +340,9 @@ def test_solver_matches_fraction_reference_on_every_scan_solve(monkeypatch):
     solves = []
     solve = lpbound._solve_feasibility
 
-    def recording(num_vars, rows):
-        point = solve(num_vars, rows)
-        solves.append((num_vars, list(rows), point))
+    def recording(num_vars, equalities, floors):
+        point = solve(num_vars, equalities, floors)
+        solves.append((num_vars, general_rows(equalities, floors), point))
         return point
 
     monkeypatch.setattr(lpbound, "_solve_feasibility", recording)
@@ -331,6 +354,27 @@ def test_solver_matches_fraction_reference_on_every_scan_solve(monkeypatch):
     assert len(solves) > 200
     for num_vars, rows, point in solves:
         assert point == fraction_simplex(num_vars, rows)
+
+
+def test_simplex_iteration_cap_boundary(monkeypatch):
+    # a solve that is feasible after exactly the cap's pivots returns its point
+    equalities, floors = _maximal_rows(9, 4, 5)
+    calls = []
+    eliminate = lpbound._eliminate
+
+    def counting(*args):
+        calls.append(1)
+        return eliminate(*args)
+
+    monkeypatch.setattr(lpbound, "_eliminate", counting)
+    point = _solve_feasibility(5, equalities, floors)
+    pivots, rest = divmod(len(calls), len(equalities) + len(floors))  # one call a row
+    assert point is not None and rest == 0 and pivots >= 2
+    monkeypatch.setattr(lpbound, "_SIMPLEX_ITERATION_CAP", pivots)
+    assert _solve_feasibility(5, equalities, floors) == point
+    monkeypatch.setattr(lpbound, "_SIMPLEX_ITERATION_CAP", pivots - 1)
+    with pytest.raises(BudgetError, match=f"{pivots - 1} pivots"):
+        _solve_feasibility(5, equalities, floors)
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +395,12 @@ def test_lp_instance_validation():
 def test_lp_instance_solution_satisfies_rows():
     # the reduced point, lifted to A and B, solves the full two-enumerator system
     for n, k, d in ((5, 2, 3), (5, 2, 4), (7, 2, 5), (9, 4, 5), (11, 1, 9)):
-        rows = _maximal_rows(n, k, d)
-        assert len(rows) == n + 1
-        assert all(len(coeffs) == n - d + 1 for coeffs, _, _ in rows)
-        point = _solve_feasibility(n - d + 1, rows)
+        equalities, floors = _maximal_rows(n, k, d)
+        assert (len(equalities), len(floors)) == (1, n)
+        assert all(len(coeffs) == n - d + 1 for coeffs, _ in equalities + floors)
+        point = _solve_feasibility(n - d + 1, equalities, floors)
         assert point is not None
-        assert_satisfies(point, rows)
+        assert_satisfies(point, general_rows(equalities, floors))
         b = [Fraction(1)] + [Fraction(0)] * (d - 1) + point
         assert_satisfies(transform(b, 4**k) + b, full_maximal_rows(n, k, d))
 
@@ -404,6 +448,58 @@ def test_apply_overrides():
     assert apply_overrides(5, 2, 9) == 5
 
 
+def _paulis(n):
+    """Every n-qubit Pauli as (x bits, z bits), with its weight."""
+    ops = [(x, z) for x in range(1 << n) for z in range(1 << n)]
+    return [(op, bin(op[0] | op[1]).count("1")) for op in ops]
+
+
+def _anticommute(a, b):
+    return bin(a[0] & b[1] ^ a[1] & b[0]).count("1") % 2 == 1
+
+
+def full_weight_logical_pair_exists(n):
+    """Whether a symplectic pair a, b has a, b and ab all of weight n: the
+    logicals of an [[n,1,n;n-1]] code, whose isotropic group is trivial.
+    Any symplectic pair extends to a symplectic basis, so a pair is a code."""
+    full = [op for op, weight in _paulis(n) if weight == n]
+    return any(
+        _anticommute(a, b) and bin((a[0] ^ b[0]) | (a[1] ^ b[1])).count("1") == n
+        for a in full
+        for b in full
+    )
+
+
+def distance_two_stabilizer_pair_exists(n):
+    """Whether a symplectic pair g, h anticommutes, between them, with every
+    weight-1 Pauli: the stabilizer of an [[n,n-1,2;1]] code, whose
+    normalizer is everything that commutes with both."""
+    paulis = _paulis(n)
+    singles = [op for op, weight in paulis if weight == 1]
+    hits = {
+        op: sum(1 << i for i, one in enumerate(singles) if _anticommute(op, one))
+        for op, _ in paulis
+    }
+    every = (1 << len(singles)) - 1
+    return any(_anticommute(g, h) and hits[g] | hits[h] == every for g in hits for h in hits)
+
+
+def test_apply_overrides_caps_match_exhaustive_search():
+    # the two even-n caps, checked by searching every pair of Paulis; the
+    # odd n are the positive controls, where the same search finds a code
+    for n in (2, 3, 4, 5):
+        k1_dn = full_weight_logical_pair_exists(n)
+        k_last_d2 = distance_two_stabilizer_pair_exists(n)
+        assert k1_dn == k_last_d2 == (n % 2 == 1), n
+        for k in range(1, n):
+            cap = n
+            if k == 1 and not k1_dn:
+                cap = n - 1
+            if k == n - 1 and not k_last_d2:
+                cap = min(cap, 1)
+            assert apply_overrides(n, k, n) == cap, (n, k)
+
+
 # ---------------------------------------------------------------------------
 # the general system
 
@@ -445,22 +541,28 @@ def test_general_system_is_monotone_in_distance():
 
 def test_general_rows_shape_and_lift():
     # every feasible reduced point, lifted to I, S, N, C, solves the full
-    # four-block system, and every verdict matches the full system's
+    # four-block system, and every verdict matches the full system's.  The
+    # full system is solved at a cell's first infeasible d; each later d's
+    # full system holds the previous one's rows, so it is infeasible too.
     for n in range(3, 6):
         for k in range(1, n):
             for c in range(1, n - k):
+                full_infeasible = False
                 for d in range(1, n + 1):
-                    rows = _general_rows(n, k, c, d)
+                    equalities, floors = _general_rows(n, k, c, d)
                     num_vars = 2 * n - d + 1
-                    assert len(rows) == 3 * n + 2
-                    assert all(len(coeffs) == num_vars for coeffs, _, _ in rows)
-                    point = _solve_feasibility(num_vars, rows)
+                    assert (len(equalities), len(floors)) == (2, 3 * n)
+                    assert all(len(a) == num_vars for a, _ in equalities + floors)
+                    point = _solve_feasibility(num_vars, equalities, floors)
                     full_rows = full_general_rows(n, k, c, d)
-                    if point is None:
-                        assert fraction_simplex(4 * (n + 1), full_rows) is None
-                    else:
-                        assert_satisfies(point, rows)
+                    if point is not None:
+                        assert_satisfies(point, general_rows(equalities, floors))
                         assert_satisfies(lift_general(n, k, c, d, point), full_rows)
+                    elif not full_infeasible:
+                        assert fraction_simplex(4 * (n + 1), full_rows) is None
+                        full_infeasible = True
+                    else:
+                        assert is_sublist(full_general_rows(n, k, c, d - 1), full_rows)
 
 
 def test_general_bounds_match_pinned_values():
@@ -484,9 +586,14 @@ def test_general_dominance_of_combined_over_normalizer():
     row = coeffs + [0] * n  # |I| (C_1 - N_1) <= -|I|, over I_1..I_n, M_1..M_n
     row[0] -= iso_order
     row[n] -= iso_order
-    extra = (row, "<=", -krawtchouk(1, 0, n) - iso_order)
-    assert _solve_feasibility(2 * n, _general_rows(n, k, c, 1)) is not None
-    assert _solve_feasibility(2 * n, _general_rows(n, k, c, 1) + [extra]) is None
+    # that row fails at the origin, so it enters as an equality with a
+    # surplus column t: -|I| (C_1 - N_1) - t = |I|
+    extra = ([-x for x in row] + [-1], krawtchouk(1, 0, n) + iso_order)
+    equalities, floors = _general_rows(n, k, c, 1)
+    assert _solve_feasibility(2 * n, equalities, floors) is not None
+    equalities = [(a + [0], b) for a, b in equalities] + [extra]
+    floors = [(a + [0], b) for a, b in floors]
+    assert _solve_feasibility(2 * n + 1, equalities, floors) is None
 
 
 # ---------------------------------------------------------------------------
