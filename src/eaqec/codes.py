@@ -46,7 +46,6 @@ from .pauli import (
     canonicalize,
     orthogonal_group,
     symplectic_gram_schmidt,
-    symplectic_product,
 )
 
 Pair = tuple[PauliOperator, PauliOperator]
@@ -88,14 +87,20 @@ class EaqecCode:
         for g in gens:
             if g.n != n:
                 raise DimensionError(f"generator {g!r} acts on {g.n} qubits, code on {n}")
+        # <g_i, g_j> is the parity of (u_i | v_i << n) & (v_j | u_j << n)
+        words = [g.u | g.v << n for g in gens]
+        swapped = [g.v | g.u << n for g in gens]
         npaired = 2 * len(pairs)
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                want = 1 if (i < npaired and j == i + 1 and i % 2 == 0) else 0
-                if symplectic_product(gens[i], gens[j]) != want:
-                    raise StructureError(
-                        f"commutation pattern violated between generators {i} and {j}"
-                    )
+        for i, word in enumerate(words):
+            got = [(word & other).bit_count() & 1 for other in swapped[i + 1 :]]
+            want = [0] * len(got)
+            if i < npaired and i % 2 == 0:
+                want[0] = 1  # g_i, g_{i+1} is a pair
+            if got != want:
+                j = i + 1 + next(d for d, (x, y) in enumerate(zip(got, want)) if x != y)
+                raise StructureError(
+                    f"commutation pattern violated between generators {i} and {j}"
+                )
         if self.combined_group.rank != len(gens):
             raise StructureError("generators are not independent")
 

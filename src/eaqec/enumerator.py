@@ -19,22 +19,30 @@ of V'.  For an entanglement-assisted code the identity specializes to the two
 group pairs exposed by :func:`eaqec_identities`.
 
 Enumeration counts group elements with one numpy kernel for all n <= 64:
-XOR tables of the low generators' X and Z halves, seeded with a coset
-representative and shifted block by block through a Gray-code walk over the
-remaining generators, with the weight of each element read off as the
-popcount of X | Z.
+an XOR table of the low generators' X and Z halves, broadcast against a set
+of coset representatives shifted block by block through a Gray-code walk
+over the remaining generators, with the weight of each element read off as
+the popcount of X | Z and each coset's weights counted by one offset
+``bincount`` per block.  A whole group is the one coset of the identity.
 
 A large group G of rank r is counted over the qubit halves A = [0, n//2) and
 B = [n//2, n).  G_A and G_B, the elements of G supported on one half, have
 ranks a and b; Q holds q = r - a - b coset representatives of G / (G_A x G_B).
 Weight is additive over the halves, so each coset h + G_A x G_B is counted as
-the convolution of the kernel's counts of h_A + G_A and h_B + G_B.  This is
-still direct counting, with no transform, so the identities below compare
-two independent counts.  The split is taken when
-2^q (2^a + 2^b + _COSET_COST) < 2^r and every element is walked otherwise;
+the convolution of the counts of h_A + G_A and h_B + G_B.  The kernel counts
+all 2^q representatives at once against each half's table, in chunks, and one
+integer product of the two halves' per-coset counts sums the convolutions.
+This is still direct counting, with no transform, so the identities below
+compare two independent counts.  The split is taken when
+2^q (2^a + 2^b) + C < 2^r, where C = :data:`_SPLIT_COST` is the fixed cost
+of one split count in element visits, and every element is walked otherwise;
 the whole Pauli group, with q = 0, is the extreme case.  The enumeration
 budget caps the rank r (log2 of the group's order), not the number of
 elements the kernel visits.
+
+:func:`weight_enumerator` counts each group object once and keeps the result
+on it, so a code's distance and its identities share the counts of its
+normalizer and isotropic groups.
 
 numpy is imported only inside the functions that count, so importing the
 package, the registry and the LP bounds never load it.
@@ -60,11 +68,12 @@ DEFAULT_BUDGET_LOG2 = 30
 
 _BLOCK_LOG2 = 20
 
-#: Fixed cost of one coset of the split count, in element visits.  Two kernel
-#: calls and the convolution took about 45 us per coset and the plain walk
-#: about 13 ns per element (2-vCPU x86 VM, numpy 2.4), so a coset costs about
-#: as much as walking 2^12 elements.
-_COSET_COST = 1 << 12
+#: Fixed cost of one split count, in element visits.  Its echelon forms,
+#: tables, matrix product and anti-diagonal sums took about 50 us more than a
+#: plain walk of the same group, in which the walk visits about 2^13 elements
+#: at 5-13 ns each (2-vCPU x86 VM, numpy 2.4).  Of the powers of two, 2^13
+#: also gave the least total time over the groups of one benchmark pass.
+_SPLIT_COST = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -94,54 +103,95 @@ def _check_budget(rank: int, budget_log2: int | None) -> None:
         )
 
 
-def _weight_blocks(
-    gens: Sequence[tuple[int, int]], u: int = 0, v: int = 0
-) -> Iterator[np.ndarray]:
-    """Yield the Pauli weights of all elements of the coset (u, v) + span(gens).
+def _xor_table(words: Sequence[tuple[int, int]]) -> np.ndarray:
+    """X and Z halves of every element of the span of ``words``.
 
-    ``gens`` are independent raw ``(u, v)`` words.  The low
-    ``b = min(len(gens), _BLOCK_LOG2)`` of them are expanded into XOR tables
-    of their X and Z halves, seeded with the coset representative, one
-    ``uint64`` word per element and half.  Each block XORs one element of the
-    span of the remaining generators into both tables (a Gray-code walk, one
-    generator per step) and counts the set bits of X | Z.  The yielded
-    ``uint8`` array is reused by the next block.
+    A ``uint64`` array of shape (2, 2^len(words)): row 0 holds the X bits and
+    row 1 the Z bits, and column i is the XOR of the words at the set bits of i.
     """
     import numpy as np
 
-    b = min(len(gens), _BLOCK_LOG2)
-    size = 1 << b
-    xs = np.zeros(size, dtype=np.uint64)
-    zs = np.zeros(size, dtype=np.uint64)
-    xs[0] = u
-    zs[0] = v
-    for j, (gu, gv) in enumerate(gens[:b]):
+    table = np.zeros((2, 1 << len(words)), dtype=np.uint64)
+    columns = np.array(words, dtype=np.uint64).reshape(-1, 2, 1)
+    for j, word in enumerate(columns):
         half = 1 << j
-        np.bitwise_xor(xs[:half], np.uint64(gu), out=xs[half : 2 * half])
-        np.bitwise_xor(zs[:half], np.uint64(gv), out=zs[half : 2 * half])
-    bx = np.empty_like(xs)
-    bz = np.empty_like(zs)
-    weights = np.empty(size, dtype=np.uint8)
-    du = dv = 0
-    for hi in range(1 << (len(gens) - b)):
-        if hi:
-            gu, gv = gens[b + _lsb(hi)]
-            du ^= gu
-            dv ^= gv
-        np.bitwise_xor(xs, np.uint64(du), out=bx)
-        np.bitwise_xor(zs, np.uint64(dv), out=bz)
-        np.bitwise_or(bx, bz, out=bx)
-        yield np.bitwise_count(bx, out=weights)
+        np.bitwise_xor(table[:, :half], word, out=table[:, half : 2 * half])
+    return table
 
 
-def _tally(gens: Sequence[tuple[int, int]], width: int, u: int = 0, v: int = 0) -> np.ndarray:
-    """Weight counts 0..width of the coset (u, v) + span(gens), as int64."""
+def _tables(
+    gens: Sequence[tuple[int, int]],
+) -> tuple[np.ndarray, Sequence[tuple[int, int]]]:
+    """XOR table of the low ``min(len(gens), _BLOCK_LOG2)`` generators, and the rest."""
+    t = min(len(gens), _BLOCK_LOG2)
+    return _xor_table(gens[:t]), gens[t:]
+
+
+def _gray_shifts(
+    walk: Sequence[tuple[int, int]], reps: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Yield ``reps`` times each element of the span of ``walk``, in Gray-code
+    order: one word of ``walk`` enters the shift per step."""
     import numpy as np
 
-    tally = np.zeros(width + 1, dtype=np.int64)
-    for weights in _weight_blocks(gens, u, v):
-        tally += np.bincount(weights, minlength=width + 1)
-    return tally
+    yield reps
+    du = dv = 0
+    for i in range(1, 1 << len(walk)):
+        gu, gv = walk[_lsb(i)]
+        du ^= gu
+        dv ^= gv
+        yield reps ^ np.array([[du], [dv]], dtype=np.uint64)
+
+
+def _weight_blocks(
+    table: np.ndarray, walk: Sequence[tuple[int, int]], reps: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Yield the Pauli weights of all elements of the cosets reps[:, i] + span.
+
+    The span is that of the generators expanded in ``table`` (from
+    :func:`_tables`) and the raw ``(u, v)`` words ``walk``; ``reps`` holds m
+    coset representatives as X and Z rows.  Each block shifts the
+    representatives by one element of the span of ``walk``
+    (:func:`_gray_shifts`), broadcasts them against the table and counts the
+    set bits of X | Z: m rows of ``table.shape[1]`` weights, one row per
+    representative.  The yielded ``uint8`` array is reused by the next block.
+    """
+    import numpy as np
+
+    both = np.empty((2, reps.shape[1], table.shape[1]), dtype=np.uint64)
+    weights = np.empty(both[0].size, dtype=np.uint8)
+    for shifted in _gray_shifts(walk, reps):
+        np.bitwise_xor(shifted[:, :, None], table[:, None, :], out=both)
+        np.bitwise_or(both[0], both[1], out=both[0])
+        yield np.bitwise_count(both[0].ravel(), out=weights)
+
+
+def _tally(
+    table: np.ndarray, walk: Sequence[tuple[int, int]], width: int, reps: np.ndarray
+) -> np.ndarray:
+    """Weight counts 0..width of each coset of :func:`_weight_blocks`, as int64.
+
+    Row i counts the coset of reps[:, i].  Each block is counted by one
+    ``bincount`` with the weights of row i offset by i (width + 1).
+    """
+    import numpy as np
+
+    m, bins = reps.shape[1], width + 1
+    offsets = np.arange(0, m * bins, bins)[:, None]
+    binned = np.empty((m, table.shape[1]), dtype=np.intp)
+    counts = np.zeros(m * bins, dtype=np.int64)
+    for weights in _weight_blocks(table, walk, reps):
+        np.add(offsets, weights.reshape(m, -1), out=binned)
+        counts += np.bincount(binned.ravel(), minlength=counts.size)
+    return counts.reshape(m, bins)
+
+
+def _plain_counts(n: int, words: Sequence[tuple[int, int]]) -> list[int]:
+    """Weight distribution of span(words), every element walked."""
+    import numpy as np
+
+    origin = np.zeros((2, 1), dtype=np.uint64)
+    return _tally(*_tables(words), n, origin)[0].tolist()
 
 
 def _echelon(vecs: Iterable[int], cols: int) -> tuple[list[int], list[int]]:
@@ -151,19 +201,22 @@ def _echelon(vecs: Iterable[int], cols: int) -> tuple[list[int], list[int]]:
     ``cols`` is independent of the earlier ones, and the reduced rows that
     vanish there.  Both consist of elements of the span, together they are a
     basis of it, and ``vanished`` is a basis of its intersection with the rows
-    that are zero on ``cols``.
+    that are zero on ``cols``.  A kept row's pivot is its lowest bit in
+    ``cols``, so clearing a row's pivot bits lowest first ends.
     """
-    kept: list[tuple[int, int]] = []  # (pivot column, row)
+    kept: dict[int, int] = {}  # pivot column -> row, in insertion order
+    pivots = 0
     vanished = []
     for vec in vecs:
-        for p, row in kept:
-            if (vec >> p) & 1:
-                vec ^= row
+        while hit := vec & pivots:
+            vec ^= kept[_lsb(hit)]
         if vec & cols:
-            kept.append((_lsb(vec & cols), vec))
+            p = _lsb(vec & cols)
+            kept[p] = vec
+            pivots |= 1 << p
         else:
             vanished.append(vec)
-    return [row for _, row in kept], vanished
+    return list(kept.values()), vanished
 
 
 def _words(rows: Iterable[int], n: int) -> list[tuple[int, int]]:
@@ -198,47 +251,85 @@ def _split_counts(
 ) -> list[int]:
     """Weight distribution of the group split as ``(G_A, G_B, Q)`` by :func:`_split`.
 
-    For each coset h + (G_A x G_B), walked in Gray-code order over the span of
-    Q, the weights of h_A + G_A and h_B + G_B are tallied separately; weight
-    is additive over the halves, so their convolution counts the coset.
+    The representatives h of the cosets h + (G_A x G_B) are the span of Q,
+    taken in chunks of 2^s: an XOR table of the low s words of Q, shifted by
+    each element of the span of the others, with s as large as keeps a chunk
+    times either half's table within 2^_BLOCK_LOG2 elements.  For each chunk,
+    one :func:`_tally` per half counts h_A + G_A and h_B + G_B for every h,
+    and :func:`_combine` adds up the convolutions of the two halves' counts.
     """
     import numpy as np
 
     half = n // 2
     low = (1 << half) - 1
-    high = ((1 << n) - 1) ^ low
-    # Python ints: one coset's counts reach 2^(a + b), past int64 at a + b >= 63
-    total = np.zeros(n + 1, dtype=object)
-    u = v = 0
-    for i in range(1 << len(reps)):
-        if i:
-            ru, rv = reps[_lsb(i)]
-            u ^= ru
-            v ^= rv
-        count_a = _tally(in_a, half, u & low, v & low)
-        count_b = _tally(in_b, n - half, u & high, v & high)
-        total += np.convolve(count_a.astype(object), count_b.astype(object))
-    return total.tolist()
+    mask_a, mask_b = np.uint64(low), np.uint64(((1 << n) - 1) ^ low)
+    table_a, walk_a = _tables(in_a)
+    table_b, walk_b = _tables(in_b)
+    s = _BLOCK_LOG2 - (max(table_a.shape[1], table_b.shape[1]).bit_length() - 1)
+    halves = (
+        (
+            _tally(table_a, walk_a, half, chunk & mask_a),
+            _tally(table_b, walk_b, n - half, chunk & mask_b),
+        )
+        for chunk in _gray_shifts(reps[s:], _xor_table(reps[:s]))
+    )
+    # Python ints from rank 63 on: the counts of one product entry reach 2^rank
+    return _combine(halves, exact=len(in_a) + len(in_b) + len(reps) >= 63)
+
+
+def _combine(halves: Iterable[tuple[np.ndarray, np.ndarray]], exact: bool) -> list[int]:
+    """Sum the convolutions of per-coset counts of the two qubit halves.
+
+    ``halves`` yields pairs (C_A, C_B) with one row per coset: C_A[i, x]
+    elements of weight x on A and C_B[i, y] of weight y on B.  Weight is
+    additive over the halves, so the total at weight w is the sum of the
+    products P = C_A^T C_B over x + y = w, the anti-diagonals of P.  ``exact``
+    takes the products in Python ints, for totals that may pass 2^63.
+    """
+    import numpy as np
+
+    products = 0
+    for count_a, count_b in halves:
+        if exact:
+            count_a, count_b = count_a.astype(object), count_b.astype(object)
+        products = products + count_a.T @ count_b
+    rows, cols = products.shape
+    # rows of length rows + cols, read back at length rows + cols - 1: row x
+    # moves x places right, so each column gathers one anti-diagonal
+    padded = np.zeros((rows, rows + cols), dtype=products.dtype)
+    padded[:, :cols] = products
+    sheared = padded.ravel()[: rows * (rows + cols - 1)].reshape(rows, rows + cols - 1)
+    return sheared.sum(axis=0).tolist()
+
+
+def _count(group: PauliGroup) -> list[int]:
+    """Weight distribution of ``group``: split over the qubit halves when that
+    visits fewer elements after the fixed cost :data:`_SPLIT_COST`, every
+    element walked otherwise."""
+    n = group.n
+    order = group.order
+    if order > _SPLIT_COST:  # smaller groups cannot pay for a split at all
+        in_a, in_b, reps = _split(group)
+        if (1 << len(reps)) * ((1 << len(in_a)) + (1 << len(in_b))) + _SPLIT_COST < order:
+            return _split_counts(n, in_a, in_b, reps)
+    return _plain_counts(n, _words(group.rows, n))
 
 
 def weight_enumerator(group: PauliGroup, budget_log2: int | None = None) -> WeightEnumerator:
     """Exact weight distribution of ``group``, counted element by element.
 
     Raises :class:`BudgetError` when the rank exceeds the enumeration budget
-    (default ``2**30`` elements).  The count is split over the two qubit
-    halves when that visits fewer elements, counting the fixed cost of each
-    coset (see :data:`_COSET_COST`); otherwise every element is walked.
+    (default ``2**30`` elements), on every call.  The count is made once per
+    group object and kept on it, as ``PauliGroup.generators`` is: a code's
+    distance and identities share the counts of its groups, while an equal
+    group built anew is counted again.
     """
     _check_budget(group.rank, budget_log2)
-    n = group.n
-    order = group.order
-    if order > _COSET_COST:  # smaller groups cannot pay for even one coset
-        in_a, in_b, reps = _split(group)
-        cost = (1 << len(reps)) * ((1 << len(in_a)) + (1 << len(in_b)) + _COSET_COST)
-        if cost < order:
-            return WeightEnumerator(n, tuple(_split_counts(n, in_a, in_b, reps)))
-    tally = _tally(_words(group.rows, n), n)
-    return WeightEnumerator(n, tuple(tally.tolist()))
+    memo = vars(group)  # frozen fields alone define equality and hash
+    enum = memo.get("_weight_enumerator")
+    if enum is None:
+        enum = memo["_weight_enumerator"] = WeightEnumerator(group.n, tuple(_count(group)))
+    return enum
 
 
 @lru_cache(maxsize=None)

@@ -130,19 +130,30 @@ def _lsb(x: int) -> int:
 
 
 def _rref(vectors: Iterable[int]) -> list[int]:
-    """Reduced row-echelon basis of the span, rows sorted by pivot column."""
-    basis: list[tuple[int, int]] = []  # (pivot column, row), kept fully reduced
+    """Reduced row-echelon basis of the span, rows sorted by pivot column.
+
+    Forward elimination clears each new row at the pivots it hits, lowest
+    first: a row's pivot is its lowest bit, so each step leaves the bits below
+    that pivot alone.  One back-substitution, from the highest pivot down,
+    then clears every pivot column above its own row.
+    """
+    rows: dict[int, int] = {}  # pivot column -> row
+    pivots = 0  # mask of the pivot columns
     for vec in vectors:
-        for p, row in basis:
-            if (vec >> p) & 1:
-                vec ^= row
-        if vec == 0:
-            continue
-        p = _lsb(vec)
-        basis = [(q, row ^ vec if (row >> p) & 1 else row) for q, row in basis]
-        basis.append((p, vec))
-        basis.sort()
-    return [row for _, row in basis]
+        while hit := vec & pivots:
+            vec ^= rows[_lsb(hit)]
+        if vec:
+            p = _lsb(vec)
+            rows[p] = vec
+            pivots |= 1 << p
+    for p in sorted(rows, reverse=True):
+        row = rows[p]
+        hit = (row & pivots) ^ (1 << p)  # pivots above p, whose rows are reduced
+        while hit:
+            row ^= rows[_lsb(hit)]
+            hit &= hit - 1
+        rows[p] = row
+    return [rows[p] for p in sorted(rows)]
 
 
 def _reduce(vec: int, basis: Sequence[int]) -> int:

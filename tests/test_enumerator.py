@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from eaqec import enumerator
 from eaqec import (
     BudgetError,
     InconsistencyError,
+    PauliGroup,
     PauliOperator,
     WeightEnumerator,
     canonicalize,
@@ -33,7 +35,7 @@ from eaqec import (
     verify_macwilliams,
     weight_enumerator,
 )
-from eaqec.enumerator import _split, _split_counts
+from eaqec.enumerator import _combine, _plain_counts, _split, _split_counts, _words
 
 from conftest import (
     naive_closure,
@@ -121,6 +123,32 @@ def _kernel_blocks(monkeypatch) -> list[int]:
     return sizes
 
 
+def _split_calls(monkeypatch) -> list[tuple]:
+    """Patch the split count to record the ``(G_A, G_B, Q)`` of every call."""
+    calls: list[tuple] = []
+    split_counts = enumerator._split_counts
+
+    def counting(n, in_a, in_b, reps):
+        calls.append((in_a, in_b, reps))
+        return split_counts(n, in_a, in_b, reps)
+
+    monkeypatch.setattr(enumerator, "_split_counts", counting)
+    return calls
+
+
+def _count_calls(monkeypatch) -> list:
+    """Patch the routed count, split or plain, to record every group it counts."""
+    groups: list = []
+    count = enumerator._count
+
+    def counting(group):
+        groups.append(group)
+        return count(group)
+
+    monkeypatch.setattr(enumerator, "_count", counting)
+    return groups
+
+
 def test_weight_enumerator_large_rank_split_path(monkeypatch):
     # Groups generated by single-qubit operators have a closed form: a qubit
     # carrying X and Z contributes (1 + 3y), one carrying a single Pauli
@@ -134,6 +162,7 @@ def test_weight_enumerator_large_rank_split_path(monkeypatch):
          | {q: "Z" for q in range(4)} | {q: "Y" for q in range(4, 8)}),
     )
     sizes = _kernel_blocks(monkeypatch)
+    splits = _split_calls(monkeypatch)
     for n, letters in cases:
         gens = [
             PauliOperator(n, (p in "XY") << q, (p in "YZ") << q)
@@ -149,7 +178,9 @@ def test_weight_enumerator_large_rank_split_path(monkeypatch):
             expected = _poly_mul(expected, [1, 3] if len(ps) == 2 else [1, 1])
         expected += [0] * (n + 1 - len(expected))
         sizes.clear()
+        splits.clear()
         assert weight_enumerator(group).coeffs == tuple(expected)
+        assert splits == [(in_a, in_b, reps)]
         assert sum(sizes) == (1 << len(in_a)) + (1 << len(in_b))
 
 
@@ -231,9 +262,98 @@ def test_whole_pauli_group_visits_only_its_halves(monkeypatch):
     gens += [PauliOperator(n, 0, 1 << q) for q in range(n)]
     group = canonicalize(gens, n)
     sizes = _kernel_blocks(monkeypatch)
+    splits = _split_calls(monkeypatch)
     enum = weight_enumerator(group)
     assert enum.coeffs == tuple(math.comb(n, w) * 3**w for w in range(n + 1))
+    assert len(splits) == 1
     assert sum(sizes) == (1 << 14) + (1 << 16) < 1 << 20
+
+
+def test_chunked_split_matches_plain_walk(monkeypatch):
+    # With 2^5-element blocks the representatives of Q go through the split
+    # in many chunks, and halves of rank above 5 walk their top generators
+    # between blocks; the plain walk is counted first, at full block size.
+    rng = random.Random(37)
+    for _ in range(30):
+        n = rng.randint(8, 14)
+        group = _random_group_of_rank(rng, n, rng.randint(n + 3, min(2 * n, 20)))
+        expected = _plain_counts(n, _words(group.rows, n))
+        in_a, in_b, reps = _split(group)
+        with monkeypatch.context() as patch:
+            patch.setattr(enumerator, "_BLOCK_LOG2", 5)
+            tallies = []
+            tally = enumerator._tally
+
+            def counting(table, walk, width, chunk):
+                tallies.append(chunk.shape[1])
+                return tally(table, walk, width, chunk)
+
+            patch.setattr(enumerator, "_tally", counting)
+            assert _split_counts(n, in_a, in_b, reps) == expected
+        widest = min(max(len(in_a), len(in_b)), 5)
+        chunk = 1 << min(len(reps), 5 - widest)
+        assert tallies == [chunk] * ((2 << len(reps)) // chunk)
+        assert len(tallies) > 2 or not reps
+
+
+def test_combine_is_exact_past_int64():
+    # two chunks of per-coset counts whose products pass 2^63: the sum of
+    # the per-coset convolutions, in Python ints
+    chunks = [
+        ([[1 << 40, 3 << 40, 0], [1 << 41, 0, 5]], [[1 << 30, 5], [7, 1 << 33]]),
+        ([[0, 1, 1 << 50]], [[1 << 50, (1 << 62) - 1]]),
+    ]
+    expected = [0] * 4
+    for count_a, count_b in chunks:
+        for row_a, row_b in zip(count_a, count_b):
+            for i, conv in enumerate(_poly_mul(row_a, row_b)):
+                expected[i] += conv
+    assert max(expected) > 1 << 63
+    halves = [(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)) for a, b in chunks]
+    got = _combine(halves, exact=True)
+    assert got == expected
+    assert all(type(c) is int for c in got)
+    small = (np.array([[1, 2]]), np.array([[3, 4, 5]]))
+    assert _combine([small], exact=False) == [3, 10, 13, 10]
+
+
+# ---------------------------------------------------------------------------
+# one count per group object
+
+
+def test_distance_and_identities_share_the_counts(monkeypatch):
+    rng = random.Random(41)
+    code = random_code(rng, 6, 2, 1)
+    counted = _count_calls(monkeypatch)
+    eaqec.min_distance(code)
+    normalizer_check, isotropic_check = eaqec_identities(code)
+    assert normalizer_check.holds and isotropic_check.holds
+    groups = (code.normalizer_group, code.isotropic_group,
+              code.stabilizer_group, code.combined_group)
+    assert len(counted) == 4
+    assert [id(g) for g in counted] == [id(g) for g in groups]
+    verify_macwilliams(code.stabilizer_group)  # counts the new orthogonal only
+    assert len(counted) == 5 and counted[-1] is not code.normalizer_group
+
+
+def test_counted_group_still_checks_the_budget(monkeypatch):
+    group = _random_group_of_rank(random.Random(43), 6, 9)
+    counted = _count_calls(monkeypatch)
+    enum = weight_enumerator(group)
+    assert weight_enumerator(group, budget_log2=9) is enum
+    with pytest.raises(BudgetError, match=r"2\^9 elements"):
+        weight_enumerator(group, budget_log2=8)
+    assert len(counted) == 1
+
+
+def test_equal_group_built_anew_is_counted_again(monkeypatch):
+    group = _random_group_of_rank(random.Random(47), 7, 8)
+    counted = _count_calls(monkeypatch)
+    enum = weight_enumerator(group)
+    twin = PauliGroup(group.n, group.rows)
+    assert twin == group and twin is not group
+    assert weight_enumerator(twin) == enum
+    assert len(counted) == 2 and counted[1] is twin
 
 
 def test_split_and_plain_routes_agree_through_macwilliams(monkeypatch):
@@ -243,17 +363,26 @@ def test_split_and_plain_routes_agree_through_macwilliams(monkeypatch):
     # the theorem rather than the split against itself.
     rng = random.Random(31)
     sizes = _kernel_blocks(monkeypatch)
+    splits = _split_calls(monkeypatch)
     split_groups = 0
     for _ in range(40):
         n = rng.randint(8, 14)
         group = _random_group_of_rank(rng, n, rng.randint(n + 3, 2 * n))
         ortho = orthogonal_group(group)
         sizes.clear()
+        splits.clear()
         direct = weight_enumerator(group)
-        split_groups += sum(sizes) < group.order
+        if splits:
+            in_a, in_b, reps = splits.pop()
+            assert not splits
+            visits = (1 << len(reps)) * ((1 << len(in_a)) + (1 << len(in_b)))
+            assert sum(sizes) == visits < group.order
+            split_groups += 1
+        else:
+            assert sum(sizes) == group.order
         sizes.clear()
         ortho_enum = weight_enumerator(ortho)
-        assert sum(sizes) == ortho.order  # the plain walk
+        assert not splits and sum(sizes) == ortho.order  # the plain walk
         assert macwilliams_transform(ortho_enum, ortho.order) == direct
     assert 10 <= split_groups < 40
 
