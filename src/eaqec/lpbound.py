@@ -279,22 +279,37 @@ def lp_feasible_general(n: int, k: int, c: int, d: int) -> bool:
     return _solve_feasibility(2 * n - d + 1, *_general_rows(n, k, c, d)) is not None
 
 
-def lp_upper_bound(n: int, k: int, c: int | None = None) -> int:
+def lp_upper_bound(n: int, k: int, c: int | None = None, *, start: int = 1) -> int:
     """Largest d not excluded: the smallest infeasible trial distance minus 1.
 
-    Scans d = 1, 2, ... with :func:`lp_feasible_general` (adding a trial
-    constraint only shrinks the feasible region, so the first infeasible d
-    settles the rest) and returns n if every trial distance up to n stays
-    feasible.  ``c`` defaults to maximal entanglement n - k.
+    Feasibility is monotone in d, since the d + 1 system is the d system with
+    one more variable fixed at 0, so a feasible d and an infeasible d + 1
+    settle the bound.  The walk solves with :func:`lp_feasible_general` at
+    ``start``, then steps up while the trial distance stays feasible, or down
+    while it does not, until it holds such a pair.  It returns n if every
+    trial distance up to n is feasible, and 0 if d = 1 is not.
+
+    ``start`` is a guess at the bound, such as a neighbouring cell's: a good
+    one settles the cell in two solves, a wrong one costs a step per unit of
+    error, and no guess changes the result.  The default 1 is the ascending
+    scan d = 1, 2, ...  It must be an int in 1..n (else ``ValueError``).
+    ``c`` defaults to maximal entanglement n - k.
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    if not isinstance(start, int) or not 1 <= start <= n:
+        raise ValueError(f"need an int start with 1 <= start <= n, got start={start!r}, n={n}")
     if c is None:
         c = n - k
-    for d in range(1, n + 1):
-        if not lp_feasible_general(n, k, c, d):
-            return d - 1
-    return n
+    # the largest d known feasible and the smallest known infeasible
+    feasible, infeasible = 0, n + 1
+    d = start
+    while infeasible - feasible > 1:
+        if lp_feasible_general(n, k, c, d):
+            feasible, d = d, d + 1
+        else:
+            infeasible, d = d, d - 1
+    return feasible
 
 
 def apply_overrides(n: int, k: int, lp_bound: int) -> int:
@@ -417,18 +432,29 @@ def _registry_lower_bounds(n_max: int) -> dict[tuple[int, int], tuple[int, str]]
 def build_table(n_max: int) -> BoundsTable:
     """Assemble the bounds grid for all cells 1 <= k < n <= n_max.
 
-    Upper bounds: one LP scan per cell, capped by :func:`apply_overrides`.  A
-    scan that never hits infeasibility proves nothing, so its d <= n result is
-    tagged trivial.  Lower bounds: the registry closed under the extension
+    Upper bounds: one :func:`lp_upper_bound` walk per cell, capped by
+    :func:`apply_overrides`.  A walk that never hits infeasibility proves
+    nothing, so its d <= n result is tagged trivial.  Each walk starts from a
+    neighbour's LP bound: bound(n - 1, k) + 1 for k <= n - 2, and
+    bound(n, n - 2) for k = n - 1.  The guess sets only where the walk starts;
+    on every cell of n <= 15 it is the bound or one more, so each cell takes
+    one or two solves.  Lower bounds: the registry closed under the extension
     rules, defaulting to the always-achievable d = 1.
     """
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
     lower = _registry_lower_bounds(n_max)
     cells = []
+    above: list[int] = []  # the LP bounds of row n - 1, by k
     for n in range(2, n_max + 1):
+        row: list[int] = []
         for k in range(1, n):
-            lp = lp_upper_bound(n, k)
+            if k < n - 1:
+                start = above[k - 1] + 1
+            else:
+                start = row[-1] if row else 1  # n = 2 has no neighbour
+            lp = lp_upper_bound(n, k, start=start)
+            row.append(lp)
             upper = apply_overrides(n, k, lp)
             if upper < lp:
                 upper_source = "override"
@@ -438,4 +464,5 @@ def build_table(n_max: int) -> BoundsTable:
                 upper_source = "lp"
             low, low_source = lower[(n, k)]
             cells.append(BoundsCell(n, k, low, upper, low_source, upper_source))
+        above = row
     return BoundsTable(n_max, tuple(cells))

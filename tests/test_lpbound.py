@@ -23,7 +23,7 @@ from eaqec import (
     lp_feasible_general,
     lp_upper_bound,
 )
-from eaqec import lpbound
+from eaqec import cli, lpbound
 from eaqec.errors import BudgetError
 from eaqec.lpbound import _general_rows, _maximal_rows, _solve_feasibility
 
@@ -435,6 +435,54 @@ def test_lp_upper_bound_small_cells():
         lp_upper_bound(5, 0)
 
 
+def test_seeded_walk_matches_ascending_scan():
+    # every start, from below the bound up to n, lands on the unseeded value;
+    # a start of n on the k = n - 1 column walks down from n to 2
+    cells = [(n, k, None) for n in range(2, 10) for k in range(1, n)]
+    cells += [(n, k, c) for n in range(3, 7) for k in range(1, n) for c in range(1, n - k)]
+    for n, k, c in cells:
+        bound = lp_upper_bound(n, k, c)
+        for start in range(1, n + 1):
+            assert lp_upper_bound(n, k, c, start=start) == bound, (n, k, c, start)
+
+
+def test_walk_start_must_be_an_int_from_one_to_n(capsys):
+    for start in (0, 6, 2.0):
+        with pytest.raises(ValueError, match="start"):
+            lp_upper_bound(5, 2, start=start)
+    # the keyword is for library callers with a guess; the CLI has none
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main(["lp-bound", "--n", "5", "--k", "2", "--start", "3"])
+    assert exc_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_build_table_settles_each_cell_in_two_solves(monkeypatch):
+    solves = []
+    per_cell = {}
+    solve, upper_bound = lpbound._solve_feasibility, lpbound.lp_upper_bound
+
+    def counting_solve(*args):
+        solves.append(1)
+        return solve(*args)
+
+    def counting_bound(n, k, *args, **kwargs):
+        before = len(solves)
+        bound = upper_bound(n, k, *args, **kwargs)
+        assert (n, k) not in per_cell
+        per_cell[(n, k)] = len(solves) - before
+        return bound
+
+    monkeypatch.setattr(lpbound, "_solve_feasibility", counting_solve)
+    monkeypatch.setattr(lpbound, "lp_upper_bound", counting_bound)
+    table = build_table(9)
+    # one walk per cell, and every walk one feasible and one infeasible
+    # solve, or one feasible solve at d = n; the ascending scan took 167
+    assert sorted(per_cell) == [(c.n, c.k) for c in table.cells]
+    assert max(per_cell.values()) <= 2
+    assert len(solves) == 65
+
+
 def test_apply_overrides():
     # even n caps the single-information-qubit column at n - 1
     assert apply_overrides(4, 1, 4) == 3
@@ -650,7 +698,8 @@ def test_lower_bounds_never_exceed_upper_bounds():
 @given(st.integers(2, 6), st.data())
 def test_scan_consistency_property(n, data):
     k = data.draw(st.integers(1, n - 1))
-    bound = lp_upper_bound(n, k)
+    start = data.draw(st.integers(1, n))
+    bound = lp_upper_bound(n, k, start=start)
     assert lp_feasible(n, k, bound)
     if bound < n:
         assert not lp_feasible(n, k, bound + 1)
