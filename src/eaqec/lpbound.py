@@ -12,8 +12,11 @@ with K the quaternary Krawtchouk polynomials.  Every normalizer element of
 weight below d lies in S_I, so a code of distance d has N_w = I_w for
 1 <= w < d.  If no nonnegative real distributions satisfy that for a trial
 distance d, no such code exists; the smallest infeasible d minus one is an
-upper bound on the achievable distance.  Adding a trial constraint only
-shrinks the feasible set, so a single ascending scan locates the threshold.
+upper bound on the achievable distance.  Raising d only fixes more variables
+at 0, so feasibility is monotone in d and a feasible d with an infeasible
+d + 1 settles the bound.  :func:`lp_upper_bound` walks to such a pair from a
+starting guess, and :func:`build_table` guesses each cell from its
+neighbour, which settles every cell of n <= 20 in one or two solves.
 
 The systems are posed on the complement side, where the distance condition
 removes variables instead of adding rows.  Leading coefficients are 1 and
@@ -40,7 +43,7 @@ floating-point caveats, and a feasible point is the same rational vertex a
 upper bounds: any true code gives an integer solution.
 
 :func:`build_table` assembles the full bounds grid: upper bounds from the LP
-scan plus the even-n overrides, lower bounds from the code registry closed
+walk plus the even-n overrides, lower bounds from the code registry closed
 under the two extension rules.
 """
 
@@ -245,7 +248,7 @@ def _general_rows(n: int, k: int, c: int, d: int) -> tuple[list[Row], list[Row]]
 
 
 # ---------------------------------------------------------------------------
-# feasibility, the bound scan and the overrides
+# feasibility, the bound walk and the overrides
 
 
 def lp_feasible(n: int, k: int, d: int) -> bool:
@@ -436,10 +439,10 @@ def build_table(n_max: int) -> BoundsTable:
     :func:`apply_overrides`.  A walk that never hits infeasibility proves
     nothing, so its d <= n result is tagged trivial.  Each walk starts from a
     neighbour's LP bound: bound(n - 1, k) + 1 for k <= n - 2, and
-    bound(n, n - 2) for k = n - 1.  The guess sets only where the walk starts;
-    on every cell of n <= 15 it is the bound or one more, so each cell takes
-    one or two solves.  Lower bounds: the registry closed under the extension
-    rules, defaulting to the always-achievable d = 1.
+    bound(n, n - 2) for k = n - 1.  The guess sets only where the walk
+    starts, and every cell of n <= 20 then takes one or two solves.  Lower
+    bounds: the registry closed under the extension rules, defaulting to the
+    always-achievable d = 1.
     """
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")

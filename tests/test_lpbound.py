@@ -437,7 +437,7 @@ def test_lp_upper_bound_small_cells():
 
 def test_seeded_walk_matches_ascending_scan():
     # every start, from below the bound up to n, lands on the unseeded value;
-    # a start of n on the k = n - 1 column walks down from n to 2
+    # on the k = n - 1 column, whose bound is 2, a start of n walks down n - 2
     cells = [(n, k, None) for n in range(2, 10) for k in range(1, n)]
     cells += [(n, k, c) for n in range(3, 7) for k in range(1, n) for c in range(1, n - k)]
     for n, k, c in cells:
@@ -476,8 +476,7 @@ def test_build_table_settles_each_cell_in_two_solves(monkeypatch):
     monkeypatch.setattr(lpbound, "_solve_feasibility", counting_solve)
     monkeypatch.setattr(lpbound, "lp_upper_bound", counting_bound)
     table = build_table(9)
-    # one walk per cell, and every walk one feasible and one infeasible
-    # solve, or one feasible solve at d = n; the ascending scan took 167
+    # one walk per cell, of at most two solves; the ascending scan took 167
     assert sorted(per_cell) == [(c.n, c.k) for c in table.cells]
     assert max(per_cell.values()) <= 2
     assert len(solves) == 65
