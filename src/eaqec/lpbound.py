@@ -69,59 +69,59 @@ def _solve_feasibility(
     """Exact phase-one simplex: a nonnegative rational point x with a.x = b
     for every equality (a, b) and a.x >= b for every floor (a, b), or None.
 
-    Every floor must hold at the origin, b <= 0 (else ``ValueError``), so it
-    enters as -a.x + s = -b with its slack s in the starting basis.  Any
-    other inequality a.x >= b is the equality a.x - t = b over one more
-    variable t >= 0.  An equality with b < 0 is negated, and each equality
-    gets an artificial.  Columns are numbered variables, slacks, artificials.
+    Every floor must hold at the origin, b <= 0 (else ``ValueError``), and
+    enters as -a.x + s = -b with its slack s basic; each equality, negated if
+    b < 0, starts on an artificial.  Rows need ``num_vars`` coefficients
+    (else ``ValueError``) and integers throughout (else ``TypeError``;
+    nothing is rounded).
 
-    Coefficients and right-hand sides must be integers; anything else raises
-    ``TypeError`` rather than being rounded.  The tableau is a matrix T of
-    integers over a common denominator ``det``, the last pivot (1 at the
-    start): the true tableau is T / det.  A pivot on p = T[r][e] keeps row r
-    and maps every other row, the objective included, to
-    ``(x * p - f * y) // det``, where f is that row's entry in column e and y
-    the pivot row's entry; then ``det = p``.  The division is exact because
-    every entry of T is a minor of the initial matrix, and det stays positive
-    because the ratio test only picks positive pivots, so every sign the
-    pivot rules read is the sign of the true tableau entry.  The ratio test
-    compares r_i / a_i by cross-multiplying.
+    The tableau is compact, lrs's dictionary form: a row holds one entry per
+    nonbasic variable (``nonbasic[j]`` is column j's; variables are numbered
+    x, slacks, artificials) and its right-hand side.  A basic column is a
+    unit vector and is not stored, so a slack or artificial is stored only
+    once it has left the basis.  Entries are integers over ``det``, the last
+    pivot (1 at first).  A pivot on p = T[r][e] maps every other row, the
+    objective too, to ``(x * p - f * y) // det`` (f its entry in column e, y
+    row r's), then puts -f in column e; row r puts ``det`` there.  Then
+    ``det = p``, and the two variables swap in ``basis`` and ``nonbasic``.
+    Each integer is the full tableau's, det times the true entry and a minor
+    of the initial matrix, so the division is exact; det stays positive, as
+    the cross-multiplied ratio test picks only positive pivots.
 
-    Bland's smallest-index rule for both the entering column and ratio-test
-    ties guarantees termination; artificial columns never re-enter.  The
-    search stops as soon as the artificial objective reaches zero.
+    Bland's rule (smallest variable, for entering and ratio-test ties) makes
+    it terminate; it stops once the artificial objective reaches zero.  A
+    departed artificial never re-enters but keeps its column, so the final
+    objective row holds every slack's and artificial's reduced cost.
     """
-    n_floors = len(floors)
-    art_start = num_vars + n_floors
-    # Artificial columns are numbered from art_start but not stored: they
-    # never re-enter, so no pivot rule reads them.
+    for coeffs, _ in (*equalities, *floors):
+        if len(coeffs) != num_vars:
+            raise ValueError(f"a row has {len(coeffs)} coefficients for {num_vars} variables")
+    art_start = num_vars + len(floors)
     tableau: list[list[int]] = []
     for coeffs, rhs in equalities:
         sign = -1 if operator.index(rhs) < 0 else 1
-        tableau.append([sign * operator.index(a) for a in coeffs] + [0] * n_floors + [sign * rhs])
-    for i, (coeffs, rhs) in enumerate(floors):
+        tableau.append([sign * operator.index(a) for a in coeffs] + [sign * rhs])
+    for coeffs, rhs in floors:
         if operator.index(rhs) > 0:
             raise ValueError(f"a floor must hold at the origin, got right-hand side {rhs}")
-        row = [-operator.index(a) for a in coeffs] + [0] * n_floors + [-rhs]
-        row[num_vars + i] = 1
-        tableau.append(row)
+        tableau.append([-operator.index(a) for a in coeffs] + [-rhs])
     # Each equality starts on its artificial, each floor on its slack.
     basis = [art_start + i for i in range(len(equalities))] + list(range(num_vars, art_start))
+    nonbasic = list(range(num_vars))
 
     # Phase-one objective: minimize the sum of artificials.  The objective row
     # holds reduced costs; its last entry is minus the current objective value.
-    obj = [0] * (art_start + 1)
-    for row in tableau[: len(equalities)]:
-        obj = [o - x for o, x in zip(obj, row)]
+    obj = [-sum(col) for col in zip([0] * (num_vars + 1), *tableau[: len(equalities)])]
 
     det = 1
     pivots = 0
     while obj[-1]:
         if pivots == _SIMPLEX_ITERATION_CAP:
             raise BudgetError(f"exact simplex exceeded {_SIMPLEX_ITERATION_CAP} pivots")
-        enter = next((j for j in range(art_start) if obj[j] < 0), -1)
-        if enter < 0:
+        entering = [(var, j) for j, var in enumerate(nonbasic) if var < art_start and obj[j] < 0]
+        if not entering:
             return None
+        enter = min(entering)[1]
         pivot_row = -1
         for i, row in enumerate(tableau):
             a = row[enter]
@@ -145,8 +145,9 @@ def _solve_feasibility(
             if i != pivot_row:
                 tableau[i] = _eliminate(row, prow, piv, det, enter)
         obj = _eliminate(obj, prow, piv, det, enter)
+        prow[enter] = det
         det = piv
-        basis[pivot_row] = enter
+        basis[pivot_row], nonbasic[enter] = nonbasic[enter], basis[pivot_row]
         pivots += 1
 
     point = [Fraction(0)] * num_vars
@@ -157,9 +158,11 @@ def _solve_feasibility(
 
 
 def _eliminate(row: list[int], prow: list[int], piv: int, det: int, enter: int) -> list[int]:
-    """One fraction-free update of ``row`` against the pivot row."""
+    """One fraction-free update of ``row``; column ``enter`` passes to the leaving variable."""
     f = row[enter]
-    return [(x * piv - f * y) // det for x, y in zip(row, prow)]
+    row = [(x * piv - f * y) // det for x, y in zip(row, prow)]
+    row[enter] = -f
+    return row
 
 
 def _dual_form(n: int, w: int) -> tuple[list[int], int]:

@@ -312,6 +312,14 @@ def test_solver_rejects_non_integer_rows():
         _solve_feasibility(1, [], [([1], -0.5)])
 
 
+def test_solver_rejects_rows_of_the_wrong_length():
+    # a short row would read as x = 1 and let x + y = 3 fail; a long one is not the system
+    with pytest.raises(ValueError, match="1 coefficients for 2 variables"):
+        _solve_feasibility(2, [([1], 1), ([1, 1], 3)], [])
+    with pytest.raises(ValueError, match="3 coefficients for 2 variables"):
+        _solve_feasibility(2, [], [([1, 1, 1], 0)])
+
+
 def _random_rows(m, rhs):
     return st.lists(
         st.tuples(st.lists(st.integers(-5, 5), min_size=m, max_size=m), rhs), max_size=6
@@ -336,8 +344,32 @@ def test_solver_matches_fraction_reference_on_small_systems(system):
         assert_satisfies(point, rows)
 
 
+def _count_pivots(monkeypatch):
+    """Patch the solver to append each solve's pivot count (one ``_eliminate``
+    call a row a pivot: the other rows and the objective) to the returned list."""
+    pivots, calls = [], []
+    solve, eliminate = lpbound._solve_feasibility, lpbound._eliminate
+
+    def counting_eliminate(*args):
+        calls.append(1)
+        return eliminate(*args)
+
+    def counting_solve(num_vars, equalities, floors):
+        before = len(calls)
+        point = solve(num_vars, equalities, floors)
+        count, rest = divmod(len(calls) - before, len(equalities) + len(floors))
+        assert rest == 0
+        pivots.append(count)
+        return point
+
+    monkeypatch.setattr(lpbound, "_eliminate", counting_eliminate)
+    monkeypatch.setattr(lpbound, "_solve_feasibility", counting_solve)
+    return pivots
+
+
 def test_solver_matches_fraction_reference_on_every_scan_solve(monkeypatch):
     solves = []
+    pivots = _count_pivots(monkeypatch)
     solve = lpbound._solve_feasibility
 
     def recording(num_vars, equalities, floors):
@@ -351,7 +383,8 @@ def test_solver_matches_fraction_reference_on_every_scan_solve(monkeypatch):
             lp_upper_bound(n, k)
             for c in range(1, n - k) if n <= 5 else ():
                 lp_upper_bound(n, k, c)
-    assert len(solves) > 200
+    # the unseeded scans, solve for solve and pivot for pivot
+    assert (len(solves), sum(pivots)) == (206, 657)
     for num_vars, rows, point in solves:
         assert point == fraction_simplex(num_vars, rows)
 
@@ -458,13 +491,9 @@ def test_walk_start_must_be_an_int_from_one_to_n(capsys):
 
 
 def test_build_table_settles_each_cell_in_two_solves(monkeypatch):
-    solves = []
+    solves = _count_pivots(monkeypatch)
     per_cell = {}
-    solve, upper_bound = lpbound._solve_feasibility, lpbound.lp_upper_bound
-
-    def counting_solve(*args):
-        solves.append(1)
-        return solve(*args)
+    upper_bound = lpbound.lp_upper_bound
 
     def counting_bound(n, k, *args, **kwargs):
         before = len(solves)
@@ -473,13 +502,12 @@ def test_build_table_settles_each_cell_in_two_solves(monkeypatch):
         per_cell[(n, k)] = len(solves) - before
         return bound
 
-    monkeypatch.setattr(lpbound, "_solve_feasibility", counting_solve)
     monkeypatch.setattr(lpbound, "lp_upper_bound", counting_bound)
     table = build_table(9)
     # one walk per cell, of at most two solves; the ascending scan took 167
     assert sorted(per_cell) == [(c.n, c.k) for c in table.cells]
     assert max(per_cell.values()) <= 2
-    assert len(solves) == 65
+    assert (len(solves), sum(solves)) == (65, 215)
 
 
 def test_apply_overrides():
