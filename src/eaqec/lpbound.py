@@ -36,11 +36,11 @@ strictly, as the direct distributions at the origin are proportional to the
 docstring says why the rows it leaves out are implied.
 
 Everything is solved exactly, in integers: a phase-one simplex with Bland's
-rule and fraction-free pivoting (Edmonds, J. Res. NBS 71B, 1967; the scheme
-of Avis's lrs), described at :func:`_solve_feasibility`.  Verdicts carry no
-floating-point caveats, and a feasible point is the same rational vertex a
-``fractions.Fraction`` tableau reaches.  The rational relaxation is sound for
-upper bounds: any true code gives an integer solution.
+rule and fraction-free pivoting on the compact (dictionary) tableau (Edmonds,
+J. Res. NBS 71B, 1967; Avis's lrs), described at :func:`_solve_feasibility`.
+Verdicts carry no floating-point caveats, and a feasible point is the same
+rational vertex a ``fractions.Fraction`` tableau reaches.  The rational
+relaxation is sound for upper bounds: any true code gives an integer solution.
 
 :func:`build_table` assembles the full bounds grid: upper bounds from the LP
 walk plus the even-n overrides, lower bounds from the code registry closed

@@ -313,7 +313,7 @@ def test_solver_rejects_non_integer_rows():
 
 
 def test_solver_rejects_rows_of_the_wrong_length():
-    # a short row would read as x = 1 and let x + y = 3 fail; a long one is not the system
+    # a row is not padded or cut to num_vars: [1, 0] would solve x = 1 but fail x + y = 3
     with pytest.raises(ValueError, match="1 coefficients for 2 variables"):
         _solve_feasibility(2, [([1], 1), ([1, 1], 3)], [])
     with pytest.raises(ValueError, match="3 coefficients for 2 variables"):
