@@ -352,15 +352,17 @@ def macwilliams_transform(enum: WeightEnumerator, group_order: int) -> WeightEnu
     ``enum`` should be the weight distribution of a group of order
     ``group_order`` (the divisor is passed explicitly to keep this a pure
     arithmetic map); the result is then the distribution of its symplectic
-    orthogonal.  Raises ``ValueError`` when the order does not match the
-    coefficient sum, and :class:`InconsistencyError` when some transformed
-    coefficient is not a nonnegative integer, which proves the input was not a
-    subgroup's weight distribution.  The order is an argument rather than the
-    coefficient sum because a mutated distribution can pass every other check
-    at its own sum: (2, 0, 0, 0), the trivial group's on three qubits with one
-    added at weight 0, transforms at order 2 to (1, 9, 27, 27), exactly the
-    trivial group's orthogonal.
+    orthogonal.  Raises ``ValueError`` when the order is below 1 or does not
+    match the coefficient sum, and :class:`InconsistencyError` when some
+    transformed coefficient is not a nonnegative integer, which proves the
+    input was not a subgroup's weight distribution.  The order is an argument
+    rather than the coefficient sum because a mutated distribution can pass
+    every other check at its own sum: (2, 0, 0, 0), the trivial group's on
+    three qubits with one added at weight 0, transforms at order 2 to
+    (1, 9, 27, 27), exactly the trivial group's orthogonal.
     """
+    if group_order < 1:
+        raise ValueError(f"group order must be at least 1, got {group_order}")
     if group_order != enum.order:
         raise ValueError(
             f"group order {group_order} does not match coefficient sum {enum.order}"

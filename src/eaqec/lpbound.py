@@ -65,9 +65,10 @@ _SIMPLEX_ITERATION_CAP = 1_000_000
 
 def _solve_feasibility(
     num_vars: int, equalities: Sequence[Row], floors: Sequence[Row]
-) -> list[Fraction] | None:
+) -> tuple[list[Fraction] | None, int]:
     """Exact phase-one simplex: a nonnegative rational point x with a.x = b
-    for every equality (a, b) and a.x >= b for every floor (a, b), or None.
+    for every equality (a, b) and a.x >= b for every floor (a, b), or None,
+    returned with the number of pivots taken as ``(point, pivots)``.
 
     Every floor must hold at the origin, b <= 0 (else ``ValueError``), and
     enters as -a.x + s = -b with its slack s basic; each equality, negated if
@@ -79,19 +80,22 @@ def _solve_feasibility(
     nonbasic variable (``nonbasic[j]`` is column j's; variables are numbered
     x, slacks, artificials) and its right-hand side.  A basic column is a
     unit vector and is not stored, so a slack or artificial is stored only
-    once it has left the basis.  Entries are integers over ``det``, the last
-    pivot (1 at first).  A pivot on p = T[r][e] maps every other row, the
+    once it has left the basis.  Rows 0..m-1 are the constraints and row m
+    the phase-one objective, the sum of the artificials: its reduced costs
+    and minus its value.  Entries are integers over ``det``, the last pivot
+    (1 at first).  A pivot on p = T[r][e] maps every other row, the
     objective too, to ``(x * p - f * y) // det`` (f its entry in column e, y
     row r's), then puts -f in column e; row r puts ``det`` there.  Then
     ``det = p``, and the two variables swap in ``basis`` and ``nonbasic``.
     Each integer is the full tableau's, det times the true entry and a minor
     of the initial matrix, so the division is exact; det stays positive, as
-    the cross-multiplied ratio test picks only positive pivots.
+    the cross-multiplied ratio test, over rows 0..m-1, picks only positive
+    pivots.
 
     Bland's rule (smallest variable, for entering and ratio-test ties) makes
     it terminate; it stops once the artificial objective reaches zero.  A
-    departed artificial never re-enters but keeps its column, so the final
-    objective row holds every slack's and artificial's reduced cost.
+    departed artificial never re-enters but keeps its column, so row m ends
+    holding every slack's and artificial's reduced cost.
     """
     for coeffs, _ in (*equalities, *floors):
         if len(coeffs) != num_vars:
@@ -108,10 +112,9 @@ def _solve_feasibility(
     # Each equality starts on its artificial, each floor on its slack.
     basis = [art_start + i for i in range(len(equalities))] + list(range(num_vars, art_start))
     nonbasic = list(range(num_vars))
-
-    # Phase-one objective: minimize the sum of artificials.  The objective row
-    # holds reduced costs; its last entry is minus the current objective value.
+    m = len(tableau)
     obj = [-sum(col) for col in zip([0] * (num_vars + 1), *tableau[: len(equalities)])]
+    tableau.append(obj)
 
     det = 1
     pivots = 0
@@ -120,10 +123,10 @@ def _solve_feasibility(
             raise BudgetError(f"exact simplex exceeded {_SIMPLEX_ITERATION_CAP} pivots")
         entering = [(var, j) for j, var in enumerate(nonbasic) if var < art_start and obj[j] < 0]
         if not entering:
-            return None
+            return None, pivots
         enter = min(entering)[1]
         pivot_row = -1
-        for i, row in enumerate(tableau):
+        for i, row in enumerate(tableau[:m]):
             a = row[enter]
             if a > 0:
                 if pivot_row < 0:
@@ -141,10 +144,11 @@ def _solve_feasibility(
             )
         prow = tableau[pivot_row]
         piv = prow[enter]
-        for i, row in enumerate(tableau):
-            if i != pivot_row:
-                tableau[i] = _eliminate(row, prow, piv, det, enter)
-        obj = _eliminate(obj, prow, piv, det, enter)
+        for row in tableau:  # in place, so obj stays row m
+            if row is not prow:
+                f = row[enter]
+                row[:] = [(x * piv - f * y) // det for x, y in zip(row, prow)]
+                row[enter] = -f
         prow[enter] = det
         det = piv
         basis[pivot_row], nonbasic[enter] = nonbasic[enter], basis[pivot_row]
@@ -154,15 +158,7 @@ def _solve_feasibility(
     for i, b in enumerate(basis):
         if b < num_vars:
             point[b] = Fraction(tableau[i][-1], det)
-    return point
-
-
-def _eliminate(row: list[int], prow: list[int], piv: int, det: int, enter: int) -> list[int]:
-    """One fraction-free update of ``row``; column ``enter`` passes to the leaving variable."""
-    f = row[enter]
-    row = [(x * piv - f * y) // det for x, y in zip(row, prow)]
-    row[enter] = -f
-    return row
+    return point, pivots
 
 
 def _dual_form(n: int, w: int) -> tuple[list[int], int]:
@@ -264,7 +260,7 @@ def lp_feasible(n: int, k: int, d: int) -> bool:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d={d}")
-    return _solve_feasibility(n - d + 1, *_maximal_rows(n, k, d)) is not None
+    return _solve_feasibility(n - d + 1, *_maximal_rows(n, k, d))[0] is not None
 
 
 def lp_feasible_general(n: int, k: int, c: int, d: int) -> bool:
@@ -282,7 +278,7 @@ def lp_feasible_general(n: int, k: int, c: int, d: int) -> bool:
         raise ValueError(f"need 1 <= d <= n, got d={d}")
     if c == n - k:
         return lp_feasible(n, k, d)
-    return _solve_feasibility(2 * n - d + 1, *_general_rows(n, k, c, d)) is not None
+    return _solve_feasibility(2 * n - d + 1, *_general_rows(n, k, c, d))[0] is not None
 
 
 def lp_upper_bound(n: int, k: int, c: int | None = None, *, start: int = 1) -> int:

@@ -272,25 +272,17 @@ def symplectic_gram_schmidt(
     """
     n = group.n
     work = list(group.rows)
-    swapped = [_swap_halves(v, n) for v in work]
     pairs: list[tuple[PauliOperator, PauliOperator]] = []
     isotropic: list[PauliOperator] = []
     while work:
         g = work.pop(0)
-        g_sw = swapped.pop(0)
-        partner = None
-        for i, h in enumerate(work):
-            if _vec_product(h, g_sw):
-                partner = i
-                break
+        g_sw = _swap_halves(g, n)
+        partner = next((i for i, h in enumerate(work) if _vec_product(h, g_sw)), None)
         if partner is None:
             isotropic.append(_op(n, g))
             continue
         h = work.pop(partner)
-        h_sw = swapped.pop(partner)
-        for i, e in enumerate(work):
-            e ^= g * _vec_product(e, h_sw) ^ h * _vec_product(e, g_sw)
-            work[i] = e
-            swapped[i] = _swap_halves(e, n)
+        h_sw = _swap_halves(h, n)
+        work = [e ^ g * _vec_product(e, h_sw) ^ h * _vec_product(e, g_sw) for e in work]
         pairs.append((_op(n, g), _op(n, h)))
     return tuple(pairs), tuple(isotropic)

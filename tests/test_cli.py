@@ -145,6 +145,10 @@ def test_dual_round_trip_through_cli(capsys, five_qubit_file, tmp_path):
     original = from_generators(*parse_code_text(FIVE_QUBIT_TEXT))
     recovered = from_generators(*parse_code_text(out2))
     assert recovered.stabilizer_group == original.stabilizer_group
+    # the dual's logical pair, exactly as symplectic_gram_schmidt splits it
+    code, out3, _ = run(capsys, "dual", "--format", "json", str(dual_path))
+    assert code == 0
+    assert json.loads(out3)["logical_pairs"] == [["XZIIZ", "IYIZZ"]]
 
 
 def test_verify_mw_command(capsys, five_qubit_file):

@@ -446,6 +446,9 @@ def test_macwilliams_transform_frozen():
 def test_macwilliams_transform_rejects_bad_order():
     with pytest.raises(ValueError):
         macwilliams_transform(WeightEnumerator(1, (1, 1)), 4)
+    # an all-zero distribution sums to 0, which is no group's order
+    with pytest.raises(ValueError, match="at least 1"):
+        macwilliams_transform(WeightEnumerator(1, (0, 0)), 0)
 
 
 def test_macwilliams_transform_order_is_not_the_coefficient_sum():

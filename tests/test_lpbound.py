@@ -28,6 +28,11 @@ from eaqec.errors import BudgetError
 from eaqec.lpbound import _general_rows, _maximal_rows, _solve_feasibility
 
 
+def solve(num_vars, equalities, floors):
+    """The solver's point, or None, without its pivot count."""
+    return _solve_feasibility(num_vars, equalities, floors)[0]
+
+
 def assert_satisfies(point, rows):
     assert all(x >= 0 for x in point)
     for coeffs, sense, rhs in rows:
@@ -262,62 +267,62 @@ def lift_general(n, k, c, d, point):
 
 
 def test_solver_finds_exact_point():
-    point = _solve_feasibility(2, [([1, 1], 1), ([1, -1], 1)], [])
+    point = solve(2, [([1, 1], 1), ([1, -1], 1)], [])
     assert point == [Fraction(1), Fraction(0)]
 
 
 def test_solver_reports_infeasibility():
-    assert _solve_feasibility(1, [([1], 1), ([1], 2)], []) is None
+    assert solve(1, [([1], 1), ([1], 2)], []) is None
     # x <= -1 is -x >= 1, which fails at the origin: -x - t = 1
-    assert _solve_feasibility(2, [([-1, -1], 1)], []) is None
+    assert solve(2, [([-1, -1], 1)], []) is None
     # x + y <= 1 is a floor; x + y >= 2 is x + y - t = 2
-    assert _solve_feasibility(3, [([1, 1, -1], 2)], [([-1, -1, 0], -1)]) is None
+    assert solve(3, [([1, 1, -1], 2)], [([-1, -1, 0], -1)]) is None
 
 
 def test_solver_handles_inequalities_and_negative_rhs():
     # x >= 2 fails at the origin, so it is x - t = 2; x <= 3 is the floor -x >= -3
     equalities, floors = [([1, -1], 2)], [([-1, 0], -3)]
-    point = _solve_feasibility(2, equalities, floors)
+    point = solve(2, equalities, floors)
     assert point is not None and 2 <= point[0] <= 3
     assert_satisfies(point, general_rows(equalities, floors))
     # an equality with a negative right-hand side is negated: -x + t = -2
-    point = _solve_feasibility(2, [([-1, 1], -2)], [])
+    point = solve(2, [([-1, 1], -2)], [])
     assert point is not None and point[0] >= 2
     # a floor through the origin keeps its slack in the basis
-    assert _solve_feasibility(2, [([1, 1], 2)], [([1, -1], 0)]) == [Fraction(2), Fraction(0)]
+    assert solve(2, [([1, 1], 2)], [([1, -1], 0)]) == [Fraction(2), Fraction(0)]
     # a floor that fails at the origin would start phase one infeasible
     with pytest.raises(ValueError, match="hold at the origin"):
-        _solve_feasibility(1, [], [([1], 2)])
+        solve(1, [], [([1], 2)])
 
 
 def test_solver_trivial_system():
-    assert _solve_feasibility(3, [], []) == [Fraction(0)] * 3
+    assert solve(3, [], []) == [Fraction(0)] * 3
 
 
 def test_solver_fractional_point():
-    assert _solve_feasibility(1, [([2], 1)], []) == [Fraction(1, 2)]
+    assert solve(1, [([2], 1)], []) == [Fraction(1, 2)]
 
 
 def test_solver_rejects_non_integer_rows():
     not_integer = "cannot be interpreted as an integer"
     with pytest.raises(TypeError, match=not_integer):
-        _solve_feasibility(1, [([Fraction(1, 2)], 1)], [])
+        solve(1, [([Fraction(1, 2)], 1)], [])
     with pytest.raises(TypeError, match=not_integer):
-        _solve_feasibility(1, [([1.0], 1)], [])
+        solve(1, [([1.0], 1)], [])
     with pytest.raises(TypeError, match=not_integer):
-        _solve_feasibility(1, [([1], 0.5)], [])
+        solve(1, [([1], 0.5)], [])
     with pytest.raises(TypeError, match=not_integer):
-        _solve_feasibility(1, [], [([Fraction(1, 2)], -1)])
+        solve(1, [], [([Fraction(1, 2)], -1)])
     with pytest.raises(TypeError, match=not_integer):
-        _solve_feasibility(1, [], [([1], -0.5)])
+        solve(1, [], [([1], -0.5)])
 
 
 def test_solver_rejects_rows_of_the_wrong_length():
     # a row is not padded or cut to num_vars: [1, 0] would solve x = 1 but fail x + y = 3
     with pytest.raises(ValueError, match="1 coefficients for 2 variables"):
-        _solve_feasibility(2, [([1], 1), ([1, 1], 3)], [])
+        solve(2, [([1], 1), ([1, 1], 3)], [])
     with pytest.raises(ValueError, match="3 coefficients for 2 variables"):
-        _solve_feasibility(2, [], [([1, 1, 1], 0)])
+        solve(2, [], [([1, 1, 1], 0)])
 
 
 def _random_rows(m, rhs):
@@ -337,7 +342,7 @@ _small_system = st.integers(1, 4).flatmap(
 @given(_small_system)
 def test_solver_matches_fraction_reference_on_small_systems(system):
     num_vars, equalities, floors = system
-    point = _solve_feasibility(num_vars, equalities, floors)
+    point = solve(num_vars, equalities, floors)
     rows = general_rows(equalities, floors)
     assert point == fraction_simplex(num_vars, rows)
     if point is not None:
@@ -345,24 +350,15 @@ def test_solver_matches_fraction_reference_on_small_systems(system):
 
 
 def _count_pivots(monkeypatch):
-    """Patch the solver to append each solve's pivot count (one ``_eliminate``
-    call a row a pivot: the other rows and the objective) to the returned list."""
-    pivots, calls = [], []
-    solve, eliminate = lpbound._solve_feasibility, lpbound._eliminate
-
-    def counting_eliminate(*args):
-        calls.append(1)
-        return eliminate(*args)
+    """Patch the solver to append each solve's pivot count to the returned list."""
+    pivots = []
+    original = lpbound._solve_feasibility
 
     def counting_solve(num_vars, equalities, floors):
-        before = len(calls)
-        point = solve(num_vars, equalities, floors)
-        count, rest = divmod(len(calls) - before, len(equalities) + len(floors))
-        assert rest == 0
+        point, count = original(num_vars, equalities, floors)
         pivots.append(count)
-        return point
+        return point, count
 
-    monkeypatch.setattr(lpbound, "_eliminate", counting_eliminate)
     monkeypatch.setattr(lpbound, "_solve_feasibility", counting_solve)
     return pivots
 
@@ -370,12 +366,12 @@ def _count_pivots(monkeypatch):
 def test_solver_matches_fraction_reference_on_every_scan_solve(monkeypatch):
     solves = []
     pivots = _count_pivots(monkeypatch)
-    solve = lpbound._solve_feasibility
+    counting_solve = lpbound._solve_feasibility
 
     def recording(num_vars, equalities, floors):
-        point = solve(num_vars, equalities, floors)
-        solves.append((num_vars, general_rows(equalities, floors), point))
-        return point
+        result = counting_solve(num_vars, equalities, floors)
+        solves.append((num_vars, general_rows(equalities, floors), result[0]))
+        return result
 
     monkeypatch.setattr(lpbound, "_solve_feasibility", recording)
     for n in range(2, 10):
@@ -392,19 +388,10 @@ def test_solver_matches_fraction_reference_on_every_scan_solve(monkeypatch):
 def test_simplex_iteration_cap_boundary(monkeypatch):
     # a solve that is feasible after exactly the cap's pivots returns its point
     equalities, floors = _maximal_rows(9, 4, 5)
-    calls = []
-    eliminate = lpbound._eliminate
-
-    def counting(*args):
-        calls.append(1)
-        return eliminate(*args)
-
-    monkeypatch.setattr(lpbound, "_eliminate", counting)
-    point = _solve_feasibility(5, equalities, floors)
-    pivots, rest = divmod(len(calls), len(equalities) + len(floors))  # one call a row
-    assert point is not None and rest == 0 and pivots >= 2
+    point, pivots = _solve_feasibility(5, equalities, floors)
+    assert point is not None and pivots >= 2
     monkeypatch.setattr(lpbound, "_SIMPLEX_ITERATION_CAP", pivots)
-    assert _solve_feasibility(5, equalities, floors) == point
+    assert _solve_feasibility(5, equalities, floors) == (point, pivots)
     monkeypatch.setattr(lpbound, "_SIMPLEX_ITERATION_CAP", pivots - 1)
     with pytest.raises(BudgetError, match=f"{pivots - 1} pivots"):
         _solve_feasibility(5, equalities, floors)
@@ -431,7 +418,7 @@ def test_lp_instance_solution_satisfies_rows():
         equalities, floors = _maximal_rows(n, k, d)
         assert (len(equalities), len(floors)) == (1, n)
         assert all(len(coeffs) == n - d + 1 for coeffs, _ in equalities + floors)
-        point = _solve_feasibility(n - d + 1, equalities, floors)
+        point = solve(n - d + 1, equalities, floors)
         assert point is not None
         assert_satisfies(point, general_rows(equalities, floors))
         b = [Fraction(1)] + [Fraction(0)] * (d - 1) + point
@@ -628,7 +615,7 @@ def test_general_rows_shape_and_lift():
                     num_vars = 2 * n - d + 1
                     assert (len(equalities), len(floors)) == (2, 3 * n)
                     assert all(len(a) == num_vars for a, _ in equalities + floors)
-                    point = _solve_feasibility(num_vars, equalities, floors)
+                    point = solve(num_vars, equalities, floors)
                     full_rows = full_general_rows(n, k, c, d)
                     if point is not None:
                         assert_satisfies(point, general_rows(equalities, floors))
@@ -665,10 +652,10 @@ def test_general_dominance_of_combined_over_normalizer():
     # surplus column t: -|I| (C_1 - N_1) - t = |I|
     extra = ([-x for x in row] + [-1], krawtchouk(1, 0, n) + iso_order)
     equalities, floors = _general_rows(n, k, c, 1)
-    assert _solve_feasibility(2 * n, equalities, floors) is not None
+    assert solve(2 * n, equalities, floors) is not None
     equalities = [(a + [0], b) for a, b in equalities] + [extra]
     floors = [(a + [0], b) for a, b in floors]
-    assert _solve_feasibility(2 * n + 1, equalities, floors) is None
+    assert solve(2 * n + 1, equalities, floors) is None
 
 
 # ---------------------------------------------------------------------------

@@ -285,3 +285,17 @@ def test_symplectic_gram_schmidt_frozen_examples():
     pairs, isotropic = symplectic_gram_schmidt(group)
     assert len(pairs) == 1 and len(isotropic) == 1
     assert str(isotropic[0]) == "IZ"
+
+    # the exact pairing, not just its shape: each generator is paired with the
+    # first later row that anticommutes with it, after the earlier pairs are
+    # eliminated; these strings reach the CLI's JSON logical_pairs
+    ops = "XIIIX IXIIX IIXIX IIIXX ZIIIZ IZIIZ IIZIZ IIIZZ".split()
+    group = canonicalize([PauliOperator.from_string(op) for op in ops], 5)
+    pairs, isotropic = symplectic_gram_schmidt(group)
+    assert [[str(g), str(h)] for g, h in pairs] == [
+        ["XIIIX", "IZIIZ"],
+        ["IXIIX", "ZIIIZ"],
+        ["XXXIX", "ZZIZZ"],
+        ["XXIXX", "ZZZIZ"],
+    ]
+    assert not isotropic
