@@ -64,6 +64,18 @@ class EaqecCode:
     isotropic generators), the full commutation pattern (each pair
     anticommutes internally, all other generator products commute), and the
     independence of the generators.
+
+    Independence is checked on the isotropic generators alone.  Once the
+    pattern holds, each paired generator g is independent of all the others:
+    its partner anticommutes with g and commutes with every other generator,
+    so it anticommutes with every product in which g takes part, and such a
+    product is never the identity.  So all the generators are independent
+    exactly when the isotropic ones are.
+
+    A view whose extra generators are empty is the smaller view's object:
+    S' is S_I at c = 0, L x S_I is S_I at k = 0, and L x S_S x S_I is L x S_I
+    at c = 0 and S' at k = 0.  Each distinct group is then built, and its
+    weight enumerator counted, once per code.
     """
 
     n: int
@@ -101,7 +113,7 @@ class EaqecCode:
                 raise StructureError(
                     f"commutation pattern violated between generators {i} and {j}"
                 )
-        if self.combined_group.rank != len(gens):
+        if self.isotropic_group.rank != s:
             raise StructureError("generators are not independent")
 
     @property
@@ -119,6 +131,8 @@ class EaqecCode:
     @cached_property
     def stabilizer_group(self) -> PauliGroup:
         """S' = S_S x S_I, the full simplified stabilizer."""
+        if not self.symplectic_pairs:
+            return self.isotropic_group
         flat = [g for pair in self.symplectic_pairs for g in pair]
         return canonicalize(flat + list(self.isotropic_gens), self.n)
 
@@ -133,15 +147,18 @@ class EaqecCode:
     @cached_property
     def normalizer_group(self) -> PauliGroup:
         """L x S_I, the symplectic orthogonal of the simplified stabilizer."""
+        if not self.logical_pairs:
+            return self.isotropic_group
         flat = [g for pair in self.logical_pairs for g in pair]
         return canonicalize(flat + list(self.isotropic_gens), self.n)
 
     @cached_property
     def combined_group(self) -> PauliGroup:
-        """L x S_S x S_I, everything commuting with the isotropic subgroup.
-
-        Its generators are exactly the code's, so validation reads its rank.
-        """
+        """L x S_S x S_I, everything commuting with the isotropic subgroup."""
+        if not self.symplectic_pairs:
+            return self.normalizer_group
+        if not self.logical_pairs:
+            return self.stabilizer_group
         flat = [g for pair in self.logical_pairs + self.symplectic_pairs for g in pair]
         return canonicalize(flat + list(self.isotropic_gens), self.n)
 
@@ -165,6 +182,9 @@ def from_generators(
     symplectic orthogonal of the stabilizer: its rank is 2n - (n - k + c), and
     its radical S ∩ S^⊥ is the isotropic subgroup, so it splits into
     (n + k - c - (n - k - c)) / 2 = k hyperbolic pairs over that subgroup.
+    The code keeps the canonical S' and S'^⊥ = L x S_I built here as its
+    views; at c = 0 the first, and at k = 0 the second, is kept as its
+    isotropic group.
     """
     if not 0 <= k <= n:
         raise ValueError(f"information qubit count k={k} out of range for n={n}")
@@ -176,9 +196,16 @@ def from_generators(
             f"rank {group.rank} stabilizer with {c} hyperbolic pairs does not "
             f"match n - k + c = {n - k + c} for [[{n},{k};{c}]]"
         )
+    normalizer = None
     if logical_pairs is None:
-        logical_pairs, _ = symplectic_gram_schmidt(orthogonal_group(group))
-    return EaqecCode(n, pairs, iso, tuple(logical_pairs))
+        normalizer = orthogonal_group(group)
+        logical_pairs, _ = symplectic_gram_schmidt(normalizer)
+    code = EaqecCode(n, pairs, iso, tuple(logical_pairs))
+    memo = vars(code)  # the cached views; frozen fields alone define equality
+    memo["stabilizer_group" if c else "isotropic_group"] = group
+    if normalizer is not None:
+        memo["normalizer_group" if code.k else "isotropic_group"] = normalizer
+    return code
 
 
 def dual(code: EaqecCode) -> EaqecCode:

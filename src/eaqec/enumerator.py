@@ -18,6 +18,14 @@ where K_w(w', n) is the quaternary Krawtchouk polynomial and B the enumerator
 of V'.  For an entanglement-assisted code the identity specializes to the two
 group pairs exposed by :func:`eaqec_identities`.
 
+The Krawtchouk values are kept as one cached table per n, whose row w holds
+K_w(0..n).  Column w' has the generating function (1 + 3y)^(n-w') (1 - y)^w'
+in y, so column 0 is 3^w C(n, w) and the recurrence
+(1 + 3y) K(., w' + 1) = (1 - y) K(., w') builds each row from the one above
+in O(n) steps, the table in O(n^2).  The transform takes one row's dot
+product with B per weight, and the LP rows of :mod:`eaqec.lpbound` slice the
+same rows.
+
 Enumeration counts group elements with one numpy kernel for all n <= 64:
 an XOR table of the low generators' X and Z halves, broadcast against a set
 of coset representatives shifted block by block through a Gray-code walk
@@ -53,6 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetError, InconsistencyError
@@ -333,17 +342,35 @@ def weight_enumerator(group: PauliGroup, budget_log2: int | None = None) -> Weig
 
 
 @lru_cache(maxsize=None)
+def _krawtchouk_table(n: int) -> list[list[int]]:
+    """Row w holds the quaternary Krawtchouk values K_w(0..n) on n qubits.
+
+    By the recurrence in the module docstring, K_w(0) = 3^w C(n, w) and
+    K_w(w' + 1) = K_w(w') - K_(w-1)(w') - 3 K_(w-1)(w' + 1).  Every caller
+    shares the cached lists, so none may modify them.
+    """
+    table = [[1] * (n + 1)]
+    for w in range(1, n + 1):
+        prev, row = table[-1], [3**w * math.comb(n, w)]
+        for wp in range(n):
+            row.append(row[wp] - prev[wp] - 3 * prev[wp + 1])
+        table.append(row)
+    return table
+
+
 def krawtchouk(w: int, w_prime: int, n: int) -> int:
     """Quaternary Krawtchouk polynomial K_w(w', n), as an exact integer.
 
-    Equals the coefficient of x^(n-w) y^w in (x + 3y)^(n-w') (x - y)^w'.
+    Equals the coefficient of x^(n-w) y^w in (x + 3y)^(n-w') (x - y)^w', read
+    from the table of n.  ``cache_clear`` and ``cache_info`` are the tables'.
     """
     if n < 0 or not 0 <= w <= n or not 0 <= w_prime <= n:
         raise ValueError(f"need 0 <= w, w' <= n, got w={w}, w'={w_prime}, n={n}")
-    return sum(
-        (-1) ** u * 3 ** (w - u) * math.comb(w_prime, u) * math.comb(n - w_prime, w - u)
-        for u in range(w + 1)
-    )
+    return _krawtchouk_table(n)[w][w_prime]
+
+
+krawtchouk.cache_clear = _krawtchouk_table.cache_clear  # type: ignore[attr-defined]
+krawtchouk.cache_info = _krawtchouk_table.cache_info  # type: ignore[attr-defined]
 
 
 def macwilliams_transform(enum: WeightEnumerator, group_order: int) -> WeightEnumerator:
@@ -369,8 +396,8 @@ def macwilliams_transform(enum: WeightEnumerator, group_order: int) -> WeightEnu
         )
     n = enum.n
     out = []
-    for w in range(n + 1):
-        total = sum(krawtchouk(w, wp, n) * enum.coeffs[wp] for wp in range(n + 1))
+    for w, row in enumerate(_krawtchouk_table(n)):
+        total = sum(map(mul, row, enum.coeffs))
         q, rem = divmod(total, group_order)
         if rem or q < 0:
             raise InconsistencyError(

@@ -56,7 +56,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .codes import registry
-from .enumerator import krawtchouk
+from .enumerator import _krawtchouk_table
 from .errors import BudgetError, EaqecError
 
 Row = tuple[Sequence[int], int]
@@ -165,7 +165,8 @@ def _dual_form(n: int, w: int) -> tuple[list[int], int]:
     """The weight-w transform of the distribution X of a group V, X_0 = 1, as
     (coefficients of X_1..X_n, constant K_w(0)); its value is |V| Y_w, with Y
     the distribution of V's symplectic complement."""
-    return [krawtchouk(w, wp, n) for wp in range(1, n + 1)], krawtchouk(w, 0, n)
+    row = _krawtchouk_table(n)[w]
+    return row[1:], row[0]
 
 
 # ---------------------------------------------------------------------------

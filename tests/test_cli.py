@@ -132,6 +132,45 @@ def test_wenum_command(capsys, five_qubit_file):
     assert out == "0 1\n1 0\n2 0\n3 30\n4 15\n5 18\n"
 
 
+# the five-qubit code (c = 0), its dual (k = 0) and a [[5,1;1]] code with
+# three isotropic generators; coefficients of each group's weight enumerator
+WENUM_CODES = {
+    "five": FIVE_QUBIT_TEXT,
+    "five-dual": "5 0\nXZIIZ\nIYIZZ\nIZXZI\nIIZXZ\nIZZIY\nZZZZZ\n",
+    "c1": "5 1\nXIYZZ\nIXIZZ\nIIZYZ\nIIZIY\nZIZII\n",
+}
+FIVE_STAB = (1, 0, 0, 0, 15, 0)
+FIVE_NORM = (1, 0, 0, 30, 15, 18)
+WENUM_PINS = {
+    "five": {"stabilizer": FIVE_STAB, "isotropic": FIVE_STAB, "logical": (1, 0, 0, 3, 0, 0),
+             "normalizer": FIVE_NORM, "combined": FIVE_NORM},
+    "five-dual": {"stabilizer": FIVE_NORM, "isotropic": FIVE_STAB,
+                  "logical": (1, 0, 0, 0, 0, 0), "normalizer": FIVE_STAB,
+                  "combined": FIVE_NORM},
+    "c1": {"stabilizer": (1, 0, 4, 10, 11, 6), "isotropic": (1, 0, 1, 1, 2, 3),
+           "logical": (1, 1, 0, 2, 0, 0), "normalizer": (1, 1, 2, 6, 13, 9),
+           "combined": (1, 1, 14, 30, 49, 33)},
+}
+
+
+def test_wenum_bytes_for_every_group(capsys, tmp_path):
+    for name, text in WENUM_CODES.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        for group, coeffs in WENUM_PINS[name].items():
+            code, out, _ = run(capsys, "wenum", str(path), "--group", group)
+            assert code == 0
+            assert out == "".join(f"{w} {x}\n" for w, x in enumerate(coeffs))
+            code, out, _ = run(capsys, "wenum", str(path), "--group", group,
+                               "--format", "json")
+            assert code == 0
+            listed = ",\n".join(f"    {x}" for x in coeffs)
+            assert out == (
+                f'{{\n  "coefficients": [\n{listed}\n  ],\n  "group": "{group}",\n'
+                f'  "n": 5,\n  "order": {sum(coeffs)}\n}}\n'
+            )
+
+
 def test_dual_round_trip_through_cli(capsys, five_qubit_file, tmp_path):
     code, out, _ = run(capsys, "dual", five_qubit_file)
     assert code == 0

@@ -1,5 +1,6 @@
 """Code structure, duality, distance, the registry, and the file formats."""
 
+import collections
 import json
 import random
 import runpy
@@ -42,6 +43,7 @@ from conftest import (
     naive_commutes,
     naive_weight,
     random_code,
+    random_symplectic_basis,
 )
 
 FIVE_QUBIT_GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
@@ -95,6 +97,86 @@ def test_code_structure_validation():
     ops = [PauliOperator.from_string(s) for s in ("ZII", "IZI", "ZZI")]
     with pytest.raises(StructureError):
         EaqecCode(3, (), tuple(ops), ())
+
+
+def full_rank_rule(pairs, isotropic, logical) -> str | None:
+    """The error a code's generators must raise, or None if they form a code,
+    by the rule that checks independence on every generator: the first
+    violation of the commutation pattern, else the rank of all of them."""
+    flat = [g for pair in pairs + logical for g in pair]
+    gens = flat + list(isotropic)
+    for i, g in enumerate(gens):
+        for j in range(i + 1, len(gens)):
+            want = j == i + 1 and i < len(flat) and i % 2 == 0
+            if naive_commutes(g, gens[j]) == want:
+                return f"commutation pattern violated between generators {i} and {j}"
+    if canonicalize(gens, gens[0].n).rank != len(gens):
+        return "generators are not independent"
+    return None
+
+
+def corrupted_code_inputs(rng: random.Random, n: int):
+    """Generators of a random [[n, k; c]] code, corrupted half the time by
+    one of: a duplicate or zero isotropic generator, an isotropic generator
+    replaced by a product of others, or a pair member multiplied by another
+    generator.  Returns the corruption's name too ("none" for none)."""
+    k = rng.randint(0, n)
+    c = rng.randint(0, n - k)
+    basis = random_symplectic_basis(rng, n)
+    pairs = [list(pair) for pair in basis[:c]]
+    logical = [list(pair) for pair in basis[c : c + k]]
+    isotropic = [g for g, _ in basis[c + k :]]
+    everything = [g for pair in pairs + logical for g in pair] + isotropic
+    kinds = []
+    if len(isotropic) >= 2:
+        kinds.append("duplicate")
+    if isotropic:
+        kinds.append("zero")
+    if isotropic and len(everything) >= 2:
+        kinds.append("product")
+    if pairs + logical and len(everything) >= 2:
+        kinds.append("pair")
+    kind = rng.choice(kinds) if kinds and rng.random() < 0.5 else "none"
+    if kind == "duplicate":
+        i, j = rng.sample(range(len(isotropic)), 2)
+        isotropic[j] = isotropic[i]
+    elif kind == "zero":
+        isotropic[rng.randrange(len(isotropic))] = PauliOperator.identity(n)
+    elif kind == "product":
+        j = rng.randrange(len(isotropic))
+        others = [g for g in everything if g is not isotropic[j]]
+        product = PauliOperator.identity(n)
+        for g in rng.sample(others, rng.randint(1, min(3, len(others)))):
+            product = product * g
+        isotropic[j] = product
+    elif kind == "pair":
+        pair = rng.choice(pairs + logical)
+        side = rng.randrange(2)
+        other = rng.choice([g for g in everything if g is not pair[side]])
+        pair[side] = pair[side] * other
+    return kind, tuple(map(tuple, pairs)), tuple(isotropic), tuple(map(tuple, logical))
+
+
+def test_validation_matches_the_full_rank_rule():
+    rng = random.Random(53)
+    verdicts = collections.Counter()
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        kind, pairs, isotropic, logical = corrupted_code_inputs(rng, n)
+        expected = full_rank_rule(pairs, isotropic, logical)
+        if expected is None:
+            EaqecCode(n, pairs, isotropic, logical)
+        else:
+            with pytest.raises(StructureError) as info:
+                EaqecCode(n, pairs, isotropic, logical)
+            assert str(info.value) == expected
+        verdicts[kind, (expected or "ok").split(" between")[0]] += 1
+    dependent, pattern = "generators are not independent", "commutation pattern violated"
+    outcomes = [("none", "ok"), ("duplicate", dependent), ("zero", dependent),
+                ("product", dependent), ("product", pattern), ("pair", pattern),
+                ("pair", "ok")]
+    assert all(verdicts[outcome] >= 5 for outcome in outcomes), verdicts
+    assert sum(v for (_, verdict), v in verdicts.items() if verdict != "ok") >= 150
 
 
 def test_from_generators_five_qubit():
@@ -155,13 +237,46 @@ def test_each_group_is_reduced_once(monkeypatch):
     calls = 0
     orthogonal_group(group)  # the swapped generators, then the kernel
     assert calls == 2
-    # build, distance, both identities and the dual round trip: 9 reductions
+    # build (the generators, the orthogonal, the isotropic group validation
+    # reads), distance, both identities, and the isotropic group of each code
+    # of the dual round trip: 6 reductions
     calls = 0
     code = five_qubit_code()
     min_distance(code)
     eaqec_identities(code)
     assert dual(dual(code)) == code
-    assert calls <= 9
+    assert calls == 6
+
+
+def assert_views_are_canonical(code: EaqecCode) -> None:
+    """Every group view equals the group of its defining generators."""
+    n = code.n
+
+    def flat(pairs):
+        return [g for pair in pairs for g in pair]
+
+    iso = list(code.isotropic_gens)
+    assert code.isotropic_group == canonicalize(iso, n)
+    assert code.logical_group == canonicalize(flat(code.logical_pairs), n)
+    assert code.stabilizer_group == canonicalize(flat(code.symplectic_pairs) + iso, n)
+    assert code.normalizer_group == canonicalize(flat(code.logical_pairs) + iso, n)
+    assert code.combined_group == canonicalize(
+        flat(code.symplectic_pairs + code.logical_pairs) + iso, n
+    )
+
+
+def test_views_are_the_canonical_groups():
+    rng = random.Random(59)
+    for n in range(2, 8):
+        for k in range(0, n + 1):
+            for c in sorted({0, (n - k) // 2, n - k}):
+                code = from_generators(
+                    n, k, random_code(rng, n, k, c).stabilizer_group.generators
+                )
+                assert (code.k, code.c) == (k, c)
+                twin = from_generators(n, c, dual(code).stabilizer_group.generators)
+                for built in (code, dual(code), twin):
+                    assert_views_are_canonical(built)
 
 
 # ---------------------------------------------------------------------------

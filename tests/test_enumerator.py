@@ -336,6 +336,16 @@ def test_distance_and_identities_share_the_counts(monkeypatch):
     assert len(counted) == 5 and counted[-1] is not code.normalizer_group
 
 
+def test_five_qubit_flow_counts_two_groups(monkeypatch):
+    # c = 0: S' is S_I and L x S_S x S_I is L x S_I, so the distance and both
+    # identities count the normalizer and the isotropic group alone
+    counted = _count_calls(monkeypatch)
+    code = from_generators(5, 1, [PauliOperator.from_string(s) for s in FIVE_QUBIT_GENERATORS])
+    assert eaqec.min_distance(code) == 3
+    assert all(check.holds for check in eaqec_identities(code))
+    assert [id(g) for g in counted] == [id(code.normalizer_group), id(code.isotropic_group)]
+
+
 def test_counted_group_still_checks_the_budget(monkeypatch):
     group = _random_group_of_rank(random.Random(43), 6, 9)
     counted = _count_calls(monkeypatch)
@@ -422,6 +432,26 @@ def test_krawtchouk_matches_expansion_oracle_small():
         for w in range(n + 1):
             for wp in range(n + 1):
                 assert krawtchouk(w, wp, n) == krawtchouk_oracle(w, wp, n)
+
+
+def test_krawtchouk_table_matches_expansion_oracle_large():
+    for n in (20, 32, 64):
+        table = enumerator._krawtchouk_table(n)
+        assert table == [
+            [krawtchouk_oracle(w, wp, n) for wp in range(n + 1)] for w in range(n + 1)
+        ]
+        assert krawtchouk(n // 3, n // 2, n) == table[n // 3][n // 2]
+
+
+def test_krawtchouk_cache_clear_empties_the_tables():
+    krawtchouk(1, 2, 5)
+    assert krawtchouk.cache_info().currsize >= 1
+    krawtchouk.cache_clear()
+    assert krawtchouk.cache_info().currsize == 0
+    krawtchouk(1, 2, 5)
+    krawtchouk(2, 3, 5)
+    info = krawtchouk.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 def test_krawtchouk_range_validation():

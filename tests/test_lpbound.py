@@ -566,6 +566,14 @@ def test_apply_overrides_caps_match_exhaustive_search():
 # the general system
 
 
+def test_dual_form_reads_the_krawtchouk_values():
+    for n in range(1, 16):
+        for w in range(n + 1):
+            coeffs, const = lpbound._dual_form(n, w)
+            assert coeffs == [krawtchouk(w, wp, n) for wp in range(1, n + 1)]
+            assert const == krawtchouk(w, 0, n)
+
+
 def test_general_system_validation():
     with pytest.raises(ValueError):
         lp_feasible_general(5, 2, 0, 2)
