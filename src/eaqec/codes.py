@@ -72,10 +72,10 @@ class EaqecCode:
     product is never the identity.  So all the generators are independent
     exactly when the isotropic ones are.
 
-    A view whose extra generators are empty is the smaller view's object:
-    S' is S_I at c = 0, L x S_I is S_I at k = 0, and L x S_S x S_I is L x S_I
-    at c = 0 and S' at k = 0.  Each distinct group is then built, and its
-    weight enumerator counted, once per code.
+    At c = 0 the views that add only the symplectic pairs are the smaller
+    views' objects: S' is S_I, and L x S_S x S_I is L x S_I.  A stabilizer
+    code then builds each of its distinct groups, and counts its weight
+    enumerator, once.
     """
 
     n: int
@@ -147,8 +147,6 @@ class EaqecCode:
     @cached_property
     def normalizer_group(self) -> PauliGroup:
         """L x S_I, the symplectic orthogonal of the simplified stabilizer."""
-        if not self.logical_pairs:
-            return self.isotropic_group
         flat = [g for pair in self.logical_pairs for g in pair]
         return canonicalize(flat + list(self.isotropic_gens), self.n)
 
@@ -157,8 +155,6 @@ class EaqecCode:
         """L x S_S x S_I, everything commuting with the isotropic subgroup."""
         if not self.symplectic_pairs:
             return self.normalizer_group
-        if not self.logical_pairs:
-            return self.stabilizer_group
         flat = [g for pair in self.logical_pairs + self.symplectic_pairs for g in pair]
         return canonicalize(flat + list(self.isotropic_gens), self.n)
 
@@ -182,9 +178,9 @@ def from_generators(
     symplectic orthogonal of the stabilizer: its rank is 2n - (n - k + c), and
     its radical S ∩ S^⊥ is the isotropic subgroup, so it splits into
     (n + k - c - (n - k - c)) / 2 = k hyperbolic pairs over that subgroup.
-    The code keeps the canonical S' and S'^⊥ = L x S_I built here as its
-    views; at c = 0 the first, and at k = 0 the second, is kept as its
-    isotropic group.
+    The code keeps the canonical S'^⊥ = L x S_I built here as its normalizer
+    view, and S' as its stabilizer view when c > 0 (at c = 0 that view is the
+    isotropic group).
     """
     if not 0 <= k <= n:
         raise ValueError(f"information qubit count k={k} out of range for n={n}")
@@ -202,9 +198,10 @@ def from_generators(
         logical_pairs, _ = symplectic_gram_schmidt(normalizer)
     code = EaqecCode(n, pairs, iso, tuple(logical_pairs))
     memo = vars(code)  # the cached views; frozen fields alone define equality
-    memo["stabilizer_group" if c else "isotropic_group"] = group
+    if c:
+        memo["stabilizer_group"] = group
     if normalizer is not None:
-        memo["normalizer_group" if code.k else "isotropic_group"] = normalizer
+        memo["normalizer_group"] = normalizer
     return code
 
 

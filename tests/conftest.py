@@ -13,6 +13,7 @@ split of them into entangled / logical / isotropic parts is a well-formed code.
 
 from __future__ import annotations
 
+import math
 import random
 
 from eaqec import EaqecCode, PauliGroup, PauliOperator, canonicalize, symplectic_product
@@ -66,6 +67,23 @@ def all_operators(n: int):
             s.append(LETTERS[t & 3])
             t >>= 2
         yield PauliOperator.from_string("".join(s))
+
+
+def poly_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two polynomials given by their coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def krawtchouk_oracle(w: int, w_prime: int, n: int) -> int:
+    """Coefficient of x^(n-w) y^w in (x + 3y)^(n - w') (x - y)^w', found by
+    expanding the product outright."""
+    first = [math.comb(n - w_prime, j) * 3**j for j in range(n - w_prime + 1)]
+    second = [math.comb(w_prime, j) * (-1) ** j for j in range(w_prime + 1)]
+    return poly_mul(first, second)[w]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Weight enumerators, Krawtchouk transforms, and the code identities.
 
-Oracles: group closure + letter counting (conftest), direct polynomial
-expansion for Krawtchouk values, and closed-form product enumerators for
+Oracles: group closure + letter counting and direct polynomial expansion
+for Krawtchouk values (conftest), and closed-form product enumerators for
 groups with independent single-qubit factors.
 """
 
@@ -38,30 +38,16 @@ from eaqec import (
 from eaqec.enumerator import _combine, _plain_counts, _split, _split_counts, _words
 
 from conftest import (
+    krawtchouk_oracle,
     naive_closure,
     naive_weight_distribution,
+    poly_mul,
     random_code,
     random_group,
     random_operator,
 )
 
 FIVE_QUBIT_GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def krawtchouk_oracle(w: int, w_prime: int, n: int) -> int:
-    """Coefficient of x^(n-w) y^w in (x + 3y)^(n - w') (x - y)^w', found by
-    expanding the product outright."""
-    first = [math.comb(n - w_prime, j) * 3**j for j in range(n - w_prime + 1)]
-    second = [math.comb(w_prime, j) * (-1) ** j for j in range(w_prime + 1)]
-    return _poly_mul(first, second)[w]
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +161,7 @@ def test_weight_enumerator_large_rank_split_path(monkeypatch):
         assert len(in_a) + len(in_b) == group.rank and not reps
         expected = [1]
         for ps in letters.values():
-            expected = _poly_mul(expected, [1, 3] if len(ps) == 2 else [1, 1])
+            expected = poly_mul(expected, [1, 3] if len(ps) == 2 else [1, 1])
         expected += [0] * (n + 1 - len(expected))
         sizes.clear()
         splits.clear()
@@ -199,7 +185,7 @@ def test_weight_enumerator_large_rank_block_path(monkeypatch):
     assert not in_a and not in_b and len(reps) == 2 * m
     expected = [1]
     for _ in range(m):
-        expected = _poly_mul(expected, [1, 0, 3])
+        expected = poly_mul(expected, [1, 0, 3])
     expected += [0] * (n + 1 - len(expected))
     sizes = _kernel_blocks(monkeypatch)
     assert weight_enumerator(group).coeffs == tuple(expected)
@@ -306,7 +292,7 @@ def test_combine_is_exact_past_int64():
     expected = [0] * 4
     for count_a, count_b in chunks:
         for row_a, row_b in zip(count_a, count_b):
-            for i, conv in enumerate(_poly_mul(row_a, row_b)):
+            for i, conv in enumerate(poly_mul(row_a, row_b)):
                 expected[i] += conv
     assert max(expected) > 1 << 63
     halves = [(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)) for a, b in chunks]
