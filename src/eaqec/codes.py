@@ -63,7 +63,11 @@ class EaqecCode:
     generators.  Construction validates the counts (k + c + s = n for s
     isotropic generators), the full commutation pattern (each pair
     anticommutes internally, all other generator products commute), and the
-    independence of the generators.
+    independence of the generators.  Calling the class validates, because its
+    input may be anything, and :func:`from_generators` calls it to check
+    supplied logical pairs.  The codes that :func:`dual` and the derived
+    branch of :func:`from_generators` build are valid by construction, so
+    they skip the checks; each of those docstrings gives the proof.
 
     Independence is checked on the isotropic generators alone.  Once the
     pattern holds, each paired generator g is independent of all the others:
@@ -181,6 +185,16 @@ def from_generators(
     The code keeps the canonical S'^⊥ = L x S_I built here as its normalizer
     view, and S' as its stabilizer view when c > 0 (at c = 0 that view is the
     isotropic group).
+
+    A code with derived logical pairs is valid by construction, so it skips
+    the constructor's checks.  Gram-Schmidt splits the rank-r group S' into c
+    pairs and s isotropic generators with 2c + s = r: each pair anticommutes
+    internally and commutes with everything else it returns, and r outputs
+    that span a rank-r group are independent.  The rank check makes
+    s = n - k - c, and the orthogonal's k pairs then give k + c + s = n.  The
+    logical pairs follow the pattern among themselves by the same
+    Gram-Schmidt, and they lie in S'^⊥, so they commute with every generator
+    of S'.  All generators act on the n qubits ``canonicalize`` checked.
     """
     if not 0 <= k <= n:
         raise ValueError(f"information qubit count k={k} out of range for n={n}")
@@ -195,8 +209,9 @@ def from_generators(
     normalizer = None
     if logical_pairs is None:
         normalizer = orthogonal_group(group)
-        logical_pairs, _ = symplectic_gram_schmidt(normalizer)
-    code = EaqecCode(n, pairs, iso, tuple(logical_pairs))
+        code = _assemble(n, pairs, iso, symplectic_gram_schmidt(normalizer)[0])
+    else:
+        code = EaqecCode(n, pairs, iso, tuple(logical_pairs))
     memo = vars(code)  # the cached views; frozen fields alone define equality
     if c:
         memo["stabilizer_group"] = group
@@ -210,8 +225,30 @@ def dual(code: EaqecCode) -> EaqecCode:
 
     Maps ``[[n, k, d; c]]`` to ``[[n, c, d'; k]]`` with the isotropic subgroup
     unchanged; applying it twice returns the original code exactly.
+
+    The twin skips the constructor's checks, because it only reorders the
+    generators of a valid code.  Its counts are c + k + s = n.  The pattern
+    asks each pair to anticommute internally and every other product to
+    commute, which no reordering of whole pairs changes.  The isotropic
+    generators, whose independence the constructor checks, are the same.
     """
-    return EaqecCode(code.n, code.logical_pairs, code.isotropic_gens, code.symplectic_pairs)
+    return _assemble(code.n, code.logical_pairs, code.isotropic_gens, code.symplectic_pairs)
+
+
+def _assemble(
+    n: int,
+    symplectic_pairs: tuple[Pair, ...],
+    isotropic_gens: tuple[PauliOperator, ...],
+    logical_pairs: tuple[Pair, ...],
+) -> EaqecCode:
+    """An :class:`EaqecCode` from generators its caller has proved valid,
+    built without running the constructor's checks."""
+    code = object.__new__(EaqecCode)
+    object.__setattr__(code, "n", n)
+    object.__setattr__(code, "symplectic_pairs", symplectic_pairs)
+    object.__setattr__(code, "isotropic_gens", isotropic_gens)
+    object.__setattr__(code, "logical_pairs", logical_pairs)
+    return code
 
 
 def min_distance(code: EaqecCode, budget_log2: int | None = None) -> int:

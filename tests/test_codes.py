@@ -1,6 +1,7 @@
 """Code structure, duality, distance, the registry, and the file formats."""
 
 import collections
+import hashlib
 import json
 import random
 import runpy
@@ -202,7 +203,8 @@ def test_from_generators_derives_valid_logical_pairs():
         assert rebuilt.normalizer_group == code.normalizer_group
 
 
-def test_from_generators_builds_and_validates_once(monkeypatch):
+def count_validations(monkeypatch) -> dict[str, int]:
+    """Count ``orthogonal_group`` calls from ``codes`` and constructor checks."""
     calls = {"orthogonal_group": 0, "validate": 0}
     orthogonal_group = eaqec.codes.orthogonal_group
     post_init = EaqecCode.__post_init__
@@ -217,9 +219,26 @@ def test_from_generators_builds_and_validates_once(monkeypatch):
 
     monkeypatch.setattr(eaqec.codes, "orthogonal_group", counting_orthogonal_group)
     monkeypatch.setattr(EaqecCode, "__post_init__", counting_post_init)
+    return calls
+
+
+def test_from_generators_builds_and_validates_once(monkeypatch):
     gens = [PauliOperator.from_string(s) for s in FIVE_QUBIT_GENERATORS]
-    from_generators(5, 1, gens)
-    assert calls == {"orthogonal_group": 1, "validate": 1}
+    calls = count_validations(monkeypatch)
+    code = from_generators(5, 1, gens)
+    # derived logical pairs are valid by construction: no constructor checks
+    assert calls == {"orthogonal_group": 1, "validate": 0}
+    calls.update(orthogonal_group=0, validate=0)
+    # supplied logical pairs are untrusted input: checked exactly once
+    assert from_generators(5, 1, gens, code.logical_pairs) == code
+    assert calls == {"orthogonal_group": 0, "validate": 1}
+
+
+def test_dual_round_trip_runs_no_validation(monkeypatch):
+    code = five_qubit_code()
+    calls = count_validations(monkeypatch)
+    assert dual(dual(code)) == code
+    assert calls == {"orthogonal_group": 0, "validate": 0}
 
 
 def test_each_group_is_reduced_once(monkeypatch):
@@ -237,15 +256,15 @@ def test_each_group_is_reduced_once(monkeypatch):
     calls = 0
     orthogonal_group(group)  # the swapped generators, then the kernel
     assert calls == 2
-    # build (the generators, the orthogonal, the isotropic group validation
-    # reads), distance, both identities, and the isotropic group of each code
-    # of the dual round trip: 6 reductions
+    # build (the generators, the orthogonal), distance (the isotropic group),
+    # both identities, and the dual round trip, which validates nothing: 4
+    # reductions
     calls = 0
     code = five_qubit_code()
     min_distance(code)
     eaqec_identities(code)
     assert dual(dual(code)) == code
-    assert calls == 6
+    assert calls == 4
 
 
 def assert_views_are_canonical(code: EaqecCode) -> None:
@@ -302,6 +321,46 @@ def test_dual_of_five_qubit():
     assert (twin.n, twin.k, twin.c) == (5, 0, 1)
     with pytest.raises(UndefinedDistanceError):
         min_distance(twin)
+
+
+def test_unchecked_codes_pass_the_validating_constructor():
+    # dual and the derived branch of from_generators skip the constructor's
+    # checks; the public constructor must accept every code they build
+    rng = random.Random(61)
+    for n in range(1, 9):
+        for k in range(n + 1):
+            for c in range(n - k + 1):
+                source = random_code(rng, n, k, c)
+                code = from_generators(n, k, source.stabilizer_group.generators)
+                assert (code.k, code.c) == (k, c)
+                assert code.stabilizer_group == source.stabilizer_group
+                twin = dual(code)
+                assert (twin.k, twin.c) == (c, k)
+                for built in (code, twin, dual(twin)):
+                    rebuilt = EaqecCode(
+                        n, built.symplectic_pairs, built.isotropic_gens, built.logical_pairs
+                    )
+                    assert rebuilt == built
+                    assert_views_are_canonical(built)
+                assert dual(twin) == code
+
+
+def test_dual_output_bytes_are_pinned():
+    digest = hashlib.sha256()
+    twins = 0
+    for entry in registry():
+        if entry.generators is None:
+            continue
+        twin = dual(code_from_entry(entry))
+        digest.update(format_code_text(twin).encode())
+        digest.update(
+            json.dumps(code_to_json_dict(twin), indent=2, sort_keys=True).encode()
+        )
+        twins += 1
+    assert twins == 22
+    assert digest.hexdigest() == (
+        "d49e488e8738248a9878eda3e1878c7fd6bf7fd9dd8df98c0ecdba209a42dc7e"
+    )
 
 
 # ---------------------------------------------------------------------------

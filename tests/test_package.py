@@ -1,6 +1,12 @@
-"""The package's public surface: every exported name exists."""
+"""The package's public surface and the committed benchmark records."""
+
+import json
+import re
+from pathlib import Path
 
 import eaqec
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_all_names_resolve_and_star_import_succeeds():
@@ -10,3 +16,30 @@ def test_all_names_resolve_and_star_import_succeeds():
     namespace = {}
     exec("from eaqec import *", namespace)
     assert set(eaqec.__all__) <= namespace.keys()
+
+
+def test_bench_records_are_complete_and_consistent():
+    """Each ``BENCH_*.json`` names its machine and commits, and each workload
+    it summarizes ran at least 3 times per side without a failure, with the
+    same output digests on both sides and ordered quartiles."""
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        record = json.loads(path.read_text())
+        assert {"nproc", "python", "numpy"} <= record["env"].keys(), path.name
+        for side in ("parent", "change"):
+            assert re.fullmatch(r"[0-9a-f]{40}", record["commits"][side]), path.name
+        assert record["summary"], path.name
+        for workload, sides in record["summary"].items():
+            where = f"{path.name}: {workload}"
+            for side in ("parent", "change"):
+                summary = sides[side]
+                assert summary["runs"] >= 3, where
+                assert summary["failed"] == 0, where
+                assert summary["digests"], where
+                quartiles = [v["q1_median_q3"] for v in summary.values()
+                             if isinstance(v, dict)]
+                assert quartiles, where
+                for q1, median, q3 in quartiles:
+                    assert q1 <= median <= q3, where
+            assert sides["parent"]["digests"] == sides["change"]["digests"], where
