@@ -27,6 +27,7 @@ qubit for an ebit ([[n, k, d; c]] -> [[n, k-1, d'; c+1]] with d' >= d).
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -46,6 +47,7 @@ from .pauli import (
     canonicalize,
     orthogonal_group,
     symplectic_gram_schmidt,
+    symplectic_product,
 )
 
 Pair = tuple[PauliOperator, PauliOperator]
@@ -61,20 +63,15 @@ class EaqecCode:
     ebit count ``c`` and the information qubit count ``k`` are the numbers of
     symplectic and logical pairs, and the groups are derived from the
     generators.  Construction validates the counts (k + c + s = n for s
-    isotropic generators), the full commutation pattern (each pair
-    anticommutes internally, all other generator products commute), and the
-    independence of the generators.  Calling the class validates, because its
-    input may be anything, and :func:`from_generators` calls it to check
-    supplied logical pairs.  The codes that :func:`dual` and the derived
-    branch of :func:`from_generators` build are valid by construction, so
-    they skip the checks; each of those docstrings gives the proof.
-
-    Independence is checked on the isotropic generators alone.  Once the
-    pattern holds, each paired generator g is independent of all the others:
-    its partner anticommutes with g and commutes with every other generator,
-    so it anticommutes with every product in which g takes part, and such a
-    product is never the identity.  So all the generators are independent
-    exactly when the isotropic ones are.
+    isotropic generators) and then two rules over the generators, listed as
+    the symplectic pairs, the logical pairs and the isotropic generators:
+    each pair anticommutes internally while every other two generators
+    commute, checked pair by pair in order; and all the generators together
+    have full rank.  Only outside input is validated: calling the class,
+    whose input may be anything, and :func:`from_generators` with supplied
+    logical pairs.  The codes that :func:`dual` and the derived branch of
+    :func:`from_generators` build are valid by construction, so they skip
+    the checks; each of those docstrings gives the proof.
 
     At c = 0 the views that add only the symplectic pairs are the smaller
     views' objects: S' is S_I, and L x S_S x S_I is L x S_I.  A stabilizer
@@ -103,21 +100,14 @@ class EaqecCode:
         for g in gens:
             if g.n != n:
                 raise DimensionError(f"generator {g!r} acts on {g.n} qubits, code on {n}")
-        # <g_i, g_j> is the parity of (u_i | v_i << n) & (v_j | u_j << n)
-        words = [g.u | g.v << n for g in gens]
-        swapped = [g.v | g.u << n for g in gens]
         npaired = 2 * len(pairs)
-        for i, word in enumerate(words):
-            got = [(word & other).bit_count() & 1 for other in swapped[i + 1 :]]
-            want = [0] * len(got)
-            if i < npaired and i % 2 == 0:
-                want[0] = 1  # g_i, g_{i+1} is a pair
-            if got != want:
-                j = i + 1 + next(d for d, (x, y) in enumerate(zip(got, want)) if x != y)
+        for i, j in itertools.combinations(range(len(gens)), 2):
+            partners = j == i + 1 and i % 2 == 0 and i < npaired
+            if symplectic_product(gens[i], gens[j]) != partners:
                 raise StructureError(
                     f"commutation pattern violated between generators {i} and {j}"
                 )
-        if self.isotropic_group.rank != s:
+        if self.combined_group.rank != len(gens):
             raise StructureError("generators are not independent")
 
     @property
@@ -189,12 +179,14 @@ def from_generators(
     A code with derived logical pairs is valid by construction, so it skips
     the constructor's checks.  Gram-Schmidt splits the rank-r group S' into c
     pairs and s isotropic generators with 2c + s = r: each pair anticommutes
-    internally and commutes with everything else it returns, and r outputs
-    that span a rank-r group are independent.  The rank check makes
-    s = n - k - c, and the orthogonal's k pairs then give k + c + s = n.  The
-    logical pairs follow the pattern among themselves by the same
-    Gram-Schmidt, and they lie in S'^⊥, so they commute with every generator
-    of S'.  All generators act on the n qubits ``canonicalize`` checked.
+    internally and commutes with everything else it returns.  The rank check
+    makes s = n - k - c, and the orthogonal's k pairs then give
+    k + c + s = n.  The logical pairs follow the pattern among themselves by
+    the same Gram-Schmidt, and they lie in S'^⊥, so they commute with every
+    generator of S'.  With the isotropic generators, which span the radical
+    S' ∩ S'^⊥, they span S'^⊥; so the r + 2k = 2n - s generators span
+    S' + S'^⊥, whose rank is r + (2n - r) - s, and have full rank.  All
+    generators act on the n qubits ``canonicalize`` checked.
     """
     if not 0 <= k <= n:
         raise ValueError(f"information qubit count k={k} out of range for n={n}")
@@ -206,17 +198,15 @@ def from_generators(
             f"rank {group.rank} stabilizer with {c} hyperbolic pairs does not "
             f"match n - k + c = {n - k + c} for [[{n},{k};{c}]]"
         )
-    normalizer = None
     if logical_pairs is None:
         normalizer = orthogonal_group(group)
         code = _assemble(n, pairs, iso, symplectic_gram_schmidt(normalizer)[0])
+        # the cached views; frozen fields alone define equality
+        vars(code)["normalizer_group"] = normalizer
     else:
         code = EaqecCode(n, pairs, iso, tuple(logical_pairs))
-    memo = vars(code)  # the cached views; frozen fields alone define equality
     if c:
-        memo["stabilizer_group"] = group
-    if normalizer is not None:
-        memo["normalizer_group"] = normalizer
+        vars(code)["stabilizer_group"] = group
     return code
 
 
@@ -229,8 +219,8 @@ def dual(code: EaqecCode) -> EaqecCode:
     The twin skips the constructor's checks, because it only reorders the
     generators of a valid code.  Its counts are c + k + s = n.  The pattern
     asks each pair to anticommute internally and every other product to
-    commute, which no reordering of whole pairs changes.  The isotropic
-    generators, whose independence the constructor checks, are the same.
+    commute, which no reordering of whole pairs changes.  The generators
+    are the same ones, so they keep full rank.
     """
     return _assemble(code.n, code.logical_pairs, code.isotropic_gens, code.symplectic_pairs)
 
@@ -411,7 +401,7 @@ def registry() -> tuple[CodeRegistryEntry, ...]:
             CodeRegistryEntry(n, 1, n - 1, d, "construction",
                               code.stabilizer_group.generators)
         )
-        if n % 2 and n >= 3:
+        if n % 2:
             # the dual repetition code [[n, n-1, 2; 1]]
             dual_code = dual(code)
             entries.append(

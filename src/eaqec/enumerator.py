@@ -419,9 +419,7 @@ def verify_macwilliams(group: PauliGroup, budget_log2: int | None = None) -> boo
     ortho = orthogonal_group(group)
     _check_budget(group.rank, budget_log2)
     _check_budget(ortho.rank, budget_log2)
-    direct = weight_enumerator(group, budget_log2)
-    ortho_enum = weight_enumerator(ortho, budget_log2)
-    return macwilliams_transform(ortho_enum, ortho.order) == direct
+    return _identity(group, ortho, budget_log2).holds
 
 
 class IdentityCheck(NamedTuple):
@@ -452,14 +450,21 @@ def eaqec_identities(
     combined = code.combined_group
     for g in (stab, normalizer, iso, combined):
         _check_budget(g.rank, budget_log2)
-    normalizer_check = IdentityCheck(
-        direct=weight_enumerator(normalizer, budget_log2),
-        transformed=macwilliams_transform(weight_enumerator(stab, budget_log2), stab.order),
+    return (
+        _identity(normalizer, stab, budget_log2),
+        _identity(iso, combined, budget_log2),
     )
-    isotropic_check = IdentityCheck(
-        direct=weight_enumerator(iso, budget_log2),
+
+
+def _identity(
+    group: PauliGroup, partner: PauliGroup, budget_log2: int | None
+) -> IdentityCheck:
+    """The MacWilliams identity between ``group`` and its symplectic
+    orthogonal ``partner``: the count of ``group`` against the transform of
+    the count of ``partner``."""
+    return IdentityCheck(
+        direct=weight_enumerator(group, budget_log2),
         transformed=macwilliams_transform(
-            weight_enumerator(combined, budget_log2), combined.order
+            weight_enumerator(partner, budget_log2), partner.order
         ),
     )
-    return normalizer_check, isotropic_check

@@ -410,7 +410,7 @@ def _registry_lower_bounds(n_max: int) -> dict[tuple[int, int], tuple[int, str]]
     under lengthening (n-1, k) -> (n, k) and trading (n, k+1) -> (n, k)."""
     best: dict[tuple[int, int], tuple[int, str]] = {}
     for entry in registry():
-        if entry.n > n_max or entry.k >= entry.n:
+        if entry.n > n_max:
             continue
         if not entry.is_maximal_entanglement:
             continue  # the extension rules preserve n - k - c, so only

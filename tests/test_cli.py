@@ -326,6 +326,23 @@ def test_malformed_input_is_an_error(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_supplied_logical_pairs_are_validated(capsys, tmp_path):
+    generators = FIVE_QUBIT_TEXT.split()[2:]
+    cases = (
+        (["XXXXX", "ZZZZZ"], 0, "3\n", ""),
+        (["XXXXX", "XXXXX"], 2, "",
+         "error: commutation pattern violated between generators 0 and 1\n"),
+        (["XXXXX", "YZZZZ"], 2, "",
+         "error: commutation pattern violated between generators 1 and 2\n"),
+    )
+    for pair, status, stdout, stderr in cases:
+        path = tmp_path / "five.json"
+        path.write_text(json.dumps(
+            {"n": 5, "k": 1, "generators": generators, "logical_pairs": [pair]}
+        ))
+        assert run(capsys, "distance", str(path)) == (status, stdout, stderr)
+
+
 def test_lp_bound_rejects_removed_integrality_flag(capsys):
     # scripts still passing the deleted flag get a usage error, not a
     # silently different bound
