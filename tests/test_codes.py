@@ -292,6 +292,20 @@ def assert_views_are_canonical(code: EaqecCode) -> None:
     )
 
 
+def test_views_are_the_canonical_groups():
+    rng = random.Random(59)
+    for n in range(2, 8):
+        for k in range(0, n + 1):
+            for c in sorted({0, (n - k) // 2, n - k}):
+                code = from_generators(
+                    n, k, random_code(rng, n, k, c).stabilizer_group.generators
+                )
+                assert (code.k, code.c) == (k, c)
+                twin = from_generators(n, c, dual(code).stabilizer_group.generators)
+                for built in (code, dual(code), twin):
+                    assert_views_are_canonical(built)
+
+
 # ---------------------------------------------------------------------------
 # duality
 
@@ -337,10 +351,6 @@ def test_unchecked_codes_pass_the_validating_constructor():
                     assert rebuilt == built
                     assert_views_are_canonical(built)
                 assert dual(twin) == code
-                # the twin's stabilizer, rebuilt as a code of its own
-                assert_views_are_canonical(
-                    from_generators(n, c, twin.stabilizer_group.generators)
-                )
 
 
 def test_dual_output_bytes_are_pinned():
