@@ -197,6 +197,9 @@ def test_from_generators_five_qubit():
         from_generators(
             5, 2, [PauliOperator.from_string(s) for s in FIVE_QUBIT_GENERATORS]
         )
+    for k in (-1, 6):
+        with pytest.raises(ValueError, match=f"^information qubit count k={k} out of range"):
+            from_generators(5, k, [])
 
 
 def test_from_generators_derives_valid_logical_pairs():
@@ -471,6 +474,16 @@ def test_registry_entry_validation():
         CodeRegistryEntry(4, 2, 2, 5, "literature")  # d > n
     with pytest.raises(ValueError):
         CodeRegistryEntry(4, 2, 2, 2, "rumor")
+    for n in (0, 65):
+        with pytest.raises(DimensionError, match=f"^qubit count must be in 1..64, got {n}$"):
+            CodeRegistryEntry(n, 1, 0, 1, "literature")
+    for k in (-1, 5):
+        with pytest.raises(StructureError, match=f"^k={k} out of range for n=4$"):
+            CodeRegistryEntry(4, k, 0, 1, "literature")
+    with pytest.raises(DimensionError, match="^registry generators act on the wrong"):
+        CodeRegistryEntry(2, 1, 1, 1, "construction", (PauliOperator.from_string("XXX"),))
+    with pytest.raises(ValueError, match=r"^\[\[4,2,2;2\]\] has no stored generators$"):
+        code_from_entry(CodeRegistryEntry(4, 2, 2, 2, "literature"))
 
 
 def test_registry_grid_coverage_and_known_entries():
@@ -544,26 +557,25 @@ def test_parse_code_text_comments_and_blank_lines():
 
 
 def test_parse_code_text_error_positions():
-    with pytest.raises(ParseError) as exc_info:
-        parse_code_text("2 1\nXXX")
-    assert exc_info.value.line == 2 and exc_info.value.column == 3
-
-    with pytest.raises(ParseError) as exc_info:
-        parse_code_text("3 1\nXX")
-    assert exc_info.value.line == 2 and exc_info.value.column == 3
-
-    with pytest.raises(ParseError) as exc_info:
-        parse_code_text("2 1\nXW")
-    assert exc_info.value.line == 2 and exc_info.value.column == 2
-
-    with pytest.raises(ParseError) as exc_info:
-        parse_code_text("two 1\nXX")
-    assert exc_info.value.line == 1
-
-    with pytest.raises(ParseError):
-        parse_code_text("2 3\nXX")  # k > n
-    with pytest.raises(ParseError):
-        parse_code_text("# nothing here\n")
+    cases = (  # text, line, column, message
+        ("2 1\nXXX", 2, 3, "generator has 3 characters, expected n=2"),
+        ("3 1\nXX", 2, 3, "generator has 2 characters, expected n=3"),
+        ("2 1\nXW", 2, 2, "invalid Pauli character 'W'"),
+        ("# c\n\n2 1  # h\nXZ\n\nZz\n", 6, 2, "invalid Pauli character 'z'"),
+        ("two 1\nXX", 1, None, "header must be two integers 'n k'"),
+        ("2 1 0\nXX", 1, None, "header must be two integers 'n k'"),
+        ("2 3\nXX", 1, None, "k must be in 0..n, got 3"),
+        ("2 -1\nXX", 1, None, "k must be in 0..n, got -1"),
+        ("\n0 0\n", 2, None, "n must be in 1..64, got 0"),
+        ("65 1\nXX", 1, None, "n must be in 1..64, got 65"),
+        ("65 99\n" + "X" * 65, 1, None, "n must be in 1..64, got 65"),
+        ("# nothing here\n", None, None, "no header line found"),
+    )
+    for text, line, column, message in cases:
+        with pytest.raises(ParseError) as exc_info:
+            parse_code_text(text)
+        assert (exc_info.value.line, exc_info.value.column) == (line, column), text
+        assert str(exc_info.value) == str(ParseError(message, line, column))
 
 
 def test_text_round_trip_is_canonical():
@@ -599,6 +611,21 @@ def test_parse_code_json_rejections():
         parse_code_json('{"n": 2, "k": 1, "generators": ["XXX"]}')
     with pytest.raises(ParseError):
         parse_code_json('{"n": 2, "k": 1, "generators": ["XX"], "logical_pairs": ["IX"]}')
+    for payload in (
+        '{"n": 2, "k": 1, "generators": [5]}',
+        '{"n": 2, "k": 1, "generators": ["XX"], "logical_pairs": [["IX", null]]}',
+        '{"n": 2, "k": 1, "generators": ["XW"]}',
+        '{"n": 2, "k": 1, "generators": [""]}',
+        '{"n": 2, "k": 1, "generators": ["XX"], "logical_pairs": [["IX", "IW"]]}',
+        '{"n": 2, "k": 1, "generators": ["XX"], "logical_pairs": [["IX", "I"]]}',
+        '{"n": 0, "k": 0, "generators": []}',
+        '{"n": 65, "k": 1, "generators": []}',
+        '{"n": 2, "k": 3, "generators": ["XX"]}',
+        '{"n": 2, "k": -1, "generators": ["XX"]}',
+    ):
+        with pytest.raises(ParseError) as exc_info:
+            parse_code_json(payload)
+        assert exc_info.value.line is None, payload
 
 
 @st.composite

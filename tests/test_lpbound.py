@@ -22,12 +22,14 @@ from eaqec import (
     lp_feasible,
     lp_feasible_general,
     lp_upper_bound,
+    min_distance,
+    weight_enumerator,
 )
 from eaqec import cli, lpbound
 from eaqec.errors import BudgetError
 from eaqec.lpbound import _general_rows, _maximal_rows, _solve_feasibility
 
-from conftest import krawtchouk_oracle
+from conftest import krawtchouk_oracle, random_code
 
 
 def solve(num_vars, equalities, floors):
@@ -605,6 +607,28 @@ def test_general_system_admits_known_codes():
     assert lp_feasible_general(7, 3, 2, 1)
 
 
+def test_real_codes_are_feasible_points():
+    # a code's own distributions at d = its distance satisfy its cell's rows
+    # exactly, in integers: no row may cut off a code that exists
+    rng = random.Random(7)
+    for n in range(2, 9):
+        for k in range(1, n):
+            for c in range(1, n - k + 1):
+                bound = lp_upper_bound(n, k, c)
+                for _ in range(3):
+                    code = random_code(rng, n, k, c)
+                    d = min_distance(code)
+                    norm = weight_enumerator(code.normalizer_group).coeffs
+                    if c == n - k:  # B_d..B_n
+                        point, (equalities, floors) = norm[d:], _maximal_rows(n, k, d)
+                    else:  # I_1..I_n, then M_d..M_n = N - I
+                        iso = weight_enumerator(code.isotropic_group).coeffs
+                        point = iso[1:] + tuple(x - y for x, y in zip(norm[d:], iso[d:]))
+                        equalities, floors = _general_rows(n, k, c, d)
+                    assert_satisfies(point, general_rows(equalities, floors))
+                    assert bound >= d, (n, k, c)
+
+
 def test_general_system_is_monotone_in_distance():
     verdicts = [lp_feasible_general(6, 2, 2, d) for d in range(1, 7)]
     assert verdicts == sorted(verdicts, reverse=True)
@@ -713,9 +737,20 @@ def test_table_rendering():
 
 
 def test_lower_bounds_never_exceed_upper_bounds():
-    table = build_table(6)
+    table = build_table(20)
     for cell in table.cells:
         assert 1 <= cell.lower <= cell.upper <= cell.n
+
+
+def test_lower_bound_closure_past_the_registry():
+    # the registry stops at n = 15, so every n = 16 lower bound comes from
+    # lengthening (15, k) or trading (16, k + 1), whichever is larger
+    table = build_table(16)
+    for k in range(1, 16):
+        cell = table.cell(16, k)
+        neighbours = [table.cell(15, k).lower, table.cell(16, k + 1).lower] if k < 15 else []
+        assert cell.lower == max(neighbours, default=1), k
+        assert cell.lower_source == ("extension" if cell.lower > 1 else "trivial"), k
 
 
 @settings(max_examples=25, deadline=None)

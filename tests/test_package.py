@@ -43,3 +43,13 @@ def test_bench_records_are_complete_and_consistent():
                 for q1, median, q3 in quartiles:
                     assert q1 <= median <= q3, where
             assert sides["parent"]["digests"] == sides["change"]["digests"], where
+
+
+def test_readme_library_quick_start_prints_what_its_comments_say(capsys):
+    """Runs the README's Python block and compares each ``print`` with the
+    value its trailing comment shows."""
+    block = (ROOT / "README.md").read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    shown = [line.rsplit("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    exec(block, {})
+    assert capsys.readouterr().out.splitlines() == shown
+    assert len(shown) == 4

@@ -102,6 +102,8 @@ def test_product_frozen():
 def test_product_dimension_mismatch():
     with pytest.raises(DimensionError):
         PauliOperator.from_string("X") * PauliOperator.from_string("XX")
+    with pytest.raises(DimensionError, match="^operands act on 1 and 2 qubits$"):
+        symplectic_product(PauliOperator.from_string("X"), PauliOperator.from_string("XX"))
 
 
 def test_weight_frozen():
@@ -168,6 +170,8 @@ def test_canonicalize_empty_needs_dimension():
     assert group.n == 3 and group.rank == 0 and group.order == 1
     with pytest.raises(DimensionError):
         canonicalize([])
+    with pytest.raises(DimensionError, match="^generator on 2 qubits, expected 3$"):
+        canonicalize([PauliOperator.from_string("XX")], 3)
 
 
 def test_group_reduces_the_rows_it_is_given():
@@ -216,6 +220,8 @@ def test_contains_matches_closure():
     assert hits == len(reference) == 16
     for op in reference:
         assert op in group
+    with pytest.raises(DimensionError, match="^operator on 4 qubits, group on 5$"):
+        PauliOperator.from_string("XXXX") in group
 
 
 # ---------------------------------------------------------------------------
