@@ -441,40 +441,46 @@ def code_from_entry(entry: CodeRegistryEntry) -> EaqecCode:
 # code file formats
 
 
+def _checked_generators(
+    n: int, k: int, rows: Iterable[tuple[int | None, object]], header: int | None = None
+) -> list[PauliOperator]:
+    """The operators of ``rows``, (line, Pauli string) pairs, under the
+    content rules both code file formats share: n in 1..MAX_QUBITS,
+    0 <= k <= n, and each generator a string of exactly n characters from
+    ``IXYZ``.  A :class:`ParseError` names the line (the header's for n and
+    k) and column where the text format has them; JSON passes no lines."""
+    if not 1 <= n <= MAX_QUBITS:
+        raise ParseError(f"n must be in 1..{MAX_QUBITS}, got {n}", header)
+    if not 0 <= k <= n:
+        raise ParseError(f"k must be in 0..n, got {k}", header)
+    ops = []
+    for line, s in rows:
+        if not isinstance(s, str):
+            raise ParseError(f"expected a Pauli string, got {s!r}", line)
+        if len(s) != n:
+            raise ParseError(
+                f"generator has {len(s)} characters, expected n={n}", line, min(len(s), n) + 1
+            )
+        for col, ch in enumerate(s, start=1):
+            if ch not in "IXYZ":
+                raise ParseError(f"invalid Pauli character {ch!r}", line, col)
+        ops.append(PauliOperator.from_string(s))
+    return ops
+
+
 def parse_code_text(text: str) -> tuple[int, int, tuple[PauliOperator, ...]]:
     """Parse the text code format: a header line ``n k``, then one Pauli
     string per line.  ``#`` starts a comment; blank lines are skipped."""
-    n = k = None
-    gens: list[PauliOperator] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if n is None:
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError("header must be two integers 'n k'", lineno)
-            try:
-                n, k = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError("header must be two integers 'n k'", lineno) from None
-            if not 1 <= n <= MAX_QUBITS:
-                raise ParseError(f"n must be in 1..{MAX_QUBITS}, got {n}", lineno)
-            if not 0 <= k <= n:
-                raise ParseError(f"k must be in 0..n, got {k}", lineno)
-            continue
-        if len(line) != n:
-            raise ParseError(
-                f"generator has {len(line)} characters, expected n={n}",
-                lineno, len(line) + 1 if len(line) < n else n + 1,
-            )
-        for col, ch in enumerate(line, start=1):
-            if ch not in "IXYZ":
-                raise ParseError(f"invalid Pauli character {ch!r}", lineno, col)
-        gens.append(PauliOperator.from_string(line))
-    if n is None:
+    stripped = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    rows = [(lineno, line) for lineno, line in enumerate(stripped, start=1) if line]
+    if not rows:
         raise ParseError("no header line found")
-    return n, k, tuple(gens)
+    header, line = rows[0]
+    try:
+        n, k = map(int, line.split())
+    except ValueError:  # not two fields, or not integers
+        raise ParseError("header must be two integers 'n k'", header) from None
+    return n, k, tuple(_checked_generators(n, k, rows[1:], header))
 
 
 def format_code_text(code: EaqecCode) -> str:
@@ -509,30 +515,16 @@ def parse_code_json(
             )
     if not isinstance(raw_gens, list):
         raise ParseError("'generators' must be a list of Pauli strings")
-
-    def _parse_op(s: object) -> PauliOperator:
-        if not isinstance(s, str):
-            raise ParseError(f"expected a Pauli string, got {s!r}")
-        try:
-            op = PauliOperator.from_string(s)
-        except DimensionError as exc:
-            raise ParseError(str(exc)) from None
-        if op.n != n:
-            raise ParseError(f"generator {s!r} has {op.n} characters, expected n={n}")
-        return op
-
-    gens = tuple(_parse_op(s) for s in raw_gens)
-    logical = None
-    if "logical_pairs" in obj and obj["logical_pairs"] is not None:
-        raw_pairs = obj["logical_pairs"]
-        if not isinstance(raw_pairs, list) or any(
-            not isinstance(p, list) or len(p) != 2 for p in raw_pairs
-        ):
-            raise ParseError("'logical_pairs' must be a list of [g, h] string pairs")
-        logical = tuple((_parse_op(g), _parse_op(h)) for g, h in raw_pairs)
-    if not 1 <= n <= MAX_QUBITS or not 0 <= k <= n:
-        raise ParseError(f"parameters out of range: n={n}, k={k}")
-    return n, k, gens, logical
+    gens = tuple(_checked_generators(n, k, ((None, s) for s in raw_gens)))
+    raw_pairs = obj.get("logical_pairs")
+    if raw_pairs is None:
+        return n, k, gens, None
+    if not isinstance(raw_pairs, list) or any(
+        not isinstance(p, list) or len(p) != 2 for p in raw_pairs
+    ):
+        raise ParseError("'logical_pairs' must be a list of [g, h] string pairs")
+    flat = _checked_generators(n, k, ((None, s) for pair in raw_pairs for s in pair))
+    return n, k, gens, tuple(zip(flat[::2], flat[1::2]))
 
 
 def code_to_json_dict(code: EaqecCode) -> dict:

@@ -58,6 +58,7 @@ from typing import Sequence
 from .codes import registry
 from .enumerator import _krawtchouk_table
 from .errors import BudgetError, EaqecError
+from .pauli import MAX_QUBITS
 
 Row = tuple[Sequence[int], int]
 
@@ -251,16 +252,26 @@ def _general_rows(n: int, k: int, c: int, d: int) -> tuple[list[Row], list[Row]]
 # feasibility, the bound walk and the overrides
 
 
+def _check_cell(n: int, k: int, c: int | None = None, d: int | None = None) -> None:
+    """Reject a cell outside 1 <= k < n <= MAX_QUBITS, and a c or d given
+    outside 0 < c <= n - k or 1 <= d <= n, with ``ValueError``."""
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    if n > MAX_QUBITS:
+        raise ValueError(f"need n <= {MAX_QUBITS}, got n={n}")
+    if c is not None and not 0 < c <= n - k:
+        raise ValueError(f"need 0 < c <= n - k, got c={c}")
+    if d is not None and not 1 <= d <= n:
+        raise ValueError(f"need 1 <= d <= n, got d={d}")
+
+
 def lp_feasible(n: int, k: int, d: int) -> bool:
     """Whether the rational relaxation for trial distance d has a solution
     (see :func:`_maximal_rows`).
 
     A False verdict proves no [[n, k, d; n-k]] code exists.
     """
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    if not 1 <= d <= n:
-        raise ValueError(f"need 1 <= d <= n, got d={d}")
+    _check_cell(n, k, d=d)
     return _solve_feasibility(n - d + 1, *_maximal_rows(n, k, d))[0] is not None
 
 
@@ -271,12 +282,7 @@ def lp_feasible_general(n: int, k: int, c: int, d: int) -> bool:
     At c = n - k the isotropic group is trivial and the system degenerates
     to :func:`lp_feasible`, which is used directly.
     """
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    if not 0 < c <= n - k:
-        raise ValueError(f"need 0 < c <= n - k, got c={c}")
-    if not 1 <= d <= n:
-        raise ValueError(f"need 1 <= d <= n, got d={d}")
+    _check_cell(n, k, c, d)
     if c == n - k:
         return lp_feasible(n, k, d)
     return _solve_feasibility(2 * n - d + 1, *_general_rows(n, k, c, d))[0] is not None
@@ -298,8 +304,7 @@ def lp_upper_bound(n: int, k: int, c: int | None = None, *, start: int = 1) -> i
     scan d = 1, 2, ...  It must be an int in 1..n (else ``ValueError``).
     ``c`` defaults to maximal entanglement n - k.
     """
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    _check_cell(n, k)
     if not isinstance(start, int) or not 1 <= start <= n:
         raise ValueError(f"need an int start with 1 <= start <= n, got start={start!r}, n={n}")
     if c is None:
@@ -446,6 +451,8 @@ def build_table(n_max: int) -> BoundsTable:
     """
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
+    if n_max > MAX_QUBITS:
+        raise ValueError(f"need n_max <= {MAX_QUBITS}, got {n_max}")
     lower = _registry_lower_bounds(n_max)
     cells = []
     above: list[int] = []  # the LP bounds of row n - 1, by k

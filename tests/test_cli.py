@@ -91,6 +91,23 @@ def test_lp_bound_trial_distance(capsys):
     assert code == 0 and out == "infeasible\n"
 
 
+def test_lp_work_stops_at_64_qubits(capsys):
+    for argv in (
+        ("lp-bound", "--n", "65", "--k", "1"),
+        ("lp-bound", "--n", "65", "--k", "1", "--d", "2"),
+        ("table", "--nmax", "65"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and "Traceback" not in err, argv
+    # 64 qubits still reach the solver; single trial distances stand in for
+    # the full walk, which takes about 20 s there on a 2-vCPU VM
+    assert run(capsys, "lp-bound", "--n", "64", "--k", "1", "--d", "64") == (0, "feasible\n", "")
+    assert run(capsys, "lp-bound", "--n", "64", "--k", "63", "--d", "64") == (
+        0, "infeasible\n", ""
+    )
+
+
 def test_extend_command(capsys):
     code, out, _ = run(
         capsys, "extend", "--n", "13", "--k", "3", "--c", "10", "--d", "9",

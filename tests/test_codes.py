@@ -550,6 +550,10 @@ def test_parse_code_text_examples():
     assert (n, k) == (5, 1)
     assert [str(g) for g in gens] == list(FIVE_QUBIT_GENERATORS)
 
+    # both readers take the largest n, and k = n
+    assert parse_code_text("64 64\n" + "X" * 64)[:2] == (64, 64)
+    assert parse_code_json(json.dumps({"n": 64, "k": 64, "generators": ["X" * 64]}))[:2] == (64, 64)
+
 
 def test_parse_code_text_comments_and_blank_lines():
     text = "# repetition-ish\n\n2 1  # header\nXX # gen\n\nZI\n"

@@ -414,6 +414,17 @@ def test_lp_instance_validation():
         lp_feasible(5, 2, 0)
     with pytest.raises(ValueError, match="need 1 <= d <= n"):
         lp_feasible(5, 2, 6)
+    # LP work stops where codes do, at 64 qubits
+    for call in (
+        lambda: lp_feasible(65, 1, 2),
+        lambda: lp_feasible_general(65, 1, 1, 2),
+        lambda: lp_upper_bound(65, 1),
+    ):
+        with pytest.raises(ValueError, match="^need n <= 64, got n=65$"):
+            call()
+    with pytest.raises(ValueError, match="^need n_max <= 64, got 65$"):
+        build_table(65)
+    assert lp_feasible(64, 1, 64)
 
 
 def test_lp_instance_solution_satisfies_rows():
