@@ -443,7 +443,7 @@ def code_from_entry(entry: CodeRegistryEntry) -> EaqecCode:
 
 def _checked_generators(
     n: int, k: int, rows: Iterable[tuple[int | None, object]], header: int | None = None
-) -> list[PauliOperator]:
+) -> tuple[PauliOperator, ...]:
     """The operators of ``rows``, (line, Pauli string) pairs, under the
     content rules both code file formats share: n in 1..MAX_QUBITS,
     0 <= k <= n, and each generator a string of exactly n characters from
@@ -465,7 +465,7 @@ def _checked_generators(
             if ch not in "IXYZ":
                 raise ParseError(f"invalid Pauli character {ch!r}", line, col)
         ops.append(PauliOperator.from_string(s))
-    return ops
+    return tuple(ops)
 
 
 def parse_code_text(text: str) -> tuple[int, int, tuple[PauliOperator, ...]]:
@@ -480,7 +480,7 @@ def parse_code_text(text: str) -> tuple[int, int, tuple[PauliOperator, ...]]:
         n, k = map(int, line.split())
     except ValueError:  # not two fields, or not integers
         raise ParseError("header must be two integers 'n k'", header) from None
-    return n, k, tuple(_checked_generators(n, k, rows[1:], header))
+    return n, k, _checked_generators(n, k, rows[1:], header)
 
 
 def format_code_text(code: EaqecCode) -> str:
@@ -515,7 +515,7 @@ def parse_code_json(
             )
     if not isinstance(raw_gens, list):
         raise ParseError("'generators' must be a list of Pauli strings")
-    gens = tuple(_checked_generators(n, k, ((None, s) for s in raw_gens)))
+    gens = _checked_generators(n, k, ((None, s) for s in raw_gens))
     raw_pairs = obj.get("logical_pairs")
     if raw_pairs is None:
         return n, k, gens, None

@@ -632,6 +632,17 @@ def test_parse_code_json_rejections():
         assert exc_info.value.line is None, payload
 
 
+def test_both_readers_share_the_content_rules():
+    # JSON gives the text reader's message without a position, and checks n
+    # and k before the generators
+    for text in ("2 1\nXXX", "3 1\nXX", "2 1\nXW", "2 3\nXXX", "0 0", "65 1"):
+        with pytest.raises(ParseError) as from_text:
+            parse_code_text(text)
+        with pytest.raises(ParseError) as from_json:
+            parse_code_json(_code_json(text))
+        assert str(from_json.value) == str(from_text.value).split(": ", 1)[1], text
+
+
 @st.composite
 def _code_text(draw):
     """Text-format input with a well-formed header and Pauli lines, which
