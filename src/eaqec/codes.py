@@ -44,6 +44,7 @@ from .pauli import (
     MAX_QUBITS,
     PauliGroup,
     PauliOperator,
+    _check_qubit_count,
     canonicalize,
     orthogonal_group,
     symplectic_gram_schmidt,
@@ -86,8 +87,7 @@ class EaqecCode:
 
     def __post_init__(self) -> None:
         n, k, c = self.n, self.k, self.c
-        if not 1 <= n <= MAX_QUBITS:
-            raise DimensionError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
+        _check_qubit_count(n)
         s = len(self.isotropic_gens)
         if k + c + s != n:
             raise StructureError(
@@ -281,8 +281,7 @@ class CodeRegistryEntry:
     generators: tuple[PauliOperator, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise DimensionError(f"qubit count must be in 1..{MAX_QUBITS}, got {self.n}")
+        _check_qubit_count(self.n)
         if not 0 <= self.k <= self.n:
             raise StructureError(f"k={self.k} out of range for n={self.n}")
         if self.k == 0:
@@ -442,28 +441,33 @@ def code_from_entry(entry: CodeRegistryEntry) -> EaqecCode:
 
 
 def _checked_generators(
-    n: int, k: int, rows: Iterable[tuple[int | None, object]], header: int | None = None
+    n: int, k: int, rows: Iterable[tuple[int | str, object]], header: int | None = None
 ) -> tuple[PauliOperator, ...]:
-    """The operators of ``rows``, (line, Pauli string) pairs, under the
+    """The operators of ``rows``, (where, Pauli string) pairs, under the
     content rules both code file formats share: n in 1..MAX_QUBITS,
     0 <= k <= n, and each generator a string of exactly n characters from
-    ``IXYZ``.  A :class:`ParseError` names the line (the header's for n and
-    k) and column where the text format has them; JSON passes no lines."""
+    ``IXYZ``.  ``where`` is the text format's line number, and a
+    :class:`ParseError` names it and the column (the header's line for n
+    and k); for JSON it is the entry's path, such as ``generators[1]``,
+    which prefixes the message."""
     if not 1 <= n <= MAX_QUBITS:
         raise ParseError(f"n must be in 1..{MAX_QUBITS}, got {n}", header)
     if not 0 <= k <= n:
         raise ParseError(f"k must be in 0..n, got {k}", header)
     ops = []
-    for line, s in rows:
+    for where, s in rows:
+        line, entry = (None, f"{where}: ") if isinstance(where, str) else (where, "")
         if not isinstance(s, str):
-            raise ParseError(f"expected a Pauli string, got {s!r}", line)
+            raise ParseError(f"{entry}expected a Pauli string, got {s!r}", line)
         if len(s) != n:
             raise ParseError(
-                f"generator has {len(s)} characters, expected n={n}", line, min(len(s), n) + 1
+                f"{entry}generator has {len(s)} characters, expected n={n}",
+                line,
+                min(len(s), n) + 1,
             )
         for col, ch in enumerate(s, start=1):
             if ch not in "IXYZ":
-                raise ParseError(f"invalid Pauli character {ch!r}", line, col)
+                raise ParseError(f"{entry}invalid Pauli character {ch!r}", line, col)
         ops.append(PauliOperator.from_string(s))
     return tuple(ops)
 
@@ -515,7 +519,7 @@ def parse_code_json(
             )
     if not isinstance(raw_gens, list):
         raise ParseError("'generators' must be a list of Pauli strings")
-    gens = _checked_generators(n, k, ((None, s) for s in raw_gens))
+    gens = _checked_generators(n, k, ((f"generators[{i}]", s) for i, s in enumerate(raw_gens)))
     raw_pairs = obj.get("logical_pairs")
     if raw_pairs is None:
         return n, k, gens, None
@@ -523,7 +527,15 @@ def parse_code_json(
         not isinstance(p, list) or len(p) != 2 for p in raw_pairs
     ):
         raise ParseError("'logical_pairs' must be a list of [g, h] string pairs")
-    flat = _checked_generators(n, k, ((None, s) for pair in raw_pairs for s in pair))
+    flat = _checked_generators(
+        n,
+        k,
+        (
+            (f"logical_pairs[{i}][{j}]", s)
+            for i, pair in enumerate(raw_pairs)
+            for j, s in enumerate(pair)
+        ),
+    )
     return n, k, gens, tuple(zip(flat[::2], flat[1::2]))
 
 

@@ -14,9 +14,19 @@ weight below d lies in S_I, so a code of distance d has N_w = I_w for
 distance d, no such code exists; the smallest infeasible d minus one is an
 upper bound on the achievable distance.  Raising d only fixes more variables
 at 0, so feasibility is monotone in d and a feasible d with an infeasible
-d + 1 settles the bound.  :func:`lp_upper_bound` walks to such a pair from a
-starting guess, and :func:`build_table` guesses each cell from its
-neighbour, which settles every cell of n <= 20 in one or two solves.
+d + 1 settles the bound.  :func:`_walk` solves its way to such a pair.
+
+No solve is made where a proof already gives the verdict.  d = 1 is always
+feasible, by the trivial code (:func:`lp_feasible`).  At maximal
+entanglement a cell's bound lies between two neighbours',
+bound(n - 1, k) <= bound(n, k) <= bound(n, k - 1): a point of (n - 1, k, d)
+padded with B_n = 0 is a point of (n, k, d) (lengthening), and a point of
+(n, k, d) scaled by (4^(k-1) - 1) / (4^k - 1) is a point of (n, k - 1, d)
+(trading), as :func:`build_table` proves.  These are the extension rules of
+Brun, Devetak & Hsieh (Science 314, 2006) and Lai & Brun (PRA 88, 012320,
+2013), read on the LP's points.  :func:`lp_upper_bound` walks from a guess
+with nothing known, and :func:`build_table` inside that bracket, which
+settles every cell of n <= 20 in one or two solves and a closed one in none.
 
 The systems are posed on the complement side, where the distance condition
 removes variables instead of adding rows.  Leading coefficients are 1 and
@@ -269,9 +279,21 @@ def lp_feasible(n: int, k: int, d: int) -> bool:
     """Whether the rational relaxation for trial distance d has a solution
     (see :func:`_maximal_rows`).
 
-    A False verdict proves no [[n, k, d; n-k]] code exists.
+    A False verdict proves no [[n, k, d; n-k]] code exists.  At d = 1 the
+    verdict is True without a solve.
+
+    Proof that d = 1 is feasible.  The trivial [[n, k, 1; c]] code exists
+    for every 1 <= k < n and 0 < c <= n - k: k bare qubits, c qubits each
+    sharing an ebit, stabilized by X and Z, and s = n - k - c qubits
+    stabilized by Z.  A code's own distributions satisfy its cell's rows at
+    d = its distance, as the rows are MacWilliams identities and
+    nonnegativity (``test_real_codes_are_feasible_points`` checks this on
+    random codes), and d = 1 fixes no variable, so they are a point of the
+    d = 1 system.
     """
     _check_cell(n, k, d=d)
+    if d == 1:
+        return True
     return _solve_feasibility(n - d + 1, *_maximal_rows(n, k, d))[0] is not None
 
 
@@ -280,23 +302,44 @@ def lp_feasible_general(n: int, k: int, c: int, d: int) -> bool:
     normalizer distributions (see :func:`_general_rows`).
 
     At c = n - k the isotropic group is trivial and the system degenerates
-    to :func:`lp_feasible`, which is used directly.
+    to :func:`lp_feasible`, which is used directly.  At d = 1 the verdict
+    is True without a solve, by the trivial code of :func:`lp_feasible`,
+    which exists for every such c.
     """
     _check_cell(n, k, c, d)
+    if d == 1:
+        return True
     if c == n - k:
         return lp_feasible(n, k, d)
     return _solve_feasibility(2 * n - d + 1, *_general_rows(n, k, c, d))[0] is not None
 
 
+def _walk(n: int, k: int, c: int, feasible: int, infeasible: int, d: int) -> int:
+    """The LP bound of a cell, given a trial distance ``feasible`` known to
+    be feasible (0 for none), a larger ``infeasible`` known to be infeasible
+    (n + 1 for none), and a first trial d between them.
+
+    Feasibility is monotone in d, since the d + 1 system is the d system
+    with one more variable fixed at 0, so a feasible d and an infeasible
+    d + 1 settle the bound.  The walk solves with
+    :func:`lp_feasible_general` at d, then steps up while the trial
+    distance stays feasible, or down while it does not, until the bracket
+    closes.  A bracket given closed takes no solve.
+    """
+    while infeasible - feasible > 1:
+        if lp_feasible_general(n, k, c, d):
+            feasible, d = d, d + 1
+        else:
+            infeasible, d = d, d - 1
+    return feasible
+
+
 def lp_upper_bound(n: int, k: int, c: int | None = None, *, start: int = 1) -> int:
     """Largest d not excluded: the smallest infeasible trial distance minus 1.
 
-    Feasibility is monotone in d, since the d + 1 system is the d system with
-    one more variable fixed at 0, so a feasible d and an infeasible d + 1
-    settle the bound.  The walk solves with :func:`lp_feasible_general` at
-    ``start``, then steps up while the trial distance stays feasible, or down
-    while it does not, until it holds such a pair.  It returns n if every
-    trial distance up to n is feasible, and 0 if d = 1 is not.
+    The walk of :func:`_walk` starts at ``start`` with nothing known, and
+    returns n if every trial distance up to n is feasible.  d = 1 always
+    is (see :func:`lp_feasible`), so the bound is at least 1.
 
     ``start`` is a guess at the bound, such as a neighbouring cell's: a good
     one settles the cell in two solves, a wrong one costs a step per unit of
@@ -309,15 +352,7 @@ def lp_upper_bound(n: int, k: int, c: int | None = None, *, start: int = 1) -> i
         raise ValueError(f"need an int start with 1 <= start <= n, got start={start!r}, n={n}")
     if c is None:
         c = n - k
-    # the largest d known feasible and the smallest known infeasible
-    feasible, infeasible = 0, n + 1
-    d = start
-    while infeasible - feasible > 1:
-        if lp_feasible_general(n, k, c, d):
-            feasible, d = d, d + 1
-        else:
-            infeasible, d = d, d - 1
-    return feasible
+    return _walk(n, k, c, 0, n + 1, start)
 
 
 def apply_overrides(n: int, k: int, lp_bound: int) -> int:
@@ -440,14 +475,31 @@ def _registry_lower_bounds(n_max: int) -> dict[tuple[int, int], tuple[int, str]]
 def build_table(n_max: int) -> BoundsTable:
     """Assemble the bounds grid for all cells 1 <= k < n <= n_max.
 
-    Upper bounds: one :func:`lp_upper_bound` walk per cell, capped by
+    Upper bounds: one :func:`_walk` per cell, capped by
     :func:`apply_overrides`.  A walk that never hits infeasibility proves
-    nothing, so its d <= n result is tagged trivial.  Each walk starts from a
-    neighbour's LP bound: bound(n - 1, k) + 1 for k <= n - 2, and
-    bound(n, n - 2) for k = n - 1.  The guess sets only where the walk
-    starts, and every cell of n <= 20 then takes one or two solves.  Lower
-    bounds: the registry closed under the extension rules, defaulting to the
-    always-achievable d = 1.
+    nothing, so its d <= n result is tagged trivial.  Each walk starts
+    inside the bracket bound(n - 1, k) <= bound(n, k) <= bound(n, k - 1) of
+    the two LP bounds already found, at bound(n - 1, k) + 1, or at
+    bound(n, n - 2) for k = n - 1, which has no (n - 1, k) cell.  Every cell
+    of n <= 20 then takes one or two solves, and a closed bracket none.
+    Lower bounds: the registry closed under the extension rules, defaulting
+    to the always-achievable d = 1.
+
+    Proof of the two lifts, on the maximal-entanglement rows of
+    :func:`_maximal_rows`, where 4^k A_w = K_w(0) + sum_w' K_w(w') B_w' must
+    be nonnegative and sum B_w = 4^k - 1.
+
+    - Lengthening.  Pad a point B of (n - 1, k, d) with B_n = 0.  The sum is
+      unchanged, and adding a qubit outside every support splits the
+      Krawtchouk values as K_w(w'; n) = K_w(w'; n - 1) + 3 K_(w-1)(w'; n - 1),
+      so the padded point has 4^k A'_w = 4^k (A_w + 3 A_(w-1)) >= 0.  So
+      every d feasible at (n - 1, k) is feasible at (n, k).
+    - Trading.  Scale a point B of (n, k, d) by
+      lambda = (4^(k-1) - 1) / (4^k - 1), in [0, 1).  The sum becomes
+      4^(k-1) - 1, and 4^(k-1) A'_w = (1 - lambda) K_w(0) + lambda 4^k A_w
+      >= 0, since K_w(0) = 3^w C(n, w).  So every d feasible at (n, k) is
+      feasible at (n, k - 1), and bound(n, k - 1) + 1 is infeasible at
+      (n, k).
     """
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
@@ -459,11 +511,11 @@ def build_table(n_max: int) -> BoundsTable:
     for n in range(2, n_max + 1):
         row: list[int] = []
         for k in range(1, n):
-            if k < n - 1:
-                start = above[k - 1] + 1
-            else:
-                start = row[-1] if row else 1  # n = 2 has no neighbour
-            lp = lp_upper_bound(n, k, start=start)
+            # bound(n - 1, k) is feasible here and bound(n, k - 1) + 1 is not
+            feasible = above[k - 1] if k < n - 1 else 0
+            infeasible = row[-1] + 1 if row else n + 1
+            start = feasible + 1 if feasible else infeasible - 1
+            lp = _walk(n, k, n - k, feasible, infeasible, start)
             row.append(lp)
             upper = apply_overrides(n, k, lp)
             if upper < lp:

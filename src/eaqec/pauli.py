@@ -34,6 +34,12 @@ _CHAR_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_CHAR = {v: k for k, v in _CHAR_TO_BITS.items()}
 
 
+def _check_qubit_count(n: int) -> None:
+    """Reject a qubit count outside 1..MAX_QUBITS with ``DimensionError``."""
+    if not 1 <= n <= MAX_QUBITS:
+        raise DimensionError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
+
+
 @dataclass(frozen=True)
 class PauliOperator:
     """A phase-free Pauli operator on ``n`` qubits.
@@ -47,8 +53,7 @@ class PauliOperator:
     v: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise DimensionError(f"qubit count must be in 1..{MAX_QUBITS}, got {self.n}")
+        _check_qubit_count(self.n)
         mask = (1 << self.n) - 1
         if not 0 <= self.u <= mask or not 0 <= self.v <= mask:
             raise DimensionError(f"bit vectors out of range for n={self.n}")
@@ -181,8 +186,7 @@ class PauliGroup:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise DimensionError(f"qubit count must be in 1..{MAX_QUBITS}, got {self.n}")
+        _check_qubit_count(self.n)
         rows = tuple(self.rows)
         limit = 1 << (2 * self.n)
         for row in rows:

@@ -101,7 +101,9 @@ def test_lp_work_stops_at_64_qubits(capsys):
         assert code == 2 and out == "", argv
         assert err.startswith("error:") and "Traceback" not in err, argv
     # 64 qubits still reach the solver; single trial distances stand in for
-    # the full walk, which takes about 20 s there on a 2-vCPU VM
+    # the full walk, which takes about 17 s there on a 2-vCPU VM.  d = 1 is
+    # settled by the trivial code, with no solve
+    assert run(capsys, "lp-bound", "--n", "64", "--k", "63", "--d", "1") == (0, "feasible\n", "")
     assert run(capsys, "lp-bound", "--n", "64", "--k", "1", "--d", "64") == (0, "feasible\n", "")
     assert run(capsys, "lp-bound", "--n", "64", "--k", "63", "--d", "64") == (
         0, "infeasible\n", ""

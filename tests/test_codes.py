@@ -633,14 +633,25 @@ def test_parse_code_json_rejections():
 
 
 def test_both_readers_share_the_content_rules():
-    # JSON gives the text reader's message without a position, and checks n
-    # and k before the generators
-    for text in ("2 1\nXXX", "3 1\nXX", "2 1\nXW", "2 3\nXXX", "0 0", "65 1"):
+    # JSON gives the text reader's message without a line, after the path of
+    # the generator at fault, and checks n and k before the generators
+    for text, entry in (
+        ("2 1\nXXX", "generators[0]: "),
+        ("3 1\nZZZ\nXX", "generators[1]: "),
+        ("2 1\nXW", "generators[0]: "),
+        ("2 3\nXXX", ""),
+        ("0 0", ""),
+        ("65 1", ""),
+    ):
         with pytest.raises(ParseError) as from_text:
             parse_code_text(text)
         with pytest.raises(ParseError) as from_json:
             parse_code_json(_code_json(text))
-        assert str(from_json.value) == str(from_text.value).split(": ", 1)[1], text
+        assert str(from_json.value) == entry + str(from_text.value).split(": ", 1)[1], text
+    payload = {"n": 2, "k": 1, "generators": ["XX"], "logical_pairs": [["IX", "IW"]]}
+    with pytest.raises(ParseError) as exc_info:
+        parse_code_json(json.dumps(payload))
+    assert str(exc_info.value) == "logical_pairs[0][1]: invalid Pauli character 'W'"
 
 
 @st.composite

@@ -383,10 +383,24 @@ def test_solver_matches_fraction_reference_on_every_scan_solve(monkeypatch):
             lp_upper_bound(n, k)
             for c in range(1, n - k) if n <= 5 else ():
                 lp_upper_bound(n, k, c)
-    # the unseeded scans, solve for solve and pivot for pivot
-    assert (len(solves), sum(pivots)) == (206, 657)
+    # the unseeded scans, solve for solve and pivot for pivot; d = 1 is
+    # settled by proof, so each scan starts solving at d = 2
+    assert (len(solves), sum(pivots)) == (160, 472)
     for num_vars, rows, point in solves:
         assert point == fraction_simplex(num_vars, rows)
+
+
+def test_solver_matches_fraction_reference_at_distance_one():
+    # the scans no longer solve the d = 1 systems, so they are solved here
+    # for the same cells: both simplexes reach the same feasible point
+    for n in range(2, 10):
+        for k in range(1, n):
+            systems = [(n, _maximal_rows(n, k, 1))]
+            systems += [(2 * n, _general_rows(n, k, c, 1)) for c in range(1, n - k) if n <= 5]
+            for num_vars, (equalities, floors) in systems:
+                point = solve(num_vars, equalities, floors)
+                assert point is not None, (n, k)
+                assert point == fraction_simplex(num_vars, general_rows(equalities, floors))
 
 
 def test_simplex_iteration_cap_boundary(monkeypatch):
@@ -495,21 +509,60 @@ def test_walk_start_must_be_an_int_from_one_to_n(capsys):
 def test_build_table_settles_each_cell_in_two_solves(monkeypatch):
     solves = _count_pivots(monkeypatch)
     per_cell = {}
-    upper_bound = lpbound.lp_upper_bound
+    walk = lpbound._walk
 
-    def counting_bound(n, k, *args, **kwargs):
+    def counting_walk(n, k, *args):
         before = len(solves)
-        bound = upper_bound(n, k, *args, **kwargs)
+        bound = walk(n, k, *args)
         assert (n, k) not in per_cell
         per_cell[(n, k)] = len(solves) - before
         return bound
 
-    monkeypatch.setattr(lpbound, "lp_upper_bound", counting_bound)
+    monkeypatch.setattr(lpbound, "_walk", counting_walk)
     table = build_table(9)
-    # one walk per cell, of at most two solves; the ascending scan took 167
+    # one walk per cell, of at most two solves; the ascending scan took 167,
+    # and starting from the lengthened neighbour alone 65 over 215 pivots
     assert sorted(per_cell) == [(c.n, c.k) for c in table.cells]
     assert max(per_cell.values()) <= 2
-    assert (len(solves), sum(solves)) == (65, 215)
+    assert (len(solves), sum(solves)) == (53, 164)
+
+
+def test_lengthening_and_trading_lift_feasible_points():
+    # each of the 307 feasible points with n <= 12, padded with
+    # B_(n+1) = 0, satisfies the (n + 1, k, d) rows, and scaled by
+    # lambda = (4^(k-1) - 1) / (4^k - 1) the (n, k - 1, d) rows, checked
+    # exactly by substitution
+    lifted = 0
+    for n in range(2, 13):
+        for k in range(1, n):
+            for d in range(1, n + 1):
+                point = solve(n - d + 1, *_maximal_rows(n, k, d))
+                if point is None:
+                    break
+                assert_satisfies(point + [0], general_rows(*_maximal_rows(n + 1, k, d)))
+                lifted += 1
+                if k > 1:
+                    scale = Fraction(4 ** (k - 1) - 1, 4**k - 1)
+                    traded = [scale * x for x in point]
+                    assert_satisfies(traded, general_rows(*_maximal_rows(n, k - 1, d)))
+    assert lifted == 307
+
+
+def test_build_table_brackets_are_never_empty(monkeypatch):
+    # bound(n - 1, k), feasible here by lengthening, never exceeds
+    # bound(n, k - 1), which caps this cell by trading
+    brackets = []
+    walk = lpbound._walk
+
+    def recording_walk(n, k, c, feasible, infeasible, d):
+        brackets.append((n, k, feasible, infeasible))
+        return walk(n, k, c, feasible, infeasible, d)
+
+    monkeypatch.setattr(lpbound, "_walk", recording_walk)
+    build_table(20)
+    assert len(brackets) == 190
+    for n, k, feasible, infeasible in brackets:
+        assert feasible <= infeasible - 1, (n, k)
 
 
 def test_apply_overrides():
