@@ -383,16 +383,10 @@ def test_solver_matches_fraction_reference_on_every_scan_solve(monkeypatch):
             lp_upper_bound(n, k)
             for c in range(1, n - k) if n <= 5 else ():
                 lp_upper_bound(n, k, c)
-    # the unseeded scans, solve for solve and pivot for pivot; d = 1 is
-    # settled by proof, so each scan starts solving at d = 2
+    # the unseeded scans, solve for solve and pivot for pivot
     assert (len(solves), sum(pivots)) == (160, 472)
-    for num_vars, rows, point in solves:
-        assert point == fraction_simplex(num_vars, rows)
-
-
-def test_solver_matches_fraction_reference_at_distance_one():
-    # the scans no longer solve the d = 1 systems, so they are solved here
-    # for the same cells: both simplexes reach the same feasible point
+    # d = 1 is settled by proof, so its systems are solved here for the same
+    # cells, to keep their oracle
     for n in range(2, 10):
         for k in range(1, n):
             systems = [(n, _maximal_rows(n, k, 1))]
@@ -400,7 +394,9 @@ def test_solver_matches_fraction_reference_at_distance_one():
             for num_vars, (equalities, floors) in systems:
                 point = solve(num_vars, equalities, floors)
                 assert point is not None, (n, k)
-                assert point == fraction_simplex(num_vars, general_rows(equalities, floors))
+                solves.append((num_vars, general_rows(equalities, floors), point))
+    for num_vars, rows, point in solves:
+        assert point == fraction_simplex(num_vars, rows)
 
 
 def test_simplex_iteration_cap_boundary(monkeypatch):
@@ -520,14 +516,13 @@ def test_build_table_settles_each_cell_in_two_solves(monkeypatch):
 
     monkeypatch.setattr(lpbound, "_walk", counting_walk)
     table = build_table(9)
-    # one walk per cell, of at most two solves; the ascending scan took 167,
-    # and starting from the lengthened neighbour alone 65 over 215 pivots
+    # one walk per cell, of at most two solves; the ascending scan took 167
     assert sorted(per_cell) == [(c.n, c.k) for c in table.cells]
     assert max(per_cell.values()) <= 2
     assert (len(solves), sum(solves)) == (53, 164)
 
 
-def test_lengthening_and_trading_lift_feasible_points():
+def test_lengthening_and_trading_lift_feasible_points(monkeypatch):
     # each of the 307 feasible points with n <= 12, padded with
     # B_(n+1) = 0, satisfies the (n + 1, k, d) rows, and scaled by
     # lambda = (4^(k-1) - 1) / (4^k - 1) the (n, k - 1, d) rows, checked
@@ -546,11 +541,8 @@ def test_lengthening_and_trading_lift_feasible_points():
                     traded = [scale * x for x in point]
                     assert_satisfies(traded, general_rows(*_maximal_rows(n, k - 1, d)))
     assert lifted == 307
-
-
-def test_build_table_brackets_are_never_empty(monkeypatch):
-    # bound(n - 1, k), feasible here by lengthening, never exceeds
-    # bound(n, k - 1), which caps this cell by trading
+    # so in the table, bound(n - 1, k), feasible at (n, k) by lengthening,
+    # never exceeds bound(n, k - 1), which caps (n, k) by trading
     brackets = []
     walk = lpbound._walk
 
