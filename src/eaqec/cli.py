@@ -50,9 +50,10 @@ def _read_input(path: str) -> bytes:
 
 
 def _load_code(path: str) -> EaqecCode:
-    """Parse a code file, auto-detecting the JSON and text formats."""
+    """Parse a code file, auto-detecting the JSON and text formats; a
+    leading UTF-8 byte-order mark is dropped."""
     try:
-        text = _read_input(path).decode("utf-8")
+        text = _read_input(path).decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not valid UTF-8 ({exc})") from None
     if text.lstrip().startswith("{"):

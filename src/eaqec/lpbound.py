@@ -13,20 +13,21 @@ weight below d lies in S_I, so a code of distance d has N_w = I_w for
 1 <= w < d.  If no nonnegative real distributions satisfy that for a trial
 distance d, no such code exists; the smallest infeasible d minus one is an
 upper bound on the achievable distance.  Raising d only fixes more variables
-at 0, so feasibility is monotone in d and a feasible d with an infeasible
-d + 1 settles the bound.  :func:`_walk` solves its way to such a pair.
+at 0, so feasibility is monotone in d, and :func:`_walk` climbs from a
+trial distance proved feasible until the next one is not.
 
 No solve is made where a proof already gives the verdict.  d = 1 is always
-feasible, by the trivial code (:func:`lp_feasible`).  At maximal
-entanglement a cell's bound lies between two neighbours',
-bound(n - 1, k) <= bound(n, k) <= bound(n, k - 1): a point of (n - 1, k, d)
-padded with B_n = 0 is a point of (n, k, d) (lengthening), and a point of
-(n, k, d) scaled by (4^(k-1) - 1) / (4^k - 1) is a point of (n, k - 1, d)
-(trading), as :func:`build_table` proves.  These are the extension rules of
-Brun, Devetak & Hsieh (Science 314, 2006) and Lai & Brun (PRA 88, 012320,
-2013), read on the LP's points.  :func:`lp_upper_bound` walks from a guess
-with nothing known, and :func:`build_table` inside that bracket, which
-settles every cell of n <= 20 in one or two solves and a closed one in none.
+feasible, by the trivial code (:func:`lp_feasible_general`), so every walk
+has a floor of at least 1.  At maximal entanglement a cell's bound lies
+between two neighbours', bound(n - 1, k) <= bound(n, k) <= bound(n, k - 1):
+a point of (n - 1, k, d) padded with B_n = 0 is a point of (n, k, d)
+(lengthening), and a point of (n, k, d) scaled by
+(4^(k-1) - 1) / (4^k - 1) is a point of (n, k - 1, d) (trading), as
+:func:`build_table` proves.  These are the extension rules of Brun, Devetak
+& Hsieh (Science 314, 2006) and Lai & Brun (PRA 88, 012320, 2013), read on
+the LP's points.  :func:`lp_upper_bound` climbs from the floor 1 with no
+ceiling, and :func:`build_table` inside that bracket, which settles every
+cell of n <= 20 in one or two solves and a closed one in none.
 
 The systems are posed on the complement side, where the distance condition
 removes variables instead of adding rows.  Leading coefficients are 1 and
@@ -262,24 +263,24 @@ def _general_rows(n: int, k: int, c: int, d: int) -> tuple[list[Row], list[Row]]
 # feasibility, the bound walk and the overrides
 
 
-def _check_cell(n: int, k: int, c: int | None = None, d: int | None = None) -> None:
-    """Reject a cell outside 1 <= k < n <= MAX_QUBITS, and a c or d given
-    outside 0 < c <= n - k or 1 <= d <= n, with ``ValueError``."""
+def _check_cell(n: int, k: int, c: int, d: int | None = None) -> None:
+    """Reject a cell outside 1 <= k < n <= MAX_QUBITS and 0 < c <= n - k,
+    and a d given outside 1 <= d <= n, with ``ValueError``."""
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     if n > MAX_QUBITS:
         raise ValueError(f"need n <= {MAX_QUBITS}, got n={n}")
-    if c is not None and not 0 < c <= n - k:
+    if not 0 < c <= n - k:
         raise ValueError(f"need 0 < c <= n - k, got c={c}")
     if d is not None and not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d={d}")
 
 
-def lp_feasible(n: int, k: int, d: int) -> bool:
-    """Whether the rational relaxation for trial distance d has a solution
-    (see :func:`_maximal_rows`).
+def lp_feasible_general(n: int, k: int, c: int, d: int) -> bool:
+    """Whether the rational relaxation for trial distance d has a solution:
+    :func:`_maximal_rows` at c = n - k, :func:`_general_rows` below it.
 
-    A False verdict proves no [[n, k, d; n-k]] code exists.  At d = 1 the
+    A False verdict proves no [[n, k, d; c]] code exists.  At d = 1 the
     verdict is True without a solve.
 
     Proof that d = 1 is feasible.  The trivial [[n, k, 1; c]] code exists
@@ -291,68 +292,48 @@ def lp_feasible(n: int, k: int, d: int) -> bool:
     random codes), and d = 1 fixes no variable, so they are a point of the
     d = 1 system.
     """
-    _check_cell(n, k, d=d)
-    if d == 1:
-        return True
-    return _solve_feasibility(n - d + 1, *_maximal_rows(n, k, d))[0] is not None
-
-
-def lp_feasible_general(n: int, k: int, c: int, d: int) -> bool:
-    """Feasibility for partial entanglement, over the isotropic and
-    normalizer distributions (see :func:`_general_rows`).
-
-    At c = n - k the isotropic group is trivial and the system degenerates
-    to :func:`lp_feasible`, which is used directly.  At d = 1 the verdict
-    is True without a solve, by the trivial code of :func:`lp_feasible`,
-    which exists for every such c.
-    """
     _check_cell(n, k, c, d)
     if d == 1:
         return True
     if c == n - k:
-        return lp_feasible(n, k, d)
+        return _solve_feasibility(n - d + 1, *_maximal_rows(n, k, d))[0] is not None
     return _solve_feasibility(2 * n - d + 1, *_general_rows(n, k, c, d))[0] is not None
 
 
-def _walk(n: int, k: int, c: int, feasible: int, infeasible: int, d: int) -> int:
-    """The LP bound of a cell, given a trial distance ``feasible`` known to
-    be feasible (0 for none), a larger ``infeasible`` known to be infeasible
-    (n + 1 for none), and a first trial d between them.
+def lp_feasible(n: int, k: int, d: int) -> bool:
+    """:func:`lp_feasible_general` at maximal entanglement, c = n - k."""
+    return lp_feasible_general(n, k, n - k, d)
+
+
+def _walk(n: int, k: int, c: int, feasible: int, infeasible: int) -> int:
+    """The LP bound of a cell, given a trial distance ``feasible`` >= 1
+    proved feasible and a larger ``infeasible`` known to be infeasible
+    (n + 1 for none).
 
     Feasibility is monotone in d, since the d + 1 system is the d system
-    with one more variable fixed at 0, so a feasible d and an infeasible
-    d + 1 settle the bound.  The walk solves with
-    :func:`lp_feasible_general` at d, then steps up while the trial
-    distance stays feasible, or down while it does not, until the bracket
-    closes.  A bracket given closed takes no solve.
+    with one more variable fixed at 0.  The walk climbs from feasible + 1
+    with :func:`lp_feasible_general` until a trial distance is infeasible
+    or reaches ``infeasible``; the one below it is the bound.  A bracket
+    given closed takes no solve.
     """
-    while infeasible - feasible > 1:
-        if lp_feasible_general(n, k, c, d):
-            feasible, d = d, d + 1
-        else:
-            infeasible, d = d, d - 1
-    return feasible
+    d = feasible + 1
+    while d < infeasible and lp_feasible_general(n, k, c, d):
+        d += 1
+    return d - 1
 
 
-def lp_upper_bound(n: int, k: int, c: int | None = None, *, start: int = 1) -> int:
-    """Largest d not excluded: the smallest infeasible trial distance minus 1.
+def lp_upper_bound(n: int, k: int, c: int | None = None) -> int:
+    """Largest d not excluded: the smallest infeasible trial distance minus 1,
+    or n if every trial distance up to n is feasible.
 
-    The walk of :func:`_walk` starts at ``start`` with nothing known, and
-    returns n if every trial distance up to n is feasible.  d = 1 always
-    is (see :func:`lp_feasible`), so the bound is at least 1.
-
-    ``start`` is a guess at the bound, such as a neighbouring cell's: a good
-    one settles the cell in two solves, a wrong one costs a step per unit of
-    error, and no guess changes the result.  The default 1 is the ascending
-    scan d = 1, 2, ...  It must be an int in 1..n (else ``ValueError``).
-    ``c`` defaults to maximal entanglement n - k.
+    The walk of :func:`_walk` climbs from the floor d = 1, which the trivial
+    code proves feasible (see :func:`lp_feasible_general`), so the bound is
+    at least 1.  ``c`` defaults to maximal entanglement n - k.
     """
-    _check_cell(n, k)
-    if not isinstance(start, int) or not 1 <= start <= n:
-        raise ValueError(f"need an int start with 1 <= start <= n, got start={start!r}, n={n}")
     if c is None:
         c = n - k
-    return _walk(n, k, c, 0, n + 1, start)
+    _check_cell(n, k, c)
+    return _walk(n, k, c, 1, n + 1)
 
 
 def apply_overrides(n: int, k: int, lp_bound: int) -> int:
@@ -477,11 +458,12 @@ def build_table(n_max: int) -> BoundsTable:
 
     Upper bounds: one :func:`_walk` per cell, capped by
     :func:`apply_overrides`.  A walk that never hits infeasibility proves
-    nothing, so its d <= n result is tagged trivial.  Each walk starts
+    nothing, so its d <= n result is tagged trivial.  Each walk climbs
     inside the bracket bound(n - 1, k) <= bound(n, k) <= bound(n, k - 1) of
-    the two LP bounds already found, at bound(n - 1, k) + 1, or at
-    bound(n, n - 2) for k = n - 1, which has no (n - 1, k) cell.  Every cell
-    of n <= 20 then takes one or two solves, and a closed bracket none.
+    the two LP bounds already found, from the floor bound(n - 1, k), or
+    from the floor 1 of the trivial code for k = n - 1, which has no
+    (n - 1, k) cell.  Every cell of n <= 20 then takes one or two solves,
+    and a closed bracket none.
     Lower bounds: the registry closed under the extension rules, defaulting
     to the always-achievable d = 1.
 
@@ -511,11 +493,11 @@ def build_table(n_max: int) -> BoundsTable:
     for n in range(2, n_max + 1):
         row: list[int] = []
         for k in range(1, n):
-            # bound(n - 1, k) is feasible here and bound(n, k - 1) + 1 is not
-            feasible = above[k - 1] if k < n - 1 else 0
+            # bound(n - 1, k), or 1 by the trivial code, is feasible here and
+            # bound(n, k - 1) + 1 is not
+            feasible = above[k - 1] if k < n - 1 else 1
             infeasible = row[-1] + 1 if row else n + 1
-            start = feasible + 1 if feasible else infeasible - 1
-            lp = _walk(n, k, n - k, feasible, infeasible, start)
+            lp = _walk(n, k, n - k, feasible, infeasible)
             row.append(lp)
             upper = apply_overrides(n, k, lp)
             if upper < lp:

@@ -55,6 +55,21 @@ def test_code_file_json_detection(capsys, tmp_path):
     assert code == 0 and out == "0 1\n1 1\n2 2\n"
 
 
+def test_code_file_with_byte_order_mark_text(capsys, tmp_path):
+    # Windows Notepad starts a UTF-8 file with a byte-order mark
+    path = tmp_path / "five.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + FIVE_QUBIT_TEXT.encode())
+    assert run(capsys, "distance", str(path)) == (0, "3\n", "")
+
+
+def test_code_file_with_byte_order_mark_json(capsys, tmp_path):
+    # the mark must not hide the opening brace from JSON detection
+    path = tmp_path / "five.json"
+    payload = json.dumps({"n": 5, "k": 1, "generators": FIVE_QUBIT_TEXT.split()[2:]})
+    path.write_bytes(b"\xef\xbb\xbf" + payload.encode())
+    assert run(capsys, "distance", str(path)) == (0, "3\n", "")
+
+
 def test_code_file_malformed_input(capsys, tmp_path):
     cases = (
         ("long.txt", b"2 1\nXXX"),
@@ -364,14 +379,15 @@ def test_supplied_logical_pairs_are_validated(capsys, tmp_path):
 
 def test_lp_bound_rejects_removed_integrality_flag(capsys):
     # scripts still passing the deleted flag get a usage error, not a
-    # silently different bound
-    with pytest.raises(SystemExit) as exc_info:
-        main(["lp-bound", "--n", "5", "--k", "2", "--branch-and-bound"])
-    assert exc_info.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "unrecognized arguments" in captured.err
-    assert "Traceback" not in captured.err
+    # silently different bound; the walk has no start for a flag to set
+    for flag in (["--branch-and-bound"], ["--start", "3"]):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["lp-bound", "--n", "5", "--k", "2", *flag])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+        assert "Traceback" not in captured.err
 
 
 def test_budget_flag(capsys, five_qubit_file, monkeypatch):

@@ -25,7 +25,7 @@ from eaqec import (
     min_distance,
     weight_enumerator,
 )
-from eaqec import cli, lpbound
+from eaqec import lpbound
 from eaqec.errors import BudgetError
 from eaqec.lpbound import _general_rows, _maximal_rows, _solve_feasibility
 
@@ -383,6 +383,8 @@ def test_solver_matches_fraction_reference_on_every_scan_solve(monkeypatch):
             lp_upper_bound(n, k)
             for c in range(1, n - k) if n <= 5 else ():
                 lp_upper_bound(n, k, c)
+            # the trivial code settles d = 1 in every cell, with no solve
+            assert all(lp_feasible_general(n, k, c, 1) for c in range(1, n - k + 1))
     # the unseeded scans, solve for solve and pivot for pivot
     assert (len(solves), sum(pivots)) == (160, 472)
     # d = 1 is settled by proof, so its systems are solved here for the same
@@ -481,25 +483,15 @@ def test_lp_upper_bound_small_cells():
 
 
 def test_seeded_walk_matches_ascending_scan():
-    # every start, from below the bound up to n, lands on the unseeded value;
-    # on the k = n - 1 column, whose bound is 2, a start of n walks down n - 2
-    cells = [(n, k, None) for n in range(2, 10) for k in range(1, n)]
+    # any proved floor below the bound and any ceiling above it give the
+    # same bound as the climb from d = 1 with no ceiling
+    cells = [(n, k, n - k) for n in range(2, 10) for k in range(1, n)]
     cells += [(n, k, c) for n in range(3, 7) for k in range(1, n) for c in range(1, n - k)]
     for n, k, c in cells:
         bound = lp_upper_bound(n, k, c)
-        for start in range(1, n + 1):
-            assert lp_upper_bound(n, k, c, start=start) == bound, (n, k, c, start)
-
-
-def test_walk_start_must_be_an_int_from_one_to_n(capsys):
-    for start in (0, 6, 2.0):
-        with pytest.raises(ValueError, match="start"):
-            lp_upper_bound(5, 2, start=start)
-    # the keyword is for library callers with a guess; the CLI has none
-    with pytest.raises(SystemExit) as exc_info:
-        cli.main(["lp-bound", "--n", "5", "--k", "2", "--start", "3"])
-    assert exc_info.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+        for floor in range(1, bound + 1):
+            for ceiling in range(bound + 1, n + 2):
+                assert lpbound._walk(n, k, c, floor, ceiling) == bound, (n, k, c, floor, ceiling)
 
 
 def test_build_table_settles_each_cell_in_two_solves(monkeypatch):
@@ -520,6 +512,11 @@ def test_build_table_settles_each_cell_in_two_solves(monkeypatch):
     assert sorted(per_cell) == [(c.n, c.k) for c in table.cells]
     assert max(per_cell.values()) <= 2
     assert (len(solves), sum(solves)) == (53, 164)
+    # the k = n - 1 column climbs from the trivial code's floor of 1
+    solves.clear()
+    per_cell.clear()
+    build_table(15)
+    assert (len(solves), sum(solves)) == (160, 918)
 
 
 def test_lengthening_and_trading_lift_feasible_points(monkeypatch):
@@ -546,9 +543,9 @@ def test_lengthening_and_trading_lift_feasible_points(monkeypatch):
     brackets = []
     walk = lpbound._walk
 
-    def recording_walk(n, k, c, feasible, infeasible, d):
+    def recording_walk(n, k, c, feasible, infeasible):
         brackets.append((n, k, feasible, infeasible))
-        return walk(n, k, c, feasible, infeasible, d)
+        return walk(n, k, c, feasible, infeasible)
 
     monkeypatch.setattr(lpbound, "_walk", recording_walk)
     build_table(20)
@@ -813,8 +810,7 @@ def test_lower_bound_closure_past_the_registry():
 @given(st.integers(2, 6), st.data())
 def test_scan_consistency_property(n, data):
     k = data.draw(st.integers(1, n - 1))
-    start = data.draw(st.integers(1, n))
-    bound = lp_upper_bound(n, k, start=start)
+    bound = lp_upper_bound(n, k)
     assert lp_feasible(n, k, bound)
     if bound < n:
         assert not lp_feasible(n, k, bound + 1)
