@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Sequence, TextIO
 
 from .codes import (
     CodeRegistryEntry,
@@ -299,20 +300,51 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(stream: TextIO | None, text: str) -> None:
+    """Write and flush ``text``, so an output error surfaces here and not at
+    the interpreter's final flush.  A missing stream is an output error.  On
+    failure the stream's descriptor, where it has one, is pointed at
+    ``os.devnull``, so the final flush of what is left buffered cannot fail
+    again (the recipe in the ``signal`` docs' note on SIGPIPE)."""
+    if stream is None:
+        raise OSError("the output stream is closed")
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        try:
+            fd = stream.fileno()
+        except (AttributeError, OSError, ValueError):
+            fd = None
+        if fd is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        raise
+
+
+def _report(message: str) -> None:
+    """Best-effort message to stderr: a failure to write it changes nothing."""
+    try:
+        _write(sys.stderr, message + "\n")
+    except (OSError, ValueError):
+        pass
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         out = args.func(args)
         if args.format == "json":
-            sys.stdout.write(json.dumps(out.record, indent=2, sort_keys=True) + "\n")
+            _write(sys.stdout, json.dumps(out.record, indent=2, sort_keys=True) + "\n")
         else:
-            sys.stdout.write(out.text)
+            _write(sys.stdout, out.text)
         return out.status
     except (EaqecError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return 2
     except KeyboardInterrupt:
-        print("interrupted", file=sys.stderr)
+        _report("interrupted")
         return 130
 
 

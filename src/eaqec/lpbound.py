@@ -32,7 +32,8 @@ cell of n <= 20 in one or two solves and a closed one in none.
 The systems are posed on the complement side, where the distance condition
 removes variables instead of adding rows.  Leading coefficients are 1 and
 are substituted in, and the direct distributions are linear in the
-complement ones, so they enter as rows (through :func:`_dual_form`):
+complement ones, so they enter as rows, read off the Krawtchouk table
+(constant K_w(0), coefficients K_w(1..n)):
 
 - at maximal entanglement (c = n - k) S_I is trivial and N is the logical
   distribution B; :func:`_maximal_rows` solves for B_d..B_n;
@@ -173,14 +174,6 @@ def _solve_feasibility(
     return point, pivots
 
 
-def _dual_form(n: int, w: int) -> tuple[list[int], int]:
-    """The weight-w transform of the distribution X of a group V, X_0 = 1, as
-    (coefficients of X_1..X_n, constant K_w(0)); its value is |V| Y_w, with Y
-    the distribution of V's symplectic complement."""
-    row = _krawtchouk_table(n)[w]
-    return row[1:], row[0]
-
-
 # ---------------------------------------------------------------------------
 # the two systems: maximal entanglement, and 0 < c < n - k
 
@@ -202,10 +195,7 @@ def _maximal_rows(n: int, k: int, d: int) -> tuple[list[Row], list[Row]]:
     leaves 4^n B_0, so sum_w A_w = 4^(n-k).  Each cap A_w <= 4^(n-k) and
     B_w <= 4^k then follows from its sum and nonnegativity.
     """
-    floors: list[Row] = []
-    for w in range(1, n + 1):
-        coeffs, const = _dual_form(n, w)
-        floors.append((coeffs[d - 1 :], -const))
+    floors = [(row[d:], -row[0]) for row in _krawtchouk_table(n)[1:]]
     return [([1] * (n - d + 1), 4**k - 1)], floors
 
 
@@ -217,17 +207,22 @@ def _general_rows(n: int, k: int, c: int, d: int) -> tuple[list[Row], list[Row]]
     distance d has N_w = I_w below d, so M_1..M_(d-1) are not variables.
     With I_0 = N_0 = 1 substituted in, the direct distributions are the forms
     |N| S_w = K_w(0) + sum_w' K_w(w') (I + M)_w' and |I| C_w = K_w(0) +
-    sum_w' K_w(w') I_w'.  The rows are two sums and, for each w = 1..n,
-    three dominance floors, scaled to integers using |N| / |I| = 4^k:
+    sum_w' K_w(w') I_w'.  The rows are two sums and 3n - d + 1 dominance
+    floors, scaled to integers using |N| / |I| = 4^k:
 
         sum_{w>=1} I_w = |I| - 1,   sum_{w>=1} I_w + sum_{w>=d} M_w = |N| - 1
-        S_w >= I_w,   C_w >= N_w,   C_w >= S_w
+        S_w >= I_w,   C_w >= S_w    for 1 <= w <= n
+        C_w >= N_w                  for d <= w <= n
 
     Each dominance row holds strictly at the origin: normalized, its
     right-hand side is -K_w(0) or -(4^k - 1) K_w(0).
 
-    The rest of the four-block system is implied: S >= 0 follows from
-    S >= I >= 0, C >= 0 from C >= N = I + M >= 0, and, by the argument at
+    Below d, C_w >= N_w is implied: there N_w = I_w, and 4^k times the row
+    |I| (C_w - N_w) >= -K_w(0) is the sum of the rows |N| (S_w - I_w) >=
+    -K_w(0) and |N| (C_w - S_w) >= -(4^k - 1) K_w(0), right-hand side
+    included.  The rest of the four-block system is implied too: S >= 0
+    follows from S >= I >= 0, C >= 0 from C >= N = I + M >= 0 at w >= d and
+    from C >= S >= I >= 0 below d, and, by the argument at
     :func:`_maximal_rows`, the two sums give S_0 = C_0 = 1 and the sums of S
     and C, every cap follows from its sum and nonnegativity, and dominance
     at w = 0 reads 1 >= 1.  The transform squares to 4^n times the identity,
@@ -243,17 +238,16 @@ def _general_rows(n: int, k: int, c: int, d: int) -> tuple[list[Row], list[Row]]
         ([1] * (n + excess), norm_order - 1),
     ]
     floors: list[Row] = []
-    for w in range(1, n + 1):
-        coeffs, const = _dual_form(n, w)
-        tail = coeffs[d - 1 :]
+    for w, krow in enumerate(_krawtchouk_table(n)[1:], 1):
+        const, coeffs, tail = krow[0], krow[1:], krow[d:]
         row = coeffs + tail  # |N| (S_w - I_w)
         row[w - 1] -= norm_order
         floors.append((row, -const))
-        row = coeffs + [0] * excess  # |I| (C_w - N_w)
-        row[w - 1] -= iso_order
         if w >= d:
+            row = coeffs + [0] * excess  # |I| (C_w - N_w)
+            row[w - 1] -= iso_order
             row[n + w - d] -= iso_order
-        floors.append((row, -const))
+            floors.append((row, -const))
         row = [scale * x for x in coeffs] + [-x for x in tail]  # |N| (C_w - S_w)
         floors.append((row, -scale * const))
     return equalities, floors
@@ -429,23 +423,19 @@ class BoundsTable:
 def _registry_lower_bounds(n_max: int) -> dict[tuple[int, int], tuple[int, str]]:
     """Best registry distance per maximal-entanglement cell, then the closure
     under lengthening (n-1, k) -> (n, k) and trading (n, k+1) -> (n, k)."""
-    best: dict[tuple[int, int], tuple[int, str]] = {}
+    best: dict[tuple[int, int], int] = {}
     for entry in registry():
         if entry.n > n_max:
             continue
         if not entry.is_maximal_entanglement:
             continue  # the extension rules preserve n - k - c, so only
             # maximal-entanglement seeds can reach maximal-entanglement cells
-        cur = best.get((entry.n, entry.k))
-        if cur is None or entry.d > cur[0]:
-            best[(entry.n, entry.k)] = (entry.d, "registry")
+        best[(entry.n, entry.k)] = max(entry.d, best.get((entry.n, entry.k), 1))
     out: dict[tuple[int, int], tuple[int, str]] = {}
     for n in range(2, n_max + 1):
         for k in range(n - 1, 0, -1):
-            value, source = 1, "trivial"
-            seeded = best.get((n, k))
-            if seeded and seeded[0] > value:
-                value, source = seeded[0], "registry"
+            value = best.get((n, k), 1)
+            source = "registry" if value > 1 else "trivial"
             for derived in (out.get((n - 1, k)), out.get((n, k + 1))):
                 if derived and derived[0] > value:
                     value, source = derived[0], "extension"

@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -417,6 +420,53 @@ def test_stdout_write_error_exits_2(capsys, monkeypatch):
         assert code == 2
         assert err.startswith("error:") and "Broken pipe" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_buffered_stdout_error_exits_2():
+    # buffered stdout (PYTHONUNBUFFERED unset, the default) holds the table
+    # until a flush, so the write error must surface inside main, not at the
+    # interpreter's final flush, which would print "Exception ignored" and
+    # exit 120
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli_module.__file__).resolve().parent.parent)
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "eaqec.cli", "table", "--nmax", "3"],
+            stdout=full, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    assert done.returncode == 2
+    assert [line for line in done.stderr.splitlines() if line.startswith("error:")] == [
+        "error: [Errno 28] No space left on device"
+    ]
+    assert "Exception ignored" not in done.stderr and "Traceback" not in done.stderr
+
+
+def test_missing_stdout_exits_2(capsys, monkeypatch):
+    # with descriptor 1 closed, Python sets sys.stdout to None
+    monkeypatch.setattr(sys, "stdout", None)
+    code = main(["lp-bound", "--n", "5", "--k", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_stderr_write_error_exits_2(monkeypatch):
+    class FullDisk:
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+        def flush(self):
+            pass
+
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    # the report to stderr fails, but the status stands and nothing escapes
+    monkeypatch.setattr(sys, "stderr", FullDisk())
+    assert main(["lp-bound", "--n", "5", "--k", "9"]) == 2  # bad input
+    monkeypatch.setattr(cli_module, "_cmd_table", interrupted)
+    assert main(["table", "--nmax", "4"]) == 130
 
 
 def test_simplex_iteration_cap_exits_2(capsys, monkeypatch):

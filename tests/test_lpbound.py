@@ -29,7 +29,7 @@ from eaqec import lpbound
 from eaqec.errors import BudgetError
 from eaqec.lpbound import _general_rows, _maximal_rows, _solve_feasibility
 
-from conftest import krawtchouk_oracle, random_code
+from conftest import random_code
 
 
 def solve(num_vars, equalities, floors):
@@ -623,14 +623,6 @@ def test_apply_overrides_caps_match_exhaustive_search():
 # the general system
 
 
-def test_dual_form_reads_the_krawtchouk_values():
-    for n in range(1, 16):
-        for w in range(n + 1):
-            coeffs, const = lpbound._dual_form(n, w)
-            assert coeffs == [krawtchouk_oracle(w, wp, n) for wp in range(1, n + 1)]
-            assert const == krawtchouk_oracle(w, 0, n)
-
-
 def test_general_system_validation():
     with pytest.raises(ValueError):
         lp_feasible_general(5, 2, 0, 2)
@@ -693,15 +685,26 @@ def test_general_rows_shape_and_lift():
     # four-block system, and every verdict matches the full system's.  The
     # full system is solved at a cell's first infeasible d; each later d's
     # full system holds the previous one's rows, so it is infeasible too.
+    # Below d the floor C_w >= N_w is left out: there N_w = I_w, and 4^k
+    # times it is the sum of the kept S_w >= I_w and C_w >= S_w floors.
     for n in range(3, 6):
         for k in range(1, n):
             for c in range(1, n - k):
                 full_infeasible = False
+                iso_order = 1 << (n - k - c)
                 for d in range(1, n + 1):
                     equalities, floors = _general_rows(n, k, c, d)
                     num_vars = 2 * n - d + 1
-                    assert (len(equalities), len(floors)) == (2, 3 * n)
+                    assert (len(equalities), len(floors)) == (2, 3 * n - d + 1)
                     assert all(len(a) == num_vars for a, _ in equalities + floors)
+                    for w in range(1, d):
+                        # |I| (C_w - N_w) >= -K_w(0), over I_1..I_n, M_d..M_n
+                        row = [krawtchouk(w, wp, n) for wp in range(1, n + 1)]
+                        row += [0] * (n - d + 1)
+                        row[w - 1] -= iso_order
+                        (s_i, s_rhs), (c_s, c_rhs) = floors[2 * w - 2 : 2 * w]
+                        assert [4**k * x for x in row] == [x + y for x, y in zip(s_i, c_s)]
+                        assert -(4**k) * krawtchouk(w, 0, n) == s_rhs + c_rhs
                     point = solve(num_vars, equalities, floors)
                     full_rows = full_general_rows(n, k, c, d)
                     if point is not None:
@@ -727,8 +730,9 @@ def test_general_bounds_match_pinned_values():
 
 
 def test_general_dominance_of_combined_over_normalizer():
-    # C_w >= N_w is not implied by the other rows; no verdict depends on it,
-    # so this pins it: asking for C_1 <= N_1 - 1 must be infeasible
+    # C_w >= N_w is not implied by the other rows at w >= d; no verdict
+    # depends on it, so this pins it at d = 1, where every such floor stays:
+    # asking for C_1 <= N_1 - 1 must be infeasible
     n, k, c = 4, 1, 1
     iso_order = 1 << (n - k - c)
     coeffs = [krawtchouk(1, wp, n) for wp in range(1, n + 1)]
