@@ -14,9 +14,11 @@ or output error, 130 when interrupted (Ctrl-C).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from typing import NamedTuple, Sequence, TextIO
 
@@ -332,8 +334,18 @@ def _report(message: str) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        # argparse prints help or a usage error and exits, and drops a failed
+        # write itself; its text is held here and written through _write
+        held_out, held_err = io.StringIO(), io.StringIO()
+        try:
+            with redirect_stdout(held_out), redirect_stderr(held_err):
+                args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            for stream, held in ((sys.stdout, held_out), (sys.stderr, held_err)):
+                if text := held.getvalue():
+                    _write(stream, text)
+            return exc.code
         out = args.func(args)
         if args.format == "json":
             _write(sys.stdout, json.dumps(out.record, indent=2, sort_keys=True) + "\n")

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 from .errors import DimensionError
 
@@ -161,14 +161,6 @@ def _rref(vectors: Iterable[int]) -> list[int]:
     return [rows[p] for p in sorted(rows)]
 
 
-def _reduce(vec: int, basis: Sequence[int]) -> int:
-    """Reduce ``vec`` against RREF ``basis``; zero result means membership."""
-    for row in basis:
-        if (vec >> _lsb(row)) & 1:
-            vec ^= row
-    return vec
-
-
 @dataclass(frozen=True)
 class PauliGroup:
     """A subgroup of the phase-free Pauli group, stored by its canonical basis.
@@ -207,20 +199,13 @@ class PauliGroup:
         return 1 << self.rank
 
     def contains(self, op: PauliOperator) -> bool:
+        """Whether ``op`` is in the group: its row leaves the rank unchanged."""
         if op.n != self.n:
             raise DimensionError(f"operator on {op.n} qubits, group on {self.n}")
-        return _reduce(_vec(op), self.rows) == 0
+        return len(_rref((*self.rows, _vec(op)))) == self.rank
 
     def __contains__(self, op: PauliOperator) -> bool:
         return self.contains(op)
-
-    def elements(self) -> Iterator[PauliOperator]:
-        """Iterate all 2**rank elements (intended for small groups)."""
-        acc = 0
-        yield _op(self.n, 0)
-        for i in range(1, 1 << self.rank):
-            acc ^= self.rows[_lsb(i)]
-            yield _op(self.n, acc)
 
 
 def canonicalize(generators: Iterable[PauliOperator], n: int | None = None) -> PauliGroup:

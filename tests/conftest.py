@@ -58,6 +58,21 @@ def naive_commutes(a: PauliOperator, b: PauliOperator) -> bool:
     return clashes % 2 == 0
 
 
+def naive_min_distance(code: EaqecCode) -> int | None:
+    """Minimum weight over operators commuting with every stabilizer
+    generator, excluding the isotropic subgroup — by scanning all 4^n."""
+    stab_gens = list(code.stabilizer_group.generators)
+    iso = naive_closure(list(code.isotropic_group.generators), code.n)
+    best = None
+    for op in all_operators(code.n):
+        w = naive_weight(op)
+        if best is not None and w >= best or op in iso:
+            continue
+        if all(naive_commutes(op, g) for g in stab_gens):
+            best = w
+    return best
+
+
 def all_operators(n: int):
     """All 4^n phase-free operators on n qubits."""
     for bits in range(4**n):

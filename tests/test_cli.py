@@ -31,6 +31,24 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_child(*argv, unbuffered=False, **streams):
+    """Run the CLI in a child interpreter, with stdout block-buffered as by
+    default (PYTHONUNBUFFERED removed) unless ``unbuffered``: a buffered
+    write error surfaces only at a flush, an unbuffered one at the write."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = str(Path(cli_module.__file__).resolve().parent.parent)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
+    return subprocess.run(
+        [sys.executable, "-m", "eaqec.cli", *argv],
+        env=env, text=True, timeout=120, **streams,
+    )
+
+
+needs_dev_full = pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+
+
 # ---------------------------------------------------------------------------
 # file parsing
 
@@ -384,9 +402,7 @@ def test_lp_bound_rejects_removed_integrality_flag(capsys):
     # scripts still passing the deleted flag get a usage error, not a
     # silently different bound; the walk has no start for a flag to set
     for flag in (["--branch-and-bound"], ["--start", "3"]):
-        with pytest.raises(SystemExit) as exc_info:
-            main(["lp-bound", "--n", "5", "--k", "2", *flag])
-        assert exc_info.value.code == 2
+        assert main(["lp-bound", "--n", "5", "--k", "2", *flag]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments" in captured.err
@@ -422,19 +438,14 @@ def test_stdout_write_error_exits_2(capsys, monkeypatch):
         assert "Traceback" not in err
 
 
-@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@needs_dev_full
 def test_buffered_stdout_error_exits_2():
     # buffered stdout (PYTHONUNBUFFERED unset, the default) holds the table
     # until a flush, so the write error must surface inside main, not at the
     # interpreter's final flush, which would print "Exception ignored" and
     # exit 120
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(Path(cli_module.__file__).resolve().parent.parent)
     with open("/dev/full", "w") as full:
-        done = subprocess.run(
-            [sys.executable, "-m", "eaqec.cli", "table", "--nmax", "3"],
-            stdout=full, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
-        )
+        done = run_child("table", "--nmax", "3", stdout=full)
     assert done.returncode == 2
     assert [line for line in done.stderr.splitlines() if line.startswith("error:")] == [
         "error: [Errno 28] No space left on device"
@@ -487,6 +498,38 @@ def test_keyboard_interrupt_exits_130(capsys, monkeypatch):
 
 
 def test_unknown_subcommand_exits_via_argparse(capsys):
-    with pytest.raises(SystemExit) as exc_info:
-        main(["frobnicate"])
-    assert exc_info.value.code == 2
+    assert main(["frobnicate"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'frobnicate'" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_help_exits_0_and_prints_help():
+    done = run_child("--help")
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.startswith("usage: eaqec ")
+    assert "{dual,wenum,distance,verify-mw,lp-bound,table,registry,extend}" in done.stdout
+
+
+@needs_dev_full
+def test_help_that_cannot_be_written_exits_2():
+    # argparse drops a failed write of its help itself (unbuffered stdout),
+    # and a buffered write fails only at a flush: either way main must see
+    # the error, or the text is lost with exit 0 or 120
+    for unbuffered in (False, True):
+        for argv in (["--help"], ["table", "--help"]):
+            with open("/dev/full", "w") as full:
+                done = run_child(*argv, unbuffered=unbuffered, stdout=full)
+            assert done.returncode == 2, (argv, unbuffered)
+            assert done.stderr == "error: [Errno 28] No space left on device\n"
+
+
+@needs_dev_full
+def test_usage_error_that_cannot_be_written_exits_2():
+    for unbuffered in (False, True):
+        for argv in (["lp-bound", "--n", "x", "--k", "2"], ["frobnicate"]):
+            with open("/dev/full", "w") as full:
+                done = run_child(*argv, unbuffered=unbuffered, stderr=full)
+            assert done.returncode == 2, (argv, unbuffered)
+            assert done.stdout == ""

@@ -1,10 +1,13 @@
 """The package's public surface and the committed benchmark records."""
 
+import itertools
 import json
 import re
+import shlex
 from pathlib import Path
 
 import eaqec
+from eaqec.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,3 +56,25 @@ def test_readme_library_quick_start_prints_what_its_comments_say(capsys):
     exec(block, {})
     assert capsys.readouterr().out.splitlines() == shown
     assert len(shown) == 4
+
+
+def test_readme_cli_quick_start_prints_what_it_shows(capsys, monkeypatch, tmp_path):
+    """Writes ``five.txt`` from the README's CLI block, runs each shown
+    ``$ eaqec`` line through ``main`` and checks that its output starts with
+    the lines shown, up to any ``...``."""
+    section = (ROOT / "README.md").read_text().split("## Quick start: CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    commands = 0
+    for paragraph in block.strip().split("\n\n"):
+        prompt, *shown = paragraph.splitlines()
+        argv = shlex.split(prompt.removeprefix("$ "), comments=True)
+        if argv[0] == "cat":
+            Path(argv[1]).write_text("\n".join(shown) + "\n")
+            continue
+        assert argv[0] == "eaqec", prompt
+        shown = list(itertools.takewhile(lambda line: line.strip() != "...", shown))
+        assert main(argv[1:]) == 0, prompt
+        assert capsys.readouterr().out.splitlines()[: len(shown)] == shown, prompt
+        commands += 1
+    assert commands == 7
