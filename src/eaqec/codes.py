@@ -152,9 +152,8 @@ class EaqecCode:
         flat = [g for pair in self.logical_pairs + self.symplectic_pairs for g in pair]
         return canonicalize(flat + list(self.isotropic_gens), self.n)
 
-    def params_str(self, d: int | None = None) -> str:
-        mid = f"{self.k},{d}" if d is not None else f"{self.k},?"
-        return f"[[{self.n},{mid};{self.c}]]"
+    def params_str(self) -> str:
+        return f"[[{self.n},{self.k},?;{self.c}]]"
 
 
 def from_generators(

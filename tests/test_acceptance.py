@@ -7,7 +7,6 @@ expansion, group closure).
 """
 
 import json
-import math
 import random
 import time
 from pathlib import Path
@@ -30,7 +29,7 @@ from eaqec import (
 )
 from eaqec.cli import main
 
-from conftest import naive_min_distance, random_code, random_group
+from conftest import krawtchouk_oracle, naive_min_distance, random_code, random_group
 
 # Distance bounds for maximal entanglement, n = 3..15, k = 1..n-1.
 # A cell prints as lower-upper; these are the two endpoints.
@@ -169,30 +168,27 @@ def test_criterion_5_duality_invariants():
 
 def test_criterion_6_lp_soundness_spot_checks():
     """Frozen feasibility verdicts and scan bounds."""
+    assert lp_feasible(5, 2, 4) is True
+    assert lp_feasible(5, 2, 5) is False
     assert lp_feasible(7, 2, 5) is True
     assert lp_feasible(7, 2, 6) is False
-    assert lp_upper_bound(13, 2) == 10
-    assert lp_upper_bound(9, 4) == 5
+    assert lp_upper_bound(3, 1) == 3
+    assert lp_upper_bound(3, 2) == 2
+    assert lp_upper_bound(4, 2) == 3
     assert lp_upper_bound(5, 2) == 4
+    assert lp_upper_bound(5, 3) == 3
+    assert lp_upper_bound(5, 4) == 2
+    assert lp_upper_bound(9, 4) == 5
+    assert lp_upper_bound(13, 2) == 10
     print("criterion 6 (LP soundness spot checks): PASS")
 
 
 def test_criterion_7_krawtchouk_correctness():
     """Defining sum equals brute-force polynomial expansion, all n <= 15."""
-
-    def oracle(w: int, w_prime: int, n: int) -> int:
-        first = [math.comb(n - w_prime, j) * 3**j for j in range(n - w_prime + 1)]
-        second = [math.comb(w_prime, j) * (-1) ** j for j in range(w_prime + 1)]
-        out = [0] * (len(first) + len(second) - 1)
-        for i, x in enumerate(first):
-            for j, y in enumerate(second):
-                out[i + j] += x * y
-        return out[w]
-
     checked = 0
     for n in range(16):
         for w in range(n + 1):
             for w_prime in range(n + 1):
-                assert krawtchouk(w, w_prime, n) == oracle(w, w_prime, n)
+                assert krawtchouk(w, w_prime, n) == krawtchouk_oracle(w, w_prime, n)
                 checked += 1
     print(f"criterion 7 (Krawtchouk correctness, {checked} values): PASS")

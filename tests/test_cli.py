@@ -115,11 +115,6 @@ def test_code_file_malformed_input(capsys, tmp_path):
 # frozen subcommand outputs
 
 
-def test_lp_bound_command(capsys):
-    code, out, _ = run(capsys, "lp-bound", "--n", "9", "--k", "4")
-    assert code == 0 and out == "5\n"
-
-
 def test_lp_bound_trial_distance(capsys):
     code, out, _ = run(capsys, "lp-bound", "--n", "7", "--k", "2", "--d", "5")
     assert code == 0 and out == "feasible\n"
@@ -169,22 +164,11 @@ def test_extend_command(capsys):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
-def test_distance_command(capsys, five_qubit_file):
-    code, out, _ = run(capsys, "distance", five_qubit_file)
-    assert code == 0 and out == "3\n"
-
-
 def test_distance_from_stdin(capsys, monkeypatch):
     fake = type("FakeStdin", (), {"buffer": io.BytesIO(FIVE_QUBIT_TEXT.encode())})()
     monkeypatch.setattr(sys, "stdin", fake)
     code, out, _ = run(capsys, "distance")
     assert code == 0 and out == "3\n"
-
-
-def test_wenum_command(capsys, five_qubit_file):
-    code, out, _ = run(capsys, "wenum", five_qubit_file, "--group", "normalizer")
-    assert code == 0
-    assert out == "0 1\n1 0\n2 0\n3 30\n4 15\n5 18\n"
 
 
 # the five-qubit code (c = 0), its dual (k = 0) and a [[5,1;1]] code with
@@ -243,14 +227,6 @@ def test_dual_round_trip_through_cli(capsys, five_qubit_file, tmp_path):
     code, out3, _ = run(capsys, "dual", "--format", "json", str(dual_path))
     assert code == 0
     assert json.loads(out3)["logical_pairs"] == [["XZIIZ", "IYIZZ"]]
-
-
-def test_verify_mw_command(capsys, five_qubit_file):
-    code, out, _ = run(capsys, "verify-mw", five_qubit_file)
-    assert code == 0
-    assert "normalizer-from-stabilizer: ok" in out
-    assert "isotropic-from-combined: ok" in out
-    assert out.endswith("verification passed\n")
 
 
 def test_verify_mw_failure_sets_exit_code(capsys, five_qubit_file, monkeypatch):

@@ -417,11 +417,13 @@ def test_simplex_iteration_cap_boundary(monkeypatch):
 # the maximal-entanglement system
 
 
-def test_lp_instance_validation():
+def test_lp_cell_validation():
     with pytest.raises(ValueError, match="need 1 <= k < n"):
         lp_feasible(5, 5, 2)
     with pytest.raises(ValueError, match="need 1 <= k < n"):
         lp_feasible(5, 0, 2)
+    with pytest.raises(ValueError, match="need 1 <= k < n"):
+        lp_upper_bound(5, 0)
     with pytest.raises(ValueError, match="need 1 <= d <= n"):
         lp_feasible(5, 2, 0)
     with pytest.raises(ValueError, match="need 1 <= d <= n"):
@@ -439,7 +441,7 @@ def test_lp_instance_validation():
     assert lp_feasible(64, 1, 64)
 
 
-def test_lp_instance_solution_satisfies_rows():
+def test_maximal_point_solves_full_system():
     # the reduced point, lifted to A and B, solves the full two-enumerator system
     for n, k, d in ((5, 2, 3), (5, 2, 4), (7, 2, 5), (9, 4, 5), (11, 1, 9)):
         equalities, floors = _maximal_rows(n, k, d)
@@ -460,26 +462,10 @@ def test_lp_verdicts_match_full_system():
                 assert lp_feasible(n, k, d) == (full is not None), (n, k, d)
 
 
-def test_lp_feasibility_spot_values():
-    assert lp_feasible(5, 2, 4) and not lp_feasible(5, 2, 5)
-    assert lp_feasible(7, 2, 5) and not lp_feasible(7, 2, 6)
-
-
 def test_lp_feasibility_is_monotone_in_distance():
     for n, k in ((4, 2), (5, 2), (6, 3), (7, 4)):
         verdicts = [lp_feasible(n, k, d) for d in range(1, n + 1)]
         assert verdicts == sorted(verdicts, reverse=True)
-
-
-def test_lp_upper_bound_small_cells():
-    assert lp_upper_bound(3, 1) == 3
-    assert lp_upper_bound(3, 2) == 2
-    assert lp_upper_bound(4, 2) == 3
-    assert lp_upper_bound(5, 2) == 4
-    assert lp_upper_bound(5, 3) == 3
-    assert lp_upper_bound(5, 4) == 2
-    with pytest.raises(ValueError):
-        lp_upper_bound(5, 0)
 
 
 def test_seeded_walk_matches_ascending_scan():
