@@ -47,7 +47,11 @@ _GROUP_CHOICES = ("stabilizer", "isotropic", "logical", "normalizer", "combined"
 
 
 def _read_input(path: str) -> bytes:
+    """The bytes of ``path``, or of stdin for ``-``.  A missing stdin, as
+    Python leaves it when descriptor 0 is closed, is an input error."""
     if path == "-":
+        if sys.stdin is None:
+            raise OSError("the input stream is closed")
         return sys.stdin.buffer.read()
     return Path(path).read_bytes()
 

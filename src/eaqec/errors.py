@@ -12,8 +12,9 @@ class DimensionError(EaqecError):
 
 
 class BudgetError(EaqecError):
-    """An enumeration would visit more group elements than the configured
-    budget, or an exact simplex solve ran past its pivot cap."""
+    """A group to enumerate has more elements (2^rank) than the configured
+    budget, however few of them the count would visit, or an exact simplex
+    solve ran past its pivot cap."""
 
 
 class InconsistencyError(EaqecError):

@@ -16,9 +16,26 @@ from __future__ import annotations
 import math
 import random
 
-from eaqec import EaqecCode, PauliGroup, PauliOperator, canonicalize, symplectic_product
+from eaqec import (
+    EaqecCode,
+    PauliGroup,
+    PauliOperator,
+    canonicalize,
+    from_generators,
+    symplectic_product,
+)
 
 LETTERS = "IXYZ"
+
+# the [[5,1,3]] code's stabilizer, written out here so the tests do not read
+# the registry's copy
+FIVE_QUBIT_GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
+
+
+def five_qubit_code() -> EaqecCode:
+    return from_generators(
+        5, 1, [PauliOperator.from_string(s) for s in FIVE_QUBIT_GENERATORS]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ from eaqec import lpbound
 from eaqec.cli import main
 from eaqec.enumerator import IdentityCheck
 
-FIVE_QUBIT_TEXT = "5 1\nXZZXI\nIXZZX\nXIXZZ\nZXIXZ\n"
+from conftest import FIVE_QUBIT_GENERATORS
+
+FIVE_QUBIT_TEXT = "5 1\n" + "".join(f"{g}\n" for g in FIVE_QUBIT_GENERATORS)
 
 
 @pytest.fixture
@@ -93,6 +95,7 @@ def test_code_file_with_byte_order_mark_json(capsys, tmp_path):
 
 def test_code_file_malformed_input(capsys, tmp_path):
     cases = (
+        ("missing.txt", None),
         ("long.txt", b"2 1\nXXX"),
         ("binary.txt", b"\xff\xfe"),
         ("overflow.json", b'{"n": 1e400, "k": 1, "generators": []}'),
@@ -103,23 +106,19 @@ def test_code_file_malformed_input(capsys, tmp_path):
     )
     for name, payload in cases:
         path = tmp_path / name
-        path.write_bytes(payload)
+        if payload is not None:
+            path.write_bytes(payload)
         code, out, err = run(capsys, "distance", str(path))
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and "Traceback" not in err
+        assert code == 2 and out == "", name
+        assert err.startswith("error:") and "Traceback" not in err, name
+        if name == "long.txt":
+            assert "line 2" in err
         if name == "binary.txt":
             assert "UTF-8" in err
 
 
 # ---------------------------------------------------------------------------
 # frozen subcommand outputs
-
-
-def test_lp_bound_trial_distance(capsys):
-    code, out, _ = run(capsys, "lp-bound", "--n", "7", "--k", "2", "--d", "5")
-    assert code == 0 and out == "feasible\n"
-    code, out, _ = run(capsys, "lp-bound", "--n", "7", "--k", "2", "--d", "6")
-    assert code == 0 and out == "infeasible\n"
 
 
 def test_lp_work_stops_at_64_qubits(capsys):
@@ -252,15 +251,6 @@ def test_registry_command(capsys):
     assert all("[[" in line for line in lines)
 
 
-def test_table_command_deterministic(capsys):
-    code, out1, _ = run(capsys, "table", "--nmax", "4")
-    assert code == 0
-    code, out2, _ = run(capsys, "table", "--nmax", "4")
-    assert out1 == out2
-    assert "n\\k" in out1 and "provenance:" in out1
-    assert "2-3" in out1  # the open (4, 2) cell
-
-
 # ---------------------------------------------------------------------------
 # JSON mirrors the text numbers
 
@@ -305,11 +295,10 @@ def test_json_output_matches_text_numbers(capsys, five_qubit_file):
 
     for d, verdict in (("5", True), ("6", False)):
         lp_args = ("lp-bound", "--n", "7", "--k", "2", "--d", d)
-        _, text_out, _ = run(capsys, *lp_args)
-        _, json_out, _ = run(capsys, *lp_args, "--format", "json")
-        payload = json.loads(json_out)
-        assert payload["feasible"] is verdict
-        assert text_out == ("feasible\n" if verdict else "infeasible\n")
+        code, text_out, _ = run(capsys, *lp_args)
+        assert code == 0 and text_out == ("feasible\n" if verdict else "infeasible\n")
+        code, json_out, _ = run(capsys, *lp_args, "--format", "json")
+        assert code == 0 and json.loads(json_out)["feasible"] is verdict
 
     code, text_out, _ = run(capsys, "verify-mw", five_qubit_file)
     assert code == 0
@@ -323,7 +312,10 @@ def test_json_output_matches_text_numbers(capsys, five_qubit_file):
         assert text_lines[at + 2].split()[1:] == [str(x) for x in check["transformed"]]
 
     _, text_out, _ = run(capsys, "dual", five_qubit_file)
-    _, json_out, _ = run(capsys, "dual", five_qubit_file, "--format", "json")
+    code, json_out, _ = run(capsys, "dual", five_qubit_file, "--format", "json")
+    payload = json.loads(json_out)
+    assert code == 0 and (payload["n"], payload["k"], payload["c"]) == (5, 0, 1)
+    assert len(payload["generators"]) == 6
     from eaqec import from_generators, parse_code_json, parse_code_text
 
     from_text = from_generators(*parse_code_text(text_out))
@@ -332,29 +324,8 @@ def test_json_output_matches_text_numbers(capsys, five_qubit_file):
     assert from_text.stabilizer_group == from_json.stabilizer_group
 
 
-def test_dual_json_output(capsys, five_qubit_file):
-    code, out, _ = run(capsys, "dual", five_qubit_file, "--format", "json")
-    assert code == 0
-    payload = json.loads(out)
-    assert (payload["n"], payload["k"], payload["c"]) == (5, 0, 1)
-    assert len(payload["generators"]) == 6
-
-
 # ---------------------------------------------------------------------------
 # errors and the budget knob
-
-
-def test_missing_file_is_an_error(capsys):
-    code, _, err = run(capsys, "distance", "/nonexistent/code.txt")
-    assert code == 2 and "error:" in err
-
-
-def test_malformed_input_is_an_error(capsys, tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("2 1\nXXX\n")
-    code, _, err = run(capsys, "distance", str(path))
-    assert code == 2
-    assert "line 2" in err
 
 
 def test_supplied_logical_pairs_are_validated(capsys, tmp_path):
@@ -436,6 +407,13 @@ def test_missing_stdout_exits_2(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_missing_stdin_exits_2(capsys, monkeypatch):
+    # with descriptor 0 closed, Python sets sys.stdin to None
+    monkeypatch.setattr(sys, "stdin", None)
+    for argv in (["distance"], ["wenum", "--format", "json"]):
+        assert run(capsys, *argv) == (2, "", "error: the input stream is closed\n"), argv
 
 
 def test_stderr_write_error_exits_2(monkeypatch):

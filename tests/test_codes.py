@@ -39,19 +39,13 @@ from eaqec import (
 )
 
 from conftest import (
+    FIVE_QUBIT_GENERATORS,
+    five_qubit_code,
     naive_commutes,
     naive_min_distance,
     random_code,
     random_symplectic_basis,
 )
-
-FIVE_QUBIT_GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
-
-
-def five_qubit_code() -> EaqecCode:
-    return from_generators(
-        5, 1, [PauliOperator.from_string(s) for s in FIVE_QUBIT_GENERATORS]
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from eaqec import (
     canonicalize,
     eaqec_identities,
     ea_repetition_code,
-    from_generators,
     krawtchouk,
     macwilliams_transform,
     orthogonal_group,
@@ -38,6 +37,7 @@ from eaqec import (
 from eaqec.enumerator import _combine, _plain_counts, _split, _split_counts, _words
 
 from conftest import (
+    five_qubit_code,
     krawtchouk_oracle,
     naive_closure,
     naive_weight_distribution,
@@ -46,8 +46,6 @@ from conftest import (
     random_group,
     random_operator,
 )
-
-FIVE_QUBIT_GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 
 
 # ---------------------------------------------------------------------------
@@ -75,13 +73,6 @@ def test_weight_enumerator_frozen_small_groups():
     xx = PauliOperator.from_string("XX")
     zz = PauliOperator.from_string("ZZ")
     assert weight_enumerator(canonicalize([xx, zz], 2)).coeffs == (1, 0, 3)
-
-
-def test_weight_enumerator_five_qubit_stabilizer():
-    gens = [PauliOperator.from_string(s) for s in FIVE_QUBIT_GENERATORS]
-    group = canonicalize(gens, 5)
-    assert weight_enumerator(group).coeffs == (1, 0, 0, 0, 15, 0)
-    assert weight_enumerator(orthogonal_group(group)).coeffs == (1, 0, 0, 30, 15, 18)
 
 
 def test_weight_enumerator_matches_closure_oracle():
@@ -229,8 +220,13 @@ def test_split_counts_match_closure_oracle():
         assert tuple(_split_counts(n, in_a, in_b, reps)) == expected
 
 
-def test_whole_pauli_group_closed_form():
-    # the whole group is the product of its halves: one coset, q = 0
+def test_whole_pauli_group_closed_form(monkeypatch):
+    # the whole group is the product of its halves: one coset, q = 0.  From
+    # n = 7 on, weight_enumerator visits only the 2^a + 2^b elements of the
+    # halves (2^14 + 2^16 at n = 15); below that the split's fixed cost
+    # exceeds the 4^n elements of the plain walk
+    sizes = _kernel_blocks(monkeypatch)
+    splits = _split_calls(monkeypatch)
     for n in range(1, 16):
         gens = [PauliOperator(n, 1 << q, 0) for q in range(n)]
         gens += [PauliOperator(n, 0, 1 << q) for q in range(n)]
@@ -239,20 +235,14 @@ def test_whole_pauli_group_closed_form():
         in_a, in_b, reps = _split(group)
         assert (len(in_a), len(in_b), len(reps)) == (2 * (n // 2), 2 * (n - n // 2), 0)
         assert tuple(_split_counts(n, in_a, in_b, reps)) == expected
+        sizes.clear()
+        splits.clear()
         assert weight_enumerator(group).coeffs == expected
-
-
-def test_whole_pauli_group_visits_only_its_halves(monkeypatch):
-    n = 15
-    gens = [PauliOperator(n, 1 << q, 0) for q in range(n)]
-    gens += [PauliOperator(n, 0, 1 << q) for q in range(n)]
-    group = canonicalize(gens, n)
-    sizes = _kernel_blocks(monkeypatch)
-    splits = _split_calls(monkeypatch)
-    enum = weight_enumerator(group)
-    assert enum.coeffs == tuple(math.comb(n, w) * 3**w for w in range(n + 1))
-    assert len(splits) == 1
-    assert sum(sizes) == (1 << 14) + (1 << 16) < 1 << 20
+        if n >= 7:
+            assert splits == [(in_a, in_b, reps)], n
+            assert sum(sizes) == (1 << len(in_a)) + (1 << len(in_b)) < 4**n, n
+        else:
+            assert not splits and sum(sizes) == 4**n, n
 
 
 def test_chunked_split_matches_plain_walk(monkeypatch):
@@ -326,7 +316,7 @@ def test_five_qubit_flow_counts_two_groups(monkeypatch):
     # c = 0: S' is S_I and L x S_S x S_I is L x S_I, so the distance and both
     # identities count the normalizer and the isotropic group alone
     counted = _count_calls(monkeypatch)
-    code = from_generators(5, 1, [PauliOperator.from_string(s) for s in FIVE_QUBIT_GENERATORS])
+    code = five_qubit_code()
     assert eaqec.min_distance(code) == 3
     assert all(check.holds for check in eaqec_identities(code))
     assert [id(g) for g in counted] == [id(code.normalizer_group), id(code.isotropic_group)]
@@ -487,18 +477,11 @@ def test_macwilliams_transform_detects_non_enumerator():
 
 
 def test_identities_five_qubit():
-    gens = [PauliOperator.from_string(s) for s in FIVE_QUBIT_GENERATORS]
-    code = from_generators(5, 1, gens)
+    code = five_qubit_code()
     normalizer_check, isotropic_check = eaqec_identities(code)
     assert normalizer_check.holds and isotropic_check.holds
     assert normalizer_check.direct.coeffs == (1, 0, 0, 30, 15, 18)
     assert isotropic_check.direct.coeffs == (1, 0, 0, 0, 15, 0)
-
-
-def test_identities_repetition_family():
-    for n in range(2, 9):
-        normalizer_check, isotropic_check = eaqec_identities(ea_repetition_code(n))
-        assert normalizer_check.holds and isotropic_check.holds
 
 
 def test_budget_is_checked_before_any_counting(monkeypatch):

@@ -439,6 +439,15 @@ def test_lp_cell_validation():
     with pytest.raises(ValueError, match="^need n_max <= 64, got 65$"):
         build_table(65)
     assert lp_feasible(64, 1, 64)
+    # a partial cell with c, k or d out of range
+    for (k, c, d), message in (
+        ((2, 0, 2), "^need 0 < c <= n - k, got c=0$"),
+        ((2, 4, 2), "^need 0 < c <= n - k, got c=4$"),
+        ((0, 2, 2), "^need 1 <= k < n, got k=0, n=5$"),
+        ((2, 3, 6), "^need 1 <= d <= n, got d=6$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            lp_feasible_general(5, k, c, d)
 
 
 def test_maximal_point_solves_full_system():
@@ -462,19 +471,18 @@ def test_lp_verdicts_match_full_system():
                 assert lp_feasible(n, k, d) == (full is not None), (n, k, d)
 
 
-def test_lp_feasibility_is_monotone_in_distance():
-    for n, k in ((4, 2), (5, 2), (6, 3), (7, 4)):
-        verdicts = [lp_feasible(n, k, d) for d in range(1, n + 1)]
-        assert verdicts == sorted(verdicts, reverse=True)
-
-
 def test_seeded_walk_matches_ascending_scan():
-    # any proved floor below the bound and any ceiling above it give the
-    # same bound as the climb from d = 1 with no ceiling
+    # the verdicts for d = 1..n never increase, so the bound is their sum:
+    # feasible at the bound and infeasible above it.  Any proved floor below
+    # the bound and any ceiling above it give the same bound as the climb
+    # from d = 1 with no ceiling
     cells = [(n, k, n - k) for n in range(2, 10) for k in range(1, n)]
     cells += [(n, k, c) for n in range(3, 7) for k in range(1, n) for c in range(1, n - k)]
     for n, k, c in cells:
         bound = lp_upper_bound(n, k, c)
+        verdicts = [lp_feasible_general(n, k, c, d) for d in range(1, n + 1)]
+        assert verdicts == sorted(verdicts, reverse=True), (n, k, c)
+        assert sum(verdicts) == bound, (n, k, c)
         for floor in range(1, bound + 1):
             for ceiling in range(bound + 1, n + 2):
                 assert lpbound._walk(n, k, c, floor, ceiling) == bound, (n, k, c, floor, ceiling)
@@ -534,10 +542,12 @@ def test_lengthening_and_trading_lift_feasible_points(monkeypatch):
         return walk(n, k, c, feasible, infeasible)
 
     monkeypatch.setattr(lpbound, "_walk", recording_walk)
-    build_table(20)
+    table = build_table(20)
     assert len(brackets) == 190
     for n, k, feasible, infeasible in brackets:
         assert feasible <= infeasible - 1, (n, k)
+    for cell in table.cells:
+        assert 1 <= cell.lower <= cell.upper <= cell.n, (cell.n, cell.k)
 
 
 def test_apply_overrides():
@@ -609,17 +619,6 @@ def test_apply_overrides_caps_match_exhaustive_search():
 # the general system
 
 
-def test_general_system_validation():
-    with pytest.raises(ValueError):
-        lp_feasible_general(5, 2, 0, 2)
-    with pytest.raises(ValueError):
-        lp_feasible_general(5, 2, 4, 2)
-    with pytest.raises(ValueError):
-        lp_feasible_general(5, 0, 2, 2)
-    with pytest.raises(ValueError):
-        lp_feasible_general(5, 2, 3, 6)
-
-
 def test_general_system_matches_maximal_at_boundary():
     # at c = n - k the isotropic group is trivial, so the partial builder's
     # system poses the maximal cell too, and both give the same verdict
@@ -629,16 +628,6 @@ def test_general_system_matches_maximal_at_boundary():
                 general = solve(2 * n - d + 1, *_general_rows(n, k, n - k, d))
                 maximal = solve(n - d + 1, *_maximal_rows(n, k, d))
                 assert (general is None) == (maximal is None), (n, k, d)
-
-
-def test_general_system_admits_known_codes():
-    # lengthening the five-qubit code gives a [[6,1,3;1]] code, so that cell
-    # must stay feasible up to its distance
-    for d in (1, 2, 3):
-        assert lp_feasible_general(6, 1, 1, d)
-    # trivial distance is always feasible on any valid cell
-    assert lp_feasible_general(6, 2, 2, 1)
-    assert lp_feasible_general(7, 3, 2, 1)
 
 
 def test_real_codes_are_feasible_points():
@@ -661,12 +650,6 @@ def test_real_codes_are_feasible_points():
                         equalities, floors = _general_rows(n, k, c, d)
                     assert_satisfies(point, general_rows(equalities, floors))
                     assert bound >= d, (n, k, c)
-
-
-def test_general_system_is_monotone_in_distance():
-    verdicts = [lp_feasible_general(6, 2, 2, d) for d in range(1, 7)]
-    assert verdicts == sorted(verdicts, reverse=True)
-    assert lp_upper_bound(6, 2, 2) == sum(verdicts)
 
 
 def test_general_rows_shape_and_lift():
@@ -765,29 +748,6 @@ def test_build_table_small_frozen():
         build_table(1)
 
 
-def test_table_rendering():
-    table = build_table(4)
-    text = table.to_text()
-    assert text == table.to_text()  # deterministic
-    assert "2-3" in text  # the open (4, 2) cell
-    assert "provenance:" in text
-    payload = table.to_json_dict()
-    assert payload["n_max"] == 4
-    assert len(payload["cells"]) == len(table.cells)
-    by_cell = {(c["n"], c["k"]): c for c in payload["cells"]}
-    for cell in table.cells:
-        row = by_cell[(cell.n, cell.k)]
-        assert (row["lower"], row["upper"]) == (cell.lower, cell.upper)
-        assert row["lower_source"] == cell.lower_source
-        assert row["upper_source"] == cell.upper_source
-
-
-def test_lower_bounds_never_exceed_upper_bounds():
-    table = build_table(20)
-    for cell in table.cells:
-        assert 1 <= cell.lower <= cell.upper <= cell.n
-
-
 def test_lower_bound_closure_past_the_registry():
     # the registry stops at n = 15, so every n = 16 lower bound comes from
     # lengthening (15, k) or trading (16, k + 1), whichever is larger
@@ -797,13 +757,3 @@ def test_lower_bound_closure_past_the_registry():
         neighbours = [table.cell(15, k).lower, table.cell(16, k + 1).lower] if k < 15 else []
         assert cell.lower == max(neighbours, default=1), k
         assert cell.lower_source == ("extension" if cell.lower > 1 else "trivial"), k
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(2, 6), st.data())
-def test_scan_consistency_property(n, data):
-    k = data.draw(st.integers(1, n - 1))
-    bound = lp_upper_bound(n, k)
-    assert lp_feasible(n, k, bound)
-    if bound < n:
-        assert not lp_feasible(n, k, bound + 1)

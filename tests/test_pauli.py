@@ -22,6 +22,7 @@ from eaqec import (
 )
 
 from conftest import (
+    FIVE_QUBIT_GENERATORS,
     all_operators,
     naive_closure,
     naive_commutes,
@@ -29,8 +30,6 @@ from conftest import (
     random_group,
     random_operator,
 )
-
-FIVE_QUBIT_GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 
 # single-letter multiplication table, phases dropped
 _LETTER_PRODUCT = {
@@ -124,13 +123,6 @@ def test_symplectic_product_frozen():
     a = PauliOperator.from_string("XZZXI")
     b = PauliOperator.from_string("IXZZX")
     assert symplectic_product(a, b) == 0
-
-
-def test_five_qubit_generators_pairwise_commute():
-    gens = [PauliOperator.from_string(s) for s in FIVE_QUBIT_GENERATORS]
-    for i, a in enumerate(gens):
-        for b in gens[i:]:
-            assert symplectic_product(a, b) == 0
 
 
 @settings(max_examples=200)
