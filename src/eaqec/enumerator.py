@@ -18,7 +18,8 @@ where K_w(w', n) is the quaternary Krawtchouk polynomial and B the enumerator
 of V'.  For an entanglement-assisted code the identity specializes to the two
 group pairs exposed by :func:`eaqec_identities`.
 
-The Krawtchouk values are kept as one cached table per n, whose row w holds
+The Krawtchouk values are kept as one cached table per n <= ``MAX_QUBITS``
+(a larger n is rejected before any table is built), whose row w holds
 K_w(0..n).  Column w' has the generating function (1 + 3y)^(n-w') (1 - y)^w'
 in y, so column 0 is 3^w C(n, w) and the recurrence
 (1 + 3y) K(., w' + 1) = (1 - y) K(., w') builds each row from the one above
@@ -65,7 +66,7 @@ from operator import mul
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetError, InconsistencyError
-from .pauli import PauliGroup, _lsb
+from .pauli import MAX_QUBITS, PauliGroup, _echelon, _lsb
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -201,31 +202,6 @@ def _plain_counts(n: int, words: Sequence[tuple[int, int]]) -> list[int]:
 
     origin = np.zeros((2, 1), dtype=np.uint64)
     return _tally(*_tables(words), n, origin)[0].tolist()
-
-
-def _echelon(vecs: Iterable[int], cols: int) -> tuple[list[int], list[int]]:
-    """Sequential GF(2) elimination of independent rows on the columns ``cols``.
-
-    Returns ``(kept, vanished)``: the reduced rows whose restriction to
-    ``cols`` is independent of the earlier ones, and the reduced rows that
-    vanish there.  Both consist of elements of the span, together they are a
-    basis of it, and ``vanished`` is a basis of its intersection with the rows
-    that are zero on ``cols``.  A kept row's pivot is its lowest bit in
-    ``cols``, so clearing a row's pivot bits lowest first ends.
-    """
-    kept: dict[int, int] = {}  # pivot column -> row, in insertion order
-    pivots = 0
-    vanished = []
-    for vec in vecs:
-        while hit := vec & pivots:
-            vec ^= kept[_lsb(hit)]
-        if vec & cols:
-            p = _lsb(vec & cols)
-            kept[p] = vec
-            pivots |= 1 << p
-        else:
-            vanished.append(vec)
-    return list(kept.values()), vanished
 
 
 def _words(rows: Iterable[int], n: int) -> list[tuple[int, int]]:
@@ -364,8 +340,10 @@ def krawtchouk(w: int, w_prime: int, n: int) -> int:
     Equals the coefficient of x^(n-w) y^w in (x + 3y)^(n-w') (x - y)^w', read
     from the table of n.  ``cache_clear`` and ``cache_info`` are the tables'.
     """
-    if n < 0 or not 0 <= w <= n or not 0 <= w_prime <= n:
-        raise ValueError(f"need 0 <= w, w' <= n, got w={w}, w'={w_prime}, n={n}")
+    if n > MAX_QUBITS or not 0 <= w <= n or not 0 <= w_prime <= n:
+        raise ValueError(
+            f"need 0 <= w, w' <= n <= {MAX_QUBITS}, got w={w}, w'={w_prime}, n={n}"
+        )
     return _krawtchouk_table(n)[w][w_prime]
 
 
@@ -379,15 +357,18 @@ def macwilliams_transform(enum: WeightEnumerator, group_order: int) -> WeightEnu
     ``enum`` should be the weight distribution of a group of order
     ``group_order`` (the divisor is passed explicitly to keep this a pure
     arithmetic map); the result is then the distribution of its symplectic
-    orthogonal.  Raises ``ValueError`` when the order is below 1 or does not
-    match the coefficient sum, and :class:`InconsistencyError` when some
-    transformed coefficient is not a nonnegative integer, which proves the
-    input was not a subgroup's weight distribution.  The order is an argument
-    rather than the coefficient sum because a mutated distribution can pass
-    every other check at its own sum: (2, 0, 0, 0), the trivial group's on
-    three qubits with one added at weight 0, transforms at order 2 to
-    (1, 9, 27, 27), exactly the trivial group's orthogonal.
+    orthogonal.  Raises ``ValueError`` when n exceeds ``MAX_QUBITS`` or the
+    order is below 1 or does not match the coefficient sum, and
+    :class:`InconsistencyError` when some transformed coefficient is not a
+    nonnegative integer, which proves the input was not a subgroup's weight
+    distribution.  The order is an argument rather than the coefficient sum
+    because a mutated distribution can pass every other check at its own
+    sum: (2, 0, 0, 0), the trivial group's on three qubits with one added at
+    weight 0, transforms at order 2 to (1, 9, 27, 27), exactly the trivial
+    group's orthogonal.
     """
+    if enum.n > MAX_QUBITS:
+        raise ValueError(f"need n <= {MAX_QUBITS}, got n={enum.n}")
     if group_order < 1:
         raise ValueError(f"group order must be at least 1, got {group_order}")
     if group_order != enum.order:

@@ -50,8 +50,9 @@ docstring says why the rows it leaves out are implied.
 Everything is solved exactly, in integers: a phase-one simplex with Bland's
 rule and fraction-free pivoting on the compact (dictionary) tableau (Edmonds,
 J. Res. NBS 71B, 1967; Avis's lrs), described at :func:`_solve_feasibility`.
-Verdicts carry no floating-point caveats, and a feasible point is the same
-rational vertex a ``fractions.Fraction`` tableau reaches.  The rational
+Verdicts carry no floating-point caveats: a feasible point is the same
+rational vertex a ``fractions.Fraction`` tableau reaches, and an infeasible
+verdict comes with an integer Farkas vector that checks it.  The rational
 relaxation is sound for upper bounds: any true code gives an integer solution.
 
 :func:`build_table` assembles the full bounds grid: upper bounds from the LP
@@ -61,6 +62,7 @@ under the two extension rules.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -78,10 +80,11 @@ _SIMPLEX_ITERATION_CAP = 1_000_000
 
 def _solve_feasibility(
     num_vars: int, equalities: Sequence[Row], floors: Sequence[Row]
-) -> tuple[list[Fraction] | None, int]:
+) -> tuple[list[Fraction] | None, list[int] | None, int]:
     """Exact phase-one simplex: a nonnegative rational point x with a.x = b
-    for every equality (a, b) and a.x >= b for every floor (a, b), or None,
-    returned with the number of pivots taken as ``(point, pivots)``.
+    for every equality (a, b) and a.x >= b for every floor (a, b), or else a
+    Farkas vector y proving there is none, returned with the number of
+    pivots taken as ``(point, None, pivots)`` or ``(None, y, pivots)``.
 
     Every floor must hold at the origin, b <= 0 (else ``ValueError``), and
     enters as -a.x + s = -b with its slack s basic; each equality, negated if
@@ -109,14 +112,25 @@ def _solve_feasibility(
     it terminate; it stops once the artificial objective reaches zero.  A
     departed artificial never re-enters but keeps its column, so row m ends
     holding every slack's and artificial's reduced cost.
+
+    When no variable can enter and the objective is still positive, the
+    phase-one duals pi prove infeasibility.  Artificial i's reduced cost is
+    1 - pi_i and slack j's is -pi_j, and row m holds det times each.  So y,
+    one integer per row in the order given, is sign_i (det - r) on equality
+    i, with r artificial i's entry (0 while basic) and sign_i -1 on a negated
+    row, and slack j's entry r >= 0 (0 while basic) on floor j, divided by
+    their gcd.  Then y >= 0 on the floors, sum_i y_i a_i <= 0 in every
+    column, as no x can enter, and sum_i y_i b_i > 0, a positive multiple of
+    the objective.  Any x >= 0 meeting the rows would give
+    0 >= (sum_i y_i a_i).x >= sum_i y_i b_i > 0.
     """
     for coeffs, _ in (*equalities, *floors):
         if len(coeffs) != num_vars:
             raise ValueError(f"a row has {len(coeffs)} coefficients for {num_vars} variables")
     art_start = num_vars + len(floors)
     tableau: list[list[int]] = []
-    for coeffs, rhs in equalities:
-        sign = -1 if operator.index(rhs) < 0 else 1
+    signs = [-1 if operator.index(rhs) < 0 else 1 for _, rhs in equalities]
+    for (coeffs, rhs), sign in zip(equalities, signs):
         tableau.append([sign * operator.index(a) for a in coeffs] + [sign * rhs])
     for coeffs, rhs in floors:
         if operator.index(rhs) > 0:
@@ -136,7 +150,14 @@ def _solve_feasibility(
             raise BudgetError(f"exact simplex exceeded {_SIMPLEX_ITERATION_CAP} pivots")
         entering = [(var, j) for j, var in enumerate(nonbasic) if var < art_start and obj[j] < 0]
         if not entering:
-            return None, pivots
+            farkas = [sign * det for sign in signs] + [0] * len(floors)
+            for j, var in enumerate(nonbasic):
+                if var >= art_start:
+                    farkas[var - art_start] -= signs[var - art_start] * obj[j]
+                elif var >= num_vars:
+                    farkas[len(signs) + var - num_vars] = obj[j]
+            g = math.gcd(*farkas)
+            return None, [y // g for y in farkas], pivots
         enter = min(entering)[1]
         pivot_row = -1
         for i, row in enumerate(tableau[:m]):
@@ -171,7 +192,7 @@ def _solve_feasibility(
     for i, b in enumerate(basis):
         if b < num_vars:
             point[b] = Fraction(tableau[i][-1], det)
-    return point, pivots
+    return point, None, pivots
 
 
 # ---------------------------------------------------------------------------

@@ -134,29 +134,46 @@ def _lsb(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
+def _echelon(vectors: Iterable[int], cols: int) -> tuple[list[int], list[int]]:
+    """GF(2) elimination of ``vectors``, in order, on the columns ``cols`` (-1: all).
+
+    Returns ``(kept, vanished)``: the reduced rows independent of the earlier
+    ones on ``cols``, in input order, and the reduced rows zero there.
+    Together they are a basis of the span, and ``vanished`` is a basis of its
+    intersection with the vectors zero on ``cols``.  A kept row's pivot is its
+    lowest bit in ``cols``, so clearing a row's pivot bits lowest first ends.
+    """
+    kept: dict[int, int] = {}  # pivot bit -> row, in insertion order
+    pivots = 0  # mask of the pivot bits
+    vanished = []
+    for vec in vectors:
+        while hit := vec & pivots:
+            vec ^= kept[hit & -hit]
+        if low := vec & cols:
+            low &= -low
+            kept[low] = vec
+            pivots |= low
+        else:
+            vanished.append(vec)
+    return list(kept.values()), vanished
+
+
 def _rref(vectors: Iterable[int]) -> list[int]:
     """Reduced row-echelon basis of the span, rows sorted by pivot column.
 
-    Forward elimination clears each new row at the pivots it hits, lowest
-    first: a row's pivot is its lowest bit, so each step leaves the bits below
-    that pivot alone.  One back-substitution, from the highest pivot down,
+    The rows :func:`_echelon` keeps on every column have distinct lowest
+    bits, their pivots.  One back-substitution, from the highest pivot down,
     then clears every pivot column above its own row.
     """
-    rows: dict[int, int] = {}  # pivot column -> row
-    pivots = 0  # mask of the pivot columns
-    for vec in vectors:
-        while hit := vec & pivots:
-            vec ^= rows[_lsb(hit)]
-        if vec:
-            p = _lsb(vec)
-            rows[p] = vec
-            pivots |= 1 << p
+    rows = {row & -row: row for row in _echelon(vectors, -1)[0]}  # pivot bit -> row
+    pivots = sum(rows)  # distinct bits, so their sum is their union
     for p in sorted(rows, reverse=True):
         row = rows[p]
-        hit = (row & pivots) ^ (1 << p)  # pivots above p, whose rows are reduced
+        hit = (row & pivots) ^ p  # pivots above p, whose rows are reduced
         while hit:
-            row ^= rows[_lsb(hit)]
-            hit &= hit - 1
+            low = hit & -hit
+            row ^= rows[low]
+            hit ^= low
         rows[p] = row
     return [rows[p] for p in sorted(rows)]
 
@@ -199,10 +216,10 @@ class PauliGroup:
         return 1 << self.rank
 
     def contains(self, op: PauliOperator) -> bool:
-        """Whether ``op`` is in the group: its row leaves the rank unchanged."""
+        """Whether ``op`` is in the group: its row vanishes against the basis."""
         if op.n != self.n:
             raise DimensionError(f"operator on {op.n} qubits, group on {self.n}")
-        return len(_rref((*self.rows, _vec(op)))) == self.rank
+        return bool(_echelon((*self.rows, _vec(op)), -1)[1])
 
     def __contains__(self, op: PauliOperator) -> bool:
         return self.contains(op)
@@ -228,23 +245,23 @@ def canonicalize(generators: Iterable[PauliOperator], n: int | None = None) -> P
 def orthogonal_group(group: PauliGroup) -> PauliGroup:
     """The set of operators commuting with every element of ``group``.
 
-    Ranks are complementary: rank + orthogonal rank = 2n.  Computed as the
-    GF(2) nullspace of the generator matrix with u/v halves swapped.
+    Ranks are complementary: rank + orthogonal rank = 2n.  Computed as one
+    elimination: row j holds the unit vector e_j shifted up by the rank r
+    and, in its low r bits, its syndrome, whose bit i is <e_j, g_i> for the
+    canonical generator g_i, that is bit j of g_i with its halves swapped.
+    The rows whose syndromes vanish under :func:`_echelon` on the low r
+    columns, shifted back down, are a basis of the orthogonal group.
     """
     n = group.n
-    ncols = 2 * n
-    rows = _rref(_swap_halves(v, n) for v in group.rows)
-    pivots = {_lsb(r) for r in rows}
-    kernel = []
-    for col in range(ncols):
-        if col in pivots:
-            continue
-        vec = 1 << col
-        for r in rows:
-            if (r >> col) & 1:
-                vec |= 1 << _lsb(r)
-        kernel.append(vec)
-    return PauliGroup(n, tuple(kernel))
+    rank = group.rank
+    rows = [1 << (j + rank) for j in range(2 * n)]
+    for i, g in enumerate(group.rows):
+        bits = _swap_halves(g, n)
+        while bits:
+            rows[_lsb(bits)] |= 1 << i
+            bits &= bits - 1
+    vanished = _echelon(rows, (1 << rank) - 1)[1]
+    return PauliGroup(n, tuple(row >> rank for row in vanished))
 
 
 def symplectic_gram_schmidt(

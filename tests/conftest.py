@@ -118,6 +118,20 @@ def krawtchouk_oracle(w: int, w_prime: int, n: int) -> int:
     return poly_mul(first, second)[w]
 
 
+def farkas_accepts(num_vars, equalities, floors, y) -> bool:
+    """Whether the integers y, one per row (the equalities a.x = b, then the
+    floors a.x >= b), prove that no x >= 0 meets the rows: y >= 0 on the
+    floors, sum_i y_i a_i <= 0 in every column and sum_i y_i b_i > 0.  Such
+    an x would give 0 >= (sum_i y_i a_i).x >= sum_i y_i b_i > 0."""
+    rows = [*equalities, *floors]
+    if len(y) != len(rows) or not all(isinstance(v, int) for v in y):
+        return False
+    if any(v < 0 for v in y[len(equalities) :]):
+        return False
+    columns = (sum(v * a[col] for v, (a, _) in zip(y, rows)) for col in range(num_vars))
+    return all(s <= 0 for s in columns) and sum(v * b for v, (_, b) in zip(y, rows)) > 0
+
+
 # ---------------------------------------------------------------------------
 # random structures
 

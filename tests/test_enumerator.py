@@ -428,6 +428,14 @@ def test_krawtchouk_range_validation():
         krawtchouk(3, 0, 2)
     with pytest.raises(ValueError):
         krawtchouk(0, -1, 2)
+    # n stops at 64, as everywhere else, and no table is built past it
+    size = krawtchouk.cache_info().currsize
+    with pytest.raises(ValueError, match="^need 0 <= w, w' <= n <= 64, got w=0, w'=0, n=65$"):
+        krawtchouk(0, 0, 65)
+    with pytest.raises(ValueError, match="^need n <= 64, got n=65$"):
+        macwilliams_transform(WeightEnumerator(65, (1,) + (0,) * 65), 1)
+    assert krawtchouk.cache_info().currsize == size
+    assert krawtchouk(0, 0, 0) == krawtchouk(64, 64, 64) == 1
 
 
 # ---------------------------------------------------------------------------

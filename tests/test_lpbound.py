@@ -29,7 +29,7 @@ from eaqec import lpbound
 from eaqec.errors import BudgetError
 from eaqec.lpbound import _general_rows, _maximal_rows, _solve_feasibility
 
-from conftest import random_code
+from conftest import farkas_accepts, random_code
 
 
 def solve(num_vars, equalities, floors):
@@ -276,11 +276,15 @@ def test_solver_finds_exact_point():
 
 
 def test_solver_reports_infeasibility():
-    assert solve(1, [([1], 1), ([1], 2)], []) is None
+    # each verdict carries its Farkas vector, one integer per row
+    assert _solve_feasibility(1, [([1], 1), ([1], 2)], [])[:2] == (None, [-1, 1])
     # x <= -1 is -x >= 1, which fails at the origin: -x - t = 1
-    assert solve(2, [([-1, -1], 1)], []) is None
+    assert _solve_feasibility(2, [([-1, -1], 1)], [])[:2] == (None, [1])
     # x + y <= 1 is a floor; x + y >= 2 is x + y - t = 2
-    assert solve(3, [([1, 1, -1], 2)], [([-1, -1, 0], -1)]) is None
+    assert _solve_feasibility(3, [([1, 1, -1], 2)], [([-1, -1, 0], -1)])[:2] == (None, [1, 1])
+    # two negated rows, 0 = -1 and -x = -1: x enters in place of the second's
+    # artificial, whose entry then counts with the row's sign
+    assert _solve_feasibility(1, [([0], -1), ([-1], -1)], []) == (None, [-1, 0], 1)
 
 
 def test_solver_handles_inequalities_and_negative_rhs():
@@ -346,22 +350,34 @@ _small_system = st.integers(1, 4).flatmap(
 @given(_small_system)
 def test_solver_matches_fraction_reference_on_small_systems(system):
     num_vars, equalities, floors = system
-    point = solve(num_vars, equalities, floors)
+    point, farkas, _ = _solve_feasibility(num_vars, equalities, floors)
     rows = general_rows(equalities, floors)
     assert point == fraction_simplex(num_vars, rows)
     if point is not None:
+        assert farkas is None
         assert_satisfies(point, rows)
+    else:
+        assert farkas_accepts(num_vars, equalities, floors, farkas)
 
 
-def _count_pivots(monkeypatch):
-    """Patch the solver to append each solve's pivot count to the returned list."""
+def _count_pivots(monkeypatch, certificates=None):
+    """Patch the solver to append each solve's pivot count to the returned
+    list.  Every infeasible verdict's Farkas vector must pass
+    ``farkas_accepts`` on the rows as built; ``certificates`` collects them
+    with those rows."""
     pivots = []
     original = lpbound._solve_feasibility
 
     def counting_solve(num_vars, equalities, floors):
-        point, count = original(num_vars, equalities, floors)
+        point, farkas, count = original(num_vars, equalities, floors)
+        if point is None:
+            assert farkas_accepts(num_vars, equalities, floors, farkas)
+            if certificates is not None:
+                certificates.append((num_vars, equalities, floors, farkas))
+        else:
+            assert farkas is None
         pivots.append(count)
-        return point, count
+        return point, farkas, count
 
     monkeypatch.setattr(lpbound, "_solve_feasibility", counting_solve)
     return pivots
@@ -404,10 +420,10 @@ def test_solver_matches_fraction_reference_on_every_scan_solve(monkeypatch):
 def test_simplex_iteration_cap_boundary(monkeypatch):
     # a solve that is feasible after exactly the cap's pivots returns its point
     equalities, floors = _maximal_rows(9, 4, 5)
-    point, pivots = _solve_feasibility(5, equalities, floors)
+    point, _, pivots = _solve_feasibility(5, equalities, floors)
     assert point is not None and pivots >= 2
     monkeypatch.setattr(lpbound, "_SIMPLEX_ITERATION_CAP", pivots)
-    assert _solve_feasibility(5, equalities, floors) == (point, pivots)
+    assert _solve_feasibility(5, equalities, floors) == (point, None, pivots)
     monkeypatch.setattr(lpbound, "_SIMPLEX_ITERATION_CAP", pivots - 1)
     with pytest.raises(BudgetError, match=f"{pivots - 1} pivots"):
         _solve_feasibility(5, equalities, floors)
@@ -489,7 +505,8 @@ def test_seeded_walk_matches_ascending_scan():
 
 
 def test_build_table_settles_each_cell_in_two_solves(monkeypatch):
-    solves = _count_pivots(monkeypatch)
+    certificates = []
+    solves = _count_pivots(monkeypatch, certificates)
     per_cell = {}
     walk = lpbound._walk
 
@@ -509,8 +526,16 @@ def test_build_table_settles_each_cell_in_two_solves(monkeypatch):
     # the k = n - 1 column climbs from the trivial code's floor of 1
     solves.clear()
     per_cell.clear()
+    certificates.clear()
     build_table(15)
     assert (len(solves), sum(solves)) == (160, 918)
+    # 74 verdicts are infeasible, and each one's vector was accepted; one
+    # with a floor entry negated is not
+    assert len(certificates) == 74
+    num_vars, equalities, floors, farkas = certificates[-1]
+    j = next(j for j in range(len(equalities), len(farkas)) if farkas[j])
+    negated = farkas[:j] + [-farkas[j]] + farkas[j + 1 :]
+    assert not farkas_accepts(num_vars, equalities, floors, negated)
 
 
 def test_lengthening_and_trading_lift_feasible_points(monkeypatch):
@@ -532,6 +557,29 @@ def test_lengthening_and_trading_lift_feasible_points(monkeypatch):
                     traded = [scale * x for x in point]
                     assert_satisfies(traded, general_rows(*_maximal_rows(n, k - 1, d)))
     assert lifted == 307
+    # the same lifts of the 375 feasible partial points with 3 <= n <= 9,
+    # over I_1..I_n then M_d..M_n: I and M padded with 0 at weight n + 1
+    # satisfy the (n + 1, k, c + 1, d) rows, and I kept with M scaled by
+    # lambda the (n, k - 1, c + 1, d) rows
+    lifted = 0
+    for n in range(3, 10):
+        for k in range(1, n):
+            for c in range(1, n - k):
+                for d in range(1, n + 1):
+                    point = solve(2 * n - d + 1, *_general_rows(n, k, c, d))
+                    if point is None:
+                        break
+                    iso, excess = point[:n], point[n:]
+                    lengthened = iso + [0] + excess + [0]
+                    rows = _general_rows(n + 1, k, c + 1, d)
+                    assert_satisfies(lengthened, general_rows(*rows))
+                    lifted += 1
+                    if k > 1:
+                        scale = Fraction(4 ** (k - 1) - 1, 4**k - 1)
+                        traded = iso + [scale * x for x in excess]
+                        rows = _general_rows(n, k - 1, c + 1, d)
+                        assert_satisfies(traded, general_rows(*rows))
+    assert lifted == 375
     # so in the table, bound(n - 1, k), feasible at (n, k) by lengthening,
     # never exceeds bound(n, k - 1), which caps (n, k) by trading
     brackets = []
@@ -689,9 +737,12 @@ def test_general_rows_shape_and_lift():
                         assert is_sublist(full_general_rows(n, k, c, d - 1), full_rows)
 
 
-def test_general_bounds_match_pinned_values():
+def test_general_bounds_match_pinned_values(monkeypatch):
     # every partial-entanglement bound with n <= 10, pinned from the system
-    # over S and C; its n <= 5 rows are the benchmark's frozen values
+    # over S and C; its n <= 5 rows are the benchmark's frozen values.  Each
+    # scan's infeasible verdict carries a Farkas vector that is accepted
+    certificates = []
+    _count_pivots(monkeypatch, certificates)
     root = Path(__file__).resolve().parent.parent
     pinned = json.loads((root / "tests" / "data" / "lp_general_n10.json").read_text())
     cells = [(n, k, c) for n in range(3, 11) for k in range(1, n) for c in range(1, n - k)]
@@ -699,6 +750,8 @@ def test_general_bounds_match_pinned_values():
     assert [[n, k, c, lp_upper_bound(n, k, c)] for n, k, c in cells] == pinned["lp_general"]
     frozen = json.loads((root / "perfbench" / "expected.json").read_text())["lp_general"]
     assert [row for row in pinned["lp_general"] if row[0] <= 5] == frozen
+    # each scan climbs to its first infeasible d, unless its bound is n
+    assert len(certificates) == sum(bound < n for n, _, _, bound in pinned["lp_general"])
 
 
 def test_general_dominance_of_combined_over_normalizer():

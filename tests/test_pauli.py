@@ -236,9 +236,19 @@ def test_orthogonal_group_brute_force():
 
 def test_orthogonal_group_is_an_involution():
     rng = random.Random(6)
-    for _ in range(25):
-        group = random_group(rng, rng.randint(1, 5))
-        assert orthogonal_group(orthogonal_group(group)) == group
+    groups = [random_group(rng, rng.randint(1, 5)) for _ in range(25)]
+    # the trivial and the whole group at both ends of the qubit range, and
+    # n = 64 groups whose syndrome rows reach 256 bits
+    for n in (1, MAX_QUBITS):
+        groups += [PauliGroup(n, ()), PauliGroup(n, tuple(1 << j for j in range(2 * n)))]
+    for rank in (1, 64, 127):
+        groups.append(canonicalize([random_operator(rng, MAX_QUBITS) for _ in range(rank)]))
+    assert [g.rank for g in groups[-3:]] == [1, 64, 127]
+    for group in groups:
+        ortho = orthogonal_group(group)
+        assert group.rank + ortho.rank == 2 * group.n
+        assert all(naive_commutes(a, g) for a in ortho.generators for g in group.generators)
+        assert orthogonal_group(ortho) == group
 
 
 def test_symplectic_gram_schmidt_structure():
