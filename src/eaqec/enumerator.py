@@ -94,6 +94,8 @@ class WeightEnumerator:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"need n >= 0, got {self.n}")
         if len(self.coeffs) != self.n + 1:
             raise ValueError(f"need {self.n + 1} coefficients, got {len(self.coeffs)}")
         if any(c < 0 for c in self.coeffs):
@@ -153,45 +155,33 @@ def _gray_shifts(
         yield reps ^ np.array([[du], [dv]], dtype=np.uint64)
 
 
-def _weight_blocks(
-    table: np.ndarray, walk: Sequence[tuple[int, int]], reps: np.ndarray
-) -> Iterator[np.ndarray]:
-    """Yield the Pauli weights of all elements of the cosets reps[:, i] + span.
-
-    The span is that of the generators expanded in ``table`` (from
-    :func:`_tables`) and the raw ``(u, v)`` words ``walk``; ``reps`` holds m
-    coset representatives as X and Z rows.  Each block shifts the
-    representatives by one element of the span of ``walk``
-    (:func:`_gray_shifts`), broadcasts them against the table and counts the
-    set bits of X | Z: m rows of ``table.shape[1]`` weights, one row per
-    representative.  The yielded ``uint8`` array is reused by the next block.
-    """
-    import numpy as np
-
-    both = np.empty((2, reps.shape[1], table.shape[1]), dtype=np.uint64)
-    weights = np.empty(both[0].size, dtype=np.uint8)
-    for shifted in _gray_shifts(walk, reps):
-        np.bitwise_xor(shifted[:, :, None], table[:, None, :], out=both)
-        np.bitwise_or(both[0], both[1], out=both[0])
-        yield np.bitwise_count(both[0].ravel(), out=weights)
-
-
 def _tally(
     table: np.ndarray, walk: Sequence[tuple[int, int]], width: int, reps: np.ndarray
 ) -> np.ndarray:
-    """Weight counts 0..width of each coset of :func:`_weight_blocks`, as int64.
+    """Weight counts 0..width of each coset reps[:, i] + span, as int64.
 
-    Row i counts the coset of reps[:, i].  Each block is counted by one
-    ``bincount`` with the weights of row i offset by i (width + 1).
+    The span is that of the generators expanded in ``table`` (from
+    :func:`_tables`) and the raw ``(u, v)`` words ``walk``; ``reps`` holds m
+    coset representatives as X and Z rows, and row i counts the coset of
+    reps[:, i].  Each block shifts the representatives by one element of the
+    span of ``walk`` (:func:`_gray_shifts`), broadcasts them against the
+    table, takes the weights as the set bits of X | Z, and counts them with
+    one ``bincount``, the weights of row i offset by i (width + 1).  Every
+    buffer is allocated once and reused by each block.
     """
     import numpy as np
 
     m, bins = reps.shape[1], width + 1
     offsets = np.arange(0, m * bins, bins)[:, None]
+    both = np.empty((2, m, table.shape[1]), dtype=np.uint64)
+    weights = np.empty((m, table.shape[1]), dtype=np.uint8)
     binned = np.empty((m, table.shape[1]), dtype=np.intp)
     counts = np.zeros(m * bins, dtype=np.int64)
-    for weights in _weight_blocks(table, walk, reps):
-        np.add(offsets, weights.reshape(m, -1), out=binned)
+    for shifted in _gray_shifts(walk, reps):
+        np.bitwise_xor(shifted[:, :, None], table[:, None, :], out=both)
+        np.bitwise_or(both[0], both[1], out=both[0])
+        np.bitwise_count(both[0], out=weights)
+        np.add(offsets, weights, out=binned)
         counts += np.bincount(binned.ravel(), minlength=counts.size)
     return counts.reshape(m, bins)
 

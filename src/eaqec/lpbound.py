@@ -50,10 +50,11 @@ docstring says why the rows it leaves out are implied.
 Everything is solved exactly, in integers: a phase-one simplex with Bland's
 rule and fraction-free pivoting on the compact (dictionary) tableau (Edmonds,
 J. Res. NBS 71B, 1967; Avis's lrs), described at :func:`_solve_feasibility`.
-Verdicts carry no floating-point caveats: a feasible point is the same
-rational vertex a ``fractions.Fraction`` tableau reaches, and an infeasible
-verdict comes with an integer Farkas vector that checks it.  The rational
-relaxation is sound for upper bounds: any true code gives an integer solution.
+Verdicts carry no floating-point caveats, and each comes with an integer
+certificate that a few lines of integer arithmetic check: a feasible verdict
+with its vertex, reduced integers x over one denominator det > 0, and an
+infeasible one with a Farkas vector.  The rational relaxation is sound for
+upper bounds: any true code gives an integer solution.
 
 :func:`build_table` assembles the full bounds grid: upper bounds from the LP
 walk plus the even-n overrides, lower bounds from the code registry closed
@@ -65,7 +66,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -80,11 +80,13 @@ _SIMPLEX_ITERATION_CAP = 1_000_000
 
 def _solve_feasibility(
     num_vars: int, equalities: Sequence[Row], floors: Sequence[Row]
-) -> tuple[list[Fraction] | None, list[int] | None, int]:
-    """Exact phase-one simplex: a nonnegative rational point x with a.x = b
-    for every equality (a, b) and a.x >= b for every floor (a, b), or else a
-    Farkas vector y proving there is none, returned with the number of
-    pivots taken as ``(point, None, pivots)`` or ``(None, y, pivots)``.
+) -> tuple[tuple[list[int], int] | None, list[int] | None, int]:
+    """Exact phase-one simplex: a nonnegative rational vertex x / det with
+    a.x = b det for every equality (a, b) and a.x >= b det for every floor
+    (a, b), or else a Farkas vector y proving there is none, returned with
+    the number of pivots taken as ``((x, det), None, pivots)`` or
+    ``(None, y, pivots)``.  The vertex is integers x over det > 0 with
+    gcd(det, *x) = 1.
 
     Every floor must hold at the origin, b <= 0 (else ``ValueError``), and
     enters as -a.x + s = -b with its slack s basic; each equality, negated if
@@ -109,7 +111,9 @@ def _solve_feasibility(
     pivots.
 
     Bland's rule (smallest variable, for entering and ratio-test ties) makes
-    it terminate; it stops once the artificial objective reaches zero.  A
+    it terminate; it stops once the artificial objective reaches zero, with
+    det times each basic variable's value in its row's right-hand side and
+    the nonbasic ones at 0: that is x, divided with det by their gcd.  A
     departed artificial never re-enters but keeps its column, so row m ends
     holding every slack's and artificial's reduced cost.
 
@@ -188,11 +192,12 @@ def _solve_feasibility(
         basis[pivot_row], nonbasic[enter] = nonbasic[enter], basis[pivot_row]
         pivots += 1
 
-    point = [Fraction(0)] * num_vars
+    x = [0] * num_vars
     for i, b in enumerate(basis):
         if b < num_vars:
-            point[b] = Fraction(tableau[i][-1], det)
-    return point, None, pivots
+            x[b] = tableau[i][-1]
+    g = math.gcd(det, *x)
+    return ([v // g for v in x], det // g), None, pivots
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,20 @@ def farkas_accepts(num_vars, equalities, floors, y) -> bool:
     return all(s <= 0 for s in columns) and sum(v * b for v, (_, b) in zip(y, rows)) > 0
 
 
+def point_accepts(num_vars, equalities, floors, x, det) -> bool:
+    """Whether the integers x, one per variable, over the integer det > 0
+    meet the rows: x >= 0, a.x = b det on the equalities and a.x >= b det on
+    the floors, so that x / det is a nonnegative point of a.x = b and
+    a.x >= b."""
+    if len(x) != num_vars or not all(isinstance(v, int) for v in (*x, det)):
+        return False
+    if det <= 0 or any(v < 0 for v in x):
+        return False
+    excess = [sum(c * v for c, v in zip(a, x)) - b * det for a, b in (*equalities, *floors)]
+    split = len(equalities)
+    return all(e == 0 for e in excess[:split]) and all(e >= 0 for e in excess[split:])
+
+
 # ---------------------------------------------------------------------------
 # random structures
 

@@ -57,6 +57,10 @@ def test_weight_enumerator_validation():
     assert enum.order == 4
     with pytest.raises(ValueError):
         WeightEnumerator(2, (1, 0))  # wrong length
+    with pytest.raises(ValueError, match="need n >= 0, got -1"):
+        WeightEnumerator(-1, ())  # order 0, which no group has
+    assert WeightEnumerator(0, (1,)).order == 1
+    assert WeightEnumerator(64, (1,) + (0,) * 64).order == 1
     with pytest.raises(ValueError):
         WeightEnumerator(1, (1, -1))
 
@@ -87,16 +91,17 @@ def test_weight_enumerator_matches_closure_oracle():
 
 
 def _kernel_blocks(monkeypatch) -> list[int]:
-    """Patch the enumeration kernel to record the size of every block it yields."""
+    """Patch the enumeration kernel to record the size of every block it
+    counts: one per element of the span of ``walk``, each of m
+    representatives times the table's width."""
     sizes: list[int] = []
-    kernel = enumerator._weight_blocks
+    tally = enumerator._tally
 
-    def counting(*args):
-        for weights in kernel(*args):
-            sizes.append(len(weights))
-            yield weights
+    def counting(table, walk, width, reps):
+        sizes.extend([reps.shape[1] * table.shape[1]] * (1 << len(walk)))
+        return tally(table, walk, width, reps)
 
-    monkeypatch.setattr(enumerator, "_weight_blocks", counting)
+    monkeypatch.setattr(enumerator, "_tally", counting)
     return sizes
 
 
@@ -374,10 +379,12 @@ def test_split_and_plain_routes_agree_through_macwilliams(monkeypatch):
 
 
 def test_numpy_is_loaded_only_to_enumerate():
-    # the registry and the LP bounds stay clear of numpy's import cost
+    # the registry and the LP bounds stay clear of numpy's import cost, and
+    # of fractions and decimal: every LP certificate is integers
     script = (
         "import sys, eaqec; eaqec.registry(); eaqec.build_table(4); "
-        "assert 'numpy' not in sys.modules, 'numpy was imported'"
+        "loaded = {'numpy', 'fractions', 'decimal'} & set(sys.modules); "
+        "assert not loaded, f'{sorted(loaded)} imported'"
     )
     src = str(Path(eaqec.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
@@ -494,13 +501,13 @@ def test_identities_five_qubit():
 
 def test_budget_is_checked_before_any_counting(monkeypatch):
     calls = []
-    kernel = enumerator._weight_blocks
+    tally = enumerator._tally
 
     def counting(*args):
         calls.append(args)
-        return kernel(*args)
+        return tally(*args)
 
-    monkeypatch.setattr(enumerator, "_weight_blocks", counting)
+    monkeypatch.setattr(enumerator, "_tally", counting)
     # stabilizer, normalizer, isotropic and combined ranks (8, 2, 0, 10):
     # the combined group is over budget, and nothing is counted first
     code = ea_repetition_code(5)

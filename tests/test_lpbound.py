@@ -7,6 +7,7 @@ the reduced systems' points are lifted back into with ``krawtchouk``.
 """
 
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -29,12 +30,20 @@ from eaqec import lpbound
 from eaqec.errors import BudgetError
 from eaqec.lpbound import _general_rows, _maximal_rows, _solve_feasibility
 
-from conftest import farkas_accepts, random_code
+from conftest import farkas_accepts, point_accepts, random_code
+
+
+def as_fractions(vertex):
+    """A solver's vertex (x, det) as the point x / det, or None for None."""
+    if vertex is None:
+        return None
+    x, det = vertex
+    return [Fraction(v, det) for v in x]
 
 
 def solve(num_vars, equalities, floors):
-    """The solver's point, or None, without its pivot count."""
-    return _solve_feasibility(num_vars, equalities, floors)[0]
+    """The solver's point x / det, or None, without its pivot count."""
+    return as_fractions(_solve_feasibility(num_vars, equalities, floors)[0])
 
 
 def assert_satisfies(point, rows):
@@ -308,7 +317,9 @@ def test_solver_trivial_system():
 
 
 def test_solver_fractional_point():
-    assert solve(1, [([2], 1)], []) == [Fraction(1, 2)]
+    # the vertex is integers over one positive denominator, in lowest terms
+    assert _solve_feasibility(1, [([2], 1)], [])[0] == ([1], 2)
+    assert _solve_feasibility(2, [([4, 2], 2)], [])[0] == ([1, 0], 2)
 
 
 def test_solver_rejects_non_integer_rows():
@@ -350,34 +361,39 @@ _small_system = st.integers(1, 4).flatmap(
 @given(_small_system)
 def test_solver_matches_fraction_reference_on_small_systems(system):
     num_vars, equalities, floors = system
-    point, farkas, _ = _solve_feasibility(num_vars, equalities, floors)
+    vertex, farkas, _ = _solve_feasibility(num_vars, equalities, floors)
     rows = general_rows(equalities, floors)
-    assert point == fraction_simplex(num_vars, rows)
-    if point is not None:
-        assert farkas is None
-        assert_satisfies(point, rows)
+    assert as_fractions(vertex) == fraction_simplex(num_vars, rows)
+    if vertex is not None:
+        x, det = vertex
+        assert farkas is None and math.gcd(det, *x) == 1
+        assert point_accepts(num_vars, equalities, floors, x, det)
     else:
         assert farkas_accepts(num_vars, equalities, floors, farkas)
 
 
 def _count_pivots(monkeypatch, certificates=None):
     """Patch the solver to append each solve's pivot count to the returned
-    list.  Every infeasible verdict's Farkas vector must pass
-    ``farkas_accepts`` on the rows as built; ``certificates`` collects them
-    with those rows."""
+    list.  Every verdict's certificate must be accepted on the rows as
+    built: a feasible one's vertex, reduced over its det, by
+    ``point_accepts``, an infeasible one's Farkas vector by
+    ``farkas_accepts``.  ``certificates`` collects each solve's rows with
+    its vertex and its vector, one of them None."""
     pivots = []
     original = lpbound._solve_feasibility
 
     def counting_solve(num_vars, equalities, floors):
-        point, farkas, count = original(num_vars, equalities, floors)
-        if point is None:
+        vertex, farkas, count = original(num_vars, equalities, floors)
+        if vertex is None:
             assert farkas_accepts(num_vars, equalities, floors, farkas)
-            if certificates is not None:
-                certificates.append((num_vars, equalities, floors, farkas))
         else:
-            assert farkas is None
+            x, det = vertex
+            assert farkas is None and math.gcd(det, *x) == 1
+            assert point_accepts(num_vars, equalities, floors, x, det)
+        if certificates is not None:
+            certificates.append((num_vars, equalities, floors, vertex, farkas))
         pivots.append(count)
-        return point, farkas, count
+        return vertex, farkas, count
 
     monkeypatch.setattr(lpbound, "_solve_feasibility", counting_solve)
     return pivots
@@ -390,7 +406,7 @@ def test_solver_matches_fraction_reference_on_every_scan_solve(monkeypatch):
 
     def recording(num_vars, equalities, floors):
         result = counting_solve(num_vars, equalities, floors)
-        solves.append((num_vars, general_rows(equalities, floors), result[0]))
+        solves.append((num_vars, general_rows(equalities, floors), as_fractions(result[0])))
         return result
 
     monkeypatch.setattr(lpbound, "_solve_feasibility", recording)
@@ -529,13 +545,19 @@ def test_build_table_settles_each_cell_in_two_solves(monkeypatch):
     certificates.clear()
     build_table(15)
     assert (len(solves), sum(solves)) == (160, 918)
-    # 74 verdicts are infeasible, and each one's vector was accepted; one
-    # with a floor entry negated is not
-    assert len(certificates) == 74
-    num_vars, equalities, floors, farkas = certificates[-1]
+    # 74 verdicts are infeasible and 86 feasible, and each one's vector or
+    # vertex was accepted
+    vectors = [cert for cert in certificates if cert[3] is None]
+    vertices = [cert for cert in certificates if cert[3] is not None]
+    assert (len(vectors), len(vertices)) == (74, 86)
+    # a vector with a floor entry negated is not accepted
+    num_vars, equalities, floors, _, farkas = vectors[-1]
     j = next(j for j in range(len(equalities), len(farkas)) if farkas[j])
     negated = farkas[:j] + [-farkas[j]] + farkas[j + 1 :]
     assert not farkas_accepts(num_vars, equalities, floors, negated)
+    # nor is a vertex over twice its det, which halves the sum B_d + ... + B_n
+    num_vars, equalities, floors, (x, det), _ = vertices[-1]
+    assert not point_accepts(num_vars, equalities, floors, x, 2 * det)
 
 
 def test_lengthening_and_trading_lift_feasible_points(monkeypatch):
@@ -696,7 +718,7 @@ def test_real_codes_are_feasible_points():
                         iso = weight_enumerator(code.isotropic_group).coeffs
                         point = iso[1:] + tuple(x - y for x, y in zip(norm[d:], iso[d:]))
                         equalities, floors = _general_rows(n, k, c, d)
-                    assert_satisfies(point, general_rows(equalities, floors))
+                    assert point_accepts(len(point), equalities, floors, point, 1)
                     assert bound >= d, (n, k, c)
 
 
@@ -740,7 +762,7 @@ def test_general_rows_shape_and_lift():
 def test_general_bounds_match_pinned_values(monkeypatch):
     # every partial-entanglement bound with n <= 10, pinned from the system
     # over S and C; its n <= 5 rows are the benchmark's frozen values.  Each
-    # scan's infeasible verdict carries a Farkas vector that is accepted
+    # scan's verdict carries a certificate that is accepted
     certificates = []
     _count_pivots(monkeypatch, certificates)
     root = Path(__file__).resolve().parent.parent
@@ -751,7 +773,8 @@ def test_general_bounds_match_pinned_values(monkeypatch):
     frozen = json.loads((root / "perfbench" / "expected.json").read_text())["lp_general"]
     assert [row for row in pinned["lp_general"] if row[0] <= 5] == frozen
     # each scan climbs to its first infeasible d, unless its bound is n
-    assert len(certificates) == sum(bound < n for n, _, _, bound in pinned["lp_general"])
+    vectors = [cert for cert in certificates if cert[3] is None]
+    assert len(vectors) == sum(bound < n for n, _, _, bound in pinned["lp_general"]) == 120
 
 
 def test_general_dominance_of_combined_over_normalizer():
