@@ -32,7 +32,14 @@ an XOR table of the low generators' X and Z halves, broadcast against a set
 of coset representatives shifted block by block through a Gray-code walk
 over the remaining generators, with the weight of each element read off as
 the popcount of X | Z and each coset's weights counted by one offset
-``bincount`` per block.  A whole group is the one coset of the identity.
+``bincount`` per block.  A whole group is the one coset of the identity,
+and when its table holds every generator that coset is the table itself:
+one OR, one popcount and one ``bincount``, with no shift and no offsets.
+The table of up to eight generators is one running XOR of the generators
+taken in Gray-code order, and each further generator doubles it: a group
+of rank at most 8 is counted in six numpy calls, and one of rank 9 to 20
+in three more plus one per generator above 8.  Below about 2^12 elements
+those calls, not the elements, set the time.
 
 A large group G of rank r is counted over the qubit halves A = [0, n//2) and
 B = [n//2, n).  G_A and G_B, the elements of G supported on one half, have
@@ -62,7 +69,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from operator import index, mul
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetError, InconsistencyError
@@ -78,33 +85,56 @@ DEFAULT_BUDGET_LOG2 = 30
 
 _BLOCK_LOG2 = 20
 
+#: Widths up to which :func:`_xor_table` builds a table in one running XOR.
+_SEED_LOG2 = 8
+
 #: Fixed cost of one split count, in element visits.  Its echelon forms,
-#: tables, matrix product and anti-diagonal sums took about 50 us more than a
-#: plain walk of the same group, in which the walk visits about 2^13 elements
-#: at 5-13 ns each (2-vCPU x86 VM, numpy 2.4).  Of the powers of two, 2^13
-#: also gave the least total time over the groups of one benchmark pass.
+#: tables, matrix product and anti-diagonal sums took about 40 us (quartiles
+#: 32-53 us) more than a plain walk of the same group, in which the walk
+#: visits about 2^13 elements at 3.5-9 ns each (the 806 groups of one seed-101
+#: ``code-checks`` pass, 2-vCPU x86 VM, numpy 2.4).  Of the powers of two,
+#: 2^13 also gave the least total time over those groups.
 _SPLIT_COST = 1 << 13
 
 
 @dataclass(frozen=True)
 class WeightEnumerator:
-    """Exact weight distribution of a Pauli subgroup on ``n`` qubits."""
+    """Exact weight distribution of a Pauli subgroup on ``n`` qubits.
+
+    ``n`` and the coefficients are stored as a Python int and a tuple of
+    them: any integer, numpy's included, is taken by its ``operator.index``
+    value, and anything else raises ``TypeError``.
+    """
 
     n: int
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"need n >= 0, got {self.n}")
-        if len(self.coeffs) != self.n + 1:
-            raise ValueError(f"need {self.n + 1} coefficients, got {len(self.coeffs)}")
-        if any(c < 0 for c in self.coeffs):
+        n, coeffs = index(self.n), tuple(map(index, self.coeffs))
+        vars(self).update(n=n, coeffs=coeffs)
+        if n < 0:
+            raise ValueError(f"need n >= 0, got {n}")
+        if len(coeffs) != n + 1:
+            raise ValueError(f"need {n + 1} coefficients, got {len(coeffs)}")
+        if min(coeffs) < 0:
             raise ValueError("weight enumerator coefficients must be nonnegative")
 
     @property
     def order(self) -> int:
         """Total element count: sum of the coefficients, 2**rank for a group."""
         return sum(self.coeffs)
+
+
+def _enumerator(n: int, coeffs: tuple[int, ...]) -> WeightEnumerator:
+    """A :class:`WeightEnumerator` built without the constructor's checks.
+
+    Each caller passes n + 1 nonnegative Python ints for a checked n: the
+    ``tolist`` of a count, whose weights are popcounts of n bits, or the
+    quotients :func:`macwilliams_transform` has checked.
+    """
+    enum = object.__new__(WeightEnumerator)
+    vars(enum).update(n=n, coeffs=coeffs)
+    return enum
 
 
 def _check_budget(rank: int, budget_log2: int | None) -> None:
@@ -115,17 +145,41 @@ def _check_budget(rank: int, budget_log2: int | None) -> None:
         )
 
 
+@lru_cache(maxsize=None)
+def _ruler(t: int) -> np.ndarray:
+    """The word entering the Gray-code walk over t words at each of its 2^t
+    steps, as an index into ``[0, *words]``: 0 at step 0, and 1 + lsb(i) at
+    step i.  Cached read-only, one array per width."""
+    import numpy as np
+
+    ruler = np.zeros(1 << t, dtype=np.intp)
+    for j in range(t):
+        ruler[1 << j :: 2 << j] = j + 1
+    ruler.flags.writeable = False
+    return ruler
+
+
 def _xor_table(words: Sequence[tuple[int, int]]) -> np.ndarray:
-    """X and Z halves of every element of the span of ``words``.
+    """X and Z halves of every element of the span of ``words``, each once.
 
     A ``uint64`` array of shape (2, 2^len(words)): row 0 holds the X bits and
-    row 1 the Z bits, and column i is the XOR of the words at the set bits of i.
+    row 1 the Z bits.  The span of the first ``_SEED_LOG2`` words is one
+    running XOR of the words in Gray-code order (:func:`_ruler`), so column i
+    is the element of Gray code i ^ (i >> 1); each further word doubles the
+    table, its new half the old one XOR the word.  Every caller uses the
+    columns as a set.
     """
     import numpy as np
 
-    table = np.zeros((2, 1 << len(words)), dtype=np.uint64)
-    columns = np.array(words, dtype=np.uint64).reshape(-1, 2, 1)
-    for j, word in enumerate(columns):
+    t = min(len(words), _SEED_LOG2)
+    columns = np.array([(0, 0), *words], dtype=np.uint64)
+    seed = np.take(columns.T, _ruler(t), axis=1)
+    np.bitwise_xor.accumulate(seed, axis=1, out=seed)
+    if len(words) == t:
+        return seed
+    table = np.empty((2, 1 << len(words)), dtype=np.uint64)
+    table[:, : seed.shape[1]] = seed
+    for j, word in enumerate(columns[t + 1 :].reshape(-1, 2, 1), t):
         half = 1 << j
         np.bitwise_xor(table[:, :half], word, out=table[:, half : 2 * half])
     return table
@@ -156,42 +210,48 @@ def _gray_shifts(
 
 
 def _tally(
-    table: np.ndarray, walk: Sequence[tuple[int, int]], width: int, reps: np.ndarray
+    table: np.ndarray,
+    walk: Sequence[tuple[int, int]],
+    width: int,
+    reps: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Weight counts 0..width of each coset reps[:, i] + span, as int64.
+    """Weight counts 0..width of each coset reps[:, i] + span, as integers.
 
     The span is that of the generators expanded in ``table`` (from
     :func:`_tables`) and the raw ``(u, v)`` words ``walk``; ``reps`` holds m
     coset representatives as X and Z rows, and row i counts the coset of
-    reps[:, i].  Each block shifts the representatives by one element of the
+    reps[:, i].  ``None`` stands for the identity coset, the span itself, in
+    one row.  Each block shifts the representatives by one element of the
     span of ``walk`` (:func:`_gray_shifts`), broadcasts them against the
     table, takes the weights as the set bits of X | Z, and counts them with
-    one ``bincount``, the weights of row i offset by i (width + 1).  Every
-    buffer is allocated once and reused by each block.
+    one ``bincount``, the weights of row i offset by i (width + 1).  The
+    first block allocates every buffer and the later ones reuse them.  The
+    identity coset of a single block, the table itself, is counted with no
+    shift and no offsets.
     """
     import numpy as np
 
+    if reps is None:
+        if not walk:
+            weights = np.bitwise_count(np.bitwise_or(table[0], table[1]))
+            return np.bincount(weights, minlength=width + 1)[None]
+        reps = np.zeros((2, 1), dtype=np.uint64)
     m, bins = reps.shape[1], width + 1
     offsets = np.arange(0, m * bins, bins)[:, None]
-    both = np.empty((2, m, table.shape[1]), dtype=np.uint64)
-    weights = np.empty((m, table.shape[1]), dtype=np.uint8)
-    binned = np.empty((m, table.shape[1]), dtype=np.intp)
-    counts = np.zeros(m * bins, dtype=np.int64)
+    both = weights = binned = counts = None  # allocated by the first block
     for shifted in _gray_shifts(walk, reps):
-        np.bitwise_xor(shifted[:, :, None], table[:, None, :], out=both)
+        both = np.bitwise_xor(shifted[:, :, None], table[:, None, :], out=both)
         np.bitwise_or(both[0], both[1], out=both[0])
-        np.bitwise_count(both[0], out=weights)
-        np.add(offsets, weights, out=binned)
-        counts += np.bincount(binned.ravel(), minlength=counts.size)
+        weights = np.bitwise_count(both[0], out=weights)
+        binned = np.add(offsets, weights, out=binned)
+        block = np.bincount(binned.ravel(), minlength=m * bins)
+        counts = block if counts is None else np.add(counts, block, out=counts)
     return counts.reshape(m, bins)
 
 
 def _plain_counts(n: int, words: Sequence[tuple[int, int]]) -> list[int]:
     """Weight distribution of span(words), every element walked."""
-    import numpy as np
-
-    origin = np.zeros((2, 1), dtype=np.uint64)
-    return _tally(*_tables(words), n, origin)[0].tolist()
+    return _tally(*_tables(words), n)[0].tolist()
 
 
 def _words(rows: Iterable[int], n: int) -> list[tuple[int, int]]:
@@ -303,7 +363,7 @@ def weight_enumerator(group: PauliGroup, budget_log2: int | None = None) -> Weig
     memo = vars(group)  # frozen fields alone define equality and hash
     enum = memo.get("_weight_enumerator")
     if enum is None:
-        enum = memo["_weight_enumerator"] = WeightEnumerator(group.n, tuple(_count(group)))
+        enum = memo["_weight_enumerator"] = _enumerator(group.n, tuple(_count(group)))
     return enum
 
 
@@ -376,7 +436,7 @@ def macwilliams_transform(enum: WeightEnumerator, group_order: int) -> WeightEnu
                 "not a nonnegative integer"
             )
         out.append(q)
-    return WeightEnumerator(n, tuple(out))
+    return _enumerator(n, tuple(out))
 
 
 def verify_macwilliams(group: PauliGroup, budget_log2: int | None = None) -> bool:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 from typing import Iterable
 
 from .errors import DimensionError
@@ -45,7 +46,9 @@ class PauliOperator:
     """A phase-free Pauli operator on ``n`` qubits.
 
     ``u`` holds the X bits and ``v`` the Z bits, one bit per qubit, qubit 0 in
-    the least significant position.
+    the least significant position.  The fields are stored as Python ints:
+    any integer, numpy's included, is taken by its ``operator.index`` value,
+    and anything else raises ``TypeError``.
     """
 
     n: int
@@ -53,10 +56,12 @@ class PauliOperator:
     v: int
 
     def __post_init__(self) -> None:
-        _check_qubit_count(self.n)
-        mask = (1 << self.n) - 1
-        if not 0 <= self.u <= mask or not 0 <= self.v <= mask:
-            raise DimensionError(f"bit vectors out of range for n={self.n}")
+        n, u, v = index(self.n), index(self.u), index(self.v)
+        vars(self).update(n=n, u=u, v=v)
+        _check_qubit_count(n)
+        mask = (1 << n) - 1
+        if not 0 <= u <= mask or not 0 <= v <= mask:
+            raise DimensionError(f"bit vectors out of range for n={n}")
 
     @classmethod
     def identity(cls, n: int) -> "PauliOperator":
@@ -88,7 +93,7 @@ class PauliOperator:
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
         if self.n != other.n:
             raise DimensionError(f"cannot multiply operators on {self.n} and {other.n} qubits")
-        return PauliOperator(self.n, self.u ^ other.u, self.v ^ other.v)
+        return _operator(self.n, self.u ^ other.u, self.v ^ other.v)
 
     @property
     def weight(self) -> int:
@@ -115,19 +120,32 @@ def _vec(op: PauliOperator) -> int:
     return op.u | (op.v << op.n)
 
 
+def _operator(n: int, u: int, v: int) -> PauliOperator:
+    """A :class:`PauliOperator` built without the constructor's checks.
+
+    Each caller passes Python ints within range: the XOR of two operators on
+    the same n qubits, or the halves of a packed row (:func:`_op`).
+    """
+    op = object.__new__(PauliOperator)
+    vars(op).update(n=n, u=u, v=v)
+    return op
+
+
 def _op(n: int, vec: int) -> PauliOperator:
-    mask = (1 << n) - 1
-    return PauliOperator(n, vec & mask, vec >> n)
+    """The operator of the packed row ``vec``, without the constructor's checks.
+
+    Every caller passes a row of a :class:`PauliGroup` on n qubits or an XOR
+    of such rows.  The group checked n against 1..MAX_QUBITS and each row
+    against [0, 4^n), and XOR stays in that range, so ``vec & mask`` and
+    ``vec >> n`` are Python ints in [0, 2^n).
+    """
+    return _operator(n, vec & ((1 << n) - 1), vec >> n)
 
 
 def _swap_halves(vec: int, n: int) -> int:
     """Exchange the u and v halves, turning the symplectic form into a dot product."""
     mask = (1 << n) - 1
     return ((vec & mask) << n) | (vec >> n)
-
-
-def _vec_product(a: int, b_swapped: int) -> int:
-    return (a & b_swapped).bit_count() & 1
 
 
 def _lsb(x: int) -> int:
@@ -188,20 +206,21 @@ class PauliGroup:
     unreduced rows are accepted and two equal subgroups always compare equal
     structurally.  The generators as operators, the rank and the order are
     derived from ``rows``.  Use :func:`canonicalize` to build one from
-    operators.
+    operators.  As in :class:`PauliOperator`, ``n`` and the rows are taken
+    by their ``operator.index`` values.
     """
 
     n: int
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_qubit_count(self.n)
-        rows = tuple(self.rows)
-        limit = 1 << (2 * self.n)
+        n, rows = index(self.n), tuple(map(index, self.rows))
+        _check_qubit_count(n)
+        limit = 1 << (2 * n)
         for row in rows:
             if not 0 <= row < limit:
-                raise DimensionError(f"row {row} out of range for n={self.n}")
-        object.__setattr__(self, "rows", tuple(_rref(rows)))
+                raise DimensionError(f"row {row} out of range for n={n}")
+        vars(self).update(n=n, rows=tuple(_rref(rows)))
 
     @cached_property
     def generators(self) -> tuple[PauliOperator, ...]:
@@ -236,10 +255,12 @@ def canonicalize(generators: Iterable[PauliOperator], n: int | None = None) -> P
         if not ops:
             raise DimensionError("qubit count required for an empty generator list")
         n = ops[0].n
+    rows = []
     for g in ops:
         if g.n != n:
             raise DimensionError(f"generator on {g.n} qubits, expected {n}")
-    return PauliGroup(n, tuple(_vec(g) for g in ops))
+        rows.append(g.u | (g.v << n))
+    return PauliGroup(n, tuple(rows))
 
 
 def orthogonal_group(group: PauliGroup) -> PauliGroup:
@@ -274,21 +295,32 @@ def symplectic_gram_schmidt(
     eliminated from every remaining generator, so the remainder commutes with
     both.  Generators that never find a partner commute with everything kept
     and form the isotropic part.  With c pairs and s isotropic generators,
-    2c + s equals the rank, and the output spans the original group.
+    2c + s equals the rank, and the output spans the original group.  The
+    scan runs on packed rows, the parity of ``a & swapped(b)`` being <a, b>;
+    every row it keeps is an XOR of the group's rows, so :func:`_op` builds
+    the operators at the end.
     """
     n = group.n
     work = list(group.rows)
-    pairs: list[tuple[PauliOperator, PauliOperator]] = []
-    isotropic: list[PauliOperator] = []
+    pairs: list[tuple[int, int]] = []
+    isotropic: list[int] = []
     while work:
         g = work.pop(0)
         g_sw = _swap_halves(g, n)
-        partner = next((i for i, h in enumerate(work) if _vec_product(h, g_sw)), None)
-        if partner is None:
-            isotropic.append(_op(n, g))
+        for i, h in enumerate(work):
+            if (h & g_sw).bit_count() & 1:
+                break
+        else:
+            isotropic.append(g)
             continue
-        h = work.pop(partner)
+        h = work.pop(i)
         h_sw = _swap_halves(h, n)
-        work = [e ^ g * _vec_product(e, h_sw) ^ h * _vec_product(e, g_sw) for e in work]
-        pairs.append((_op(n, g), _op(n, h)))
-    return tuple(pairs), tuple(isotropic)
+        work = [
+            e ^ (g if (e & h_sw).bit_count() & 1 else 0) ^ (h if (e & g_sw).bit_count() & 1 else 0)
+            for e in work
+        ]
+        pairs.append((g, h))
+    return (
+        tuple((_op(n, g), _op(n, h)) for g, h in pairs),
+        tuple(_op(n, g) for g in isotropic),
+    )

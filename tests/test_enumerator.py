@@ -34,7 +34,15 @@ from eaqec import (
     verify_macwilliams,
     weight_enumerator,
 )
-from eaqec.enumerator import _combine, _plain_counts, _split, _split_counts, _words
+from eaqec.enumerator import (
+    _combine,
+    _plain_counts,
+    _split,
+    _split_counts,
+    _tally,
+    _words,
+    _xor_table,
+)
 
 from conftest import (
     five_qubit_code,
@@ -63,6 +71,15 @@ def test_weight_enumerator_validation():
     assert WeightEnumerator(64, (1,) + (0,) * 64).order == 1
     with pytest.raises(ValueError):
         WeightEnumerator(1, (1, -1))
+    # integers of any kind are stored as Python ints, so the transform keeps
+    # its exact arithmetic; a float is rejected before it can reach it
+    wide = WeightEnumerator(np.int64(1), [np.int64(1), np.uint8(1)])
+    assert wide == WeightEnumerator(1, (1, 1))
+    assert all(type(c) is int for c in (wide.n, *wide.coeffs))
+    assert macwilliams_transform(wide, 2) == wide  # {I, X} is its own orthogonal
+    for bad in ((1, (1.0, 0)), (1.0, (1, 0)), (1, (1, "0"))):
+        with pytest.raises(TypeError):
+            WeightEnumerator(*bad)
 
 
 # ---------------------------------------------------------------------------
@@ -93,12 +110,14 @@ def test_weight_enumerator_matches_closure_oracle():
 def _kernel_blocks(monkeypatch) -> list[int]:
     """Patch the enumeration kernel to record the size of every block it
     counts: one per element of the span of ``walk``, each of m
-    representatives times the table's width."""
+    representatives (one for the identity coset, ``reps`` None) times the
+    table's width."""
     sizes: list[int] = []
     tally = enumerator._tally
 
-    def counting(table, walk, width, reps):
-        sizes.extend([reps.shape[1] * table.shape[1]] * (1 << len(walk)))
+    def counting(table, walk, width, reps=None):
+        m = 1 if reps is None else reps.shape[1]
+        sizes.extend([m * table.shape[1]] * (1 << len(walk)))
         return tally(table, walk, width, reps)
 
     monkeypatch.setattr(enumerator, "_tally", counting)
@@ -186,6 +205,37 @@ def test_weight_enumerator_large_rank_block_path(monkeypatch):
     sizes = _kernel_blocks(monkeypatch)
     assert weight_enumerator(group).coeffs == tuple(expected)
     assert sizes == [1 << 20] * 16
+
+
+def test_xor_table_holds_each_span_element_once():
+    # 0 to 12 independent words, on both sides of the seed width of the
+    # Gray-code accumulate: the 2^t columns are the span, each element once
+    rng = random.Random(53)
+    for t in range(13):
+        n = rng.randint(max(1, (t + 1) // 2), 10)
+        group = _random_group_of_rank(rng, n, t)
+        table = _xor_table(_words(group.rows, n))
+        assert table.shape == (2, 1 << t) and table.dtype == np.uint64
+        span = naive_closure(list(group.generators), n)
+        assert sorted(zip(*table.tolist())) == sorted((e.u, e.v) for e in span), t
+
+
+def test_identity_coset_tally_equals_zero_representative():
+    # no representatives stands for the identity coset: on a single block it
+    # is counted with no shift and no offsets, and through a walk from the
+    # identity; both equal the count of an explicit zero representative
+    rng = random.Random(59)
+    zero = np.zeros((2, 1), dtype=np.uint64)
+    for _ in range(30):
+        n = rng.randint(1, 8)
+        group = random_group(rng, n)
+        words = _words(group.rows, n)
+        expected = naive_weight_distribution(naive_closure(list(group.generators), n), n)
+        for t in {len(words), len(words) // 2}:
+            table, walk = _xor_table(words[:t]), words[t:]
+            counts = _tally(table, walk, n)
+            assert counts.tolist() == _tally(table, walk, n, zero).tolist()
+            assert tuple(counts[0].tolist()) == expected
 
 
 def test_weight_enumerator_budget():

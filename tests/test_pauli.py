@@ -6,6 +6,7 @@ randomized checks compare against the letter-level oracles in conftest.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +87,39 @@ def test_from_string_rejects_bad_input():
         PauliOperator(2, 4, 0)  # u out of range
     with pytest.raises(DimensionError):
         PauliOperator(0, 0, 0)
+
+
+def test_fields_are_stored_as_python_ints():
+    # numpy integers are taken by value: neither an int64 shift past bit 63
+    # nor a uint64 bit vector at n = 64 can overflow in the linear algebra
+    low = PauliOperator(40, 0, np.int64(1 << 30))
+    top = PauliOperator(np.int64(64), np.uint64(1 << 63), 0)
+    assert canonicalize([low]).rows == (1 << 70,)
+    assert canonicalize([top]).rows == (1 << 63,)
+    assert all(type(x) is int for x in (low.n, low.u, low.v, top.n, top.u, top.v))
+    assert low == PauliOperator(40, 0, 1 << 30) and str(top) == "I" * 63 + "X"
+    for bad in ((2, 1.0, 0), (2.0, 1, 0), (2, 0, "1")):
+        with pytest.raises(TypeError):
+            PauliOperator(*bad)
+    # and so are a group's rows
+    group = PauliGroup(np.int64(64), (np.uint64(1 << 63), np.int64(1 << 62)))
+    assert group == canonicalize([top, PauliOperator(64, 1 << 62, 0)])
+    assert all(type(x) is int for x in (group.n, *group.rows))
+    with pytest.raises(TypeError):
+        PauliGroup(2, (1.0,))
+    # products, group generators and the Gram-Schmidt split skip the checks;
+    # what they build equals the public constructor's operator
+    rng = random.Random(61)
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        group = random_group(rng, n)
+        pairs, isotropic = symplectic_gram_schmidt(group)
+        built = [*group.generators, *isotropic, *(op for pair in pairs for op in pair)]
+        built += [a * b for a, b in zip(built, built[1:])]
+        for op in built:
+            public = PauliOperator(op.n, op.u, op.v)
+            assert op == public and hash(op) == hash(public) and repr(op) == repr(public)
+            assert all(type(x) is int for x in (op.n, op.u, op.v))
 
 
 def test_product_frozen():
