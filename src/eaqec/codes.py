@@ -31,6 +31,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cache, cached_property
+from operator import index
 from typing import Iterable, Sequence
 
 from .enumerator import weight_enumerator
@@ -80,13 +81,14 @@ class EaqecCode:
     enumerator, once.
     """
 
-    n: int
+    n: int  # stored by its operator.index value
     symplectic_pairs: tuple[Pair, ...]
     isotropic_gens: tuple[PauliOperator, ...]
     logical_pairs: tuple[Pair, ...]
 
     def __post_init__(self) -> None:
-        n, k, c = self.n, self.k, self.c
+        n, k, c = index(self.n), self.k, self.c
+        vars(self)["n"] = n
         _check_qubit_count(n)
         s = len(self.isotropic_gens)
         if k + c + s != n:
@@ -187,6 +189,7 @@ def from_generators(
     S' + S'^⊥, whose rank is r + (2n - r) - s, and have full rank.  All
     generators act on the n qubits ``canonicalize`` checked.
     """
+    n, k = index(n), index(k)
     if not 0 <= k <= n:
         raise ValueError(f"information qubit count k={k} out of range for n={n}")
     group = canonicalize(generators, n)
@@ -267,10 +270,10 @@ _SOURCES = ("literature", "construction", "extension")
 
 @dataclass(frozen=True)
 class CodeRegistryEntry:
-    """A known ``[[n, k, d; c]]`` code: d is an achievable distance for the
-    parameters, hence a lower bound on the optimum.  A distance needs at
-    least one information qubit, so k >= 1.  ``generators`` is set only where
-    the construction is explicit enough to rebuild the code."""
+    """A known ``[[n, k, d; c]]`` code, counts taken by ``operator.index``: d
+    is an achievable distance for the parameters, hence a lower bound on the
+    optimum, and needs an information qubit, so k >= 1.  ``generators`` is
+    set only where the construction is explicit enough to rebuild the code."""
 
     n: int
     k: int
@@ -280,17 +283,17 @@ class CodeRegistryEntry:
     generators: tuple[PauliOperator, ...] | None = None
 
     def __post_init__(self) -> None:
-        _check_qubit_count(self.n)
-        if not 0 <= self.k <= self.n:
-            raise StructureError(f"k={self.k} out of range for n={self.n}")
-        if self.k == 0:
+        n, k, c, d = map(index, (self.n, self.k, self.c, self.d))
+        vars(self).update(n=n, k=k, c=c, d=d)
+        _check_qubit_count(n)
+        if not 0 <= k <= n:
+            raise StructureError(f"k={k} out of range for n={n}")
+        if k == 0:
             raise StructureError("k=0 leaves no information qubit: a distance needs k >= 1")
-        if not 0 <= self.c <= self.n - self.k:
-            raise StructureError(
-                f"ebit count c={self.c} out of range for [[{self.n},{self.k}]]"
-            )
-        if not 1 <= self.d <= self.n:
-            raise StructureError(f"distance d={self.d} out of range for n={self.n}")
+        if not 0 <= c <= n - k:
+            raise StructureError(f"ebit count c={c} out of range for [[{n},{k}]]")
+        if not 1 <= d <= n:
+            raise StructureError(f"distance d={d} out of range for n={n}")
         if self.source not in _SOURCES:
             raise ValueError(f"unknown source {self.source!r}, expected one of {_SOURCES}")
         if self.generators is not None:

@@ -415,8 +415,9 @@ def macwilliams_transform(enum: WeightEnumerator, group_order: int) -> WeightEnu
     because a mutated distribution can pass every other check at its own
     sum: (2, 0, 0, 0), the trivial group's on three qubits with one added at
     weight 0, transforms at order 2 to (1, 9, 27, 27), exactly the trivial
-    group's orthogonal.
+    group's orthogonal.  The order is taken by ``operator.index``.
     """
+    group_order = index(group_order)
     if enum.n > MAX_QUBITS:
         raise ValueError(f"need n <= {MAX_QUBITS}, got n={enum.n}")
     if group_order < 1:

@@ -40,12 +40,13 @@ complement ones, so they enter as rows, read off the Krawtchouk table
 - for 0 < c < n - k, :func:`_general_rows` solves for I_1..I_n and the
   excess M_d..M_n = N - I of the normalizer.
 
-Both return the one row form the solver takes: equalities, and floors
-a.x >= b that hold at the origin (b <= 0); any other a.x >= b would be the
-equality a.x - t = b over one more variable t >= 0.  Every floor here holds
-strictly, as the direct distributions at the origin are proportional to the
-3^w C(n, w) Paulis of each weight, so its slack starts in the basis.  Each
-docstring says why the rows it leaves out are implied.
+Both return the one row form the solver takes, rows that hold at the
+origin: equalities a.x = b with b >= 0 (a builder negates any other) and
+floors a.x >= b with b <= 0; any other a.x >= b is the equality a.x - t = b
+over one more variable t >= 0.  Every floor here holds strictly, as the
+direct distributions at the origin are proportional to the 3^w C(n, w)
+Paulis of each weight, so its slack starts in the basis.  Each docstring
+says why the rows it leaves out are implied.
 
 Everything is solved exactly, in integers: a phase-one simplex with Bland's
 rule and fraction-free pivoting on the compact (dictionary) tableau (Edmonds,
@@ -64,9 +65,9 @@ under the two extension rules.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from operator import index
 from typing import Sequence
 
 from .codes import registry
@@ -88,11 +89,11 @@ def _solve_feasibility(
     ``(None, y, pivots)``.  The vertex is integers x over det > 0 with
     gcd(det, *x) = 1.
 
-    Every floor must hold at the origin, b <= 0 (else ``ValueError``), and
-    enters as -a.x + s = -b with its slack s basic; each equality, negated if
-    b < 0, starts on an artificial.  Rows need ``num_vars`` coefficients
-    (else ``ValueError``) and integers throughout (else ``TypeError``;
-    nothing is rounded).
+    Every row must hold at the origin, b >= 0 on an equality and b <= 0 on a
+    floor (else ``ValueError``): each equality starts on an artificial, each
+    floor as -a.x + s = -b on its slack s.  Nothing else is checked: both
+    builders emit rows of ``num_vars`` Python ints from indexed cell values,
+    and the tests check every pinned solve's certificate on those rows.
 
     The tableau is compact, lrs's dictionary form: a row holds one entry per
     nonbasic variable (``nonbasic[j]`` is column j's; variables are numbered
@@ -120,26 +121,18 @@ def _solve_feasibility(
     When no variable can enter and the objective is still positive, the
     phase-one duals pi prove infeasibility.  Artificial i's reduced cost is
     1 - pi_i and slack j's is -pi_j, and row m holds det times each.  So y,
-    one integer per row in the order given, is sign_i (det - r) on equality
-    i, with r artificial i's entry (0 while basic) and sign_i -1 on a negated
-    row, and slack j's entry r >= 0 (0 while basic) on floor j, divided by
-    their gcd.  Then y >= 0 on the floors, sum_i y_i a_i <= 0 in every
-    column, as no x can enter, and sum_i y_i b_i > 0, a positive multiple of
-    the objective.  Any x >= 0 meeting the rows would give
-    0 >= (sum_i y_i a_i).x >= sum_i y_i b_i > 0.
+    one integer per row in the order given, is det - r on equality i, with r
+    artificial i's entry (0 while basic), and slack j's entry r >= 0 (0 while
+    basic) on floor j, divided by their gcd.  Then y >= 0 on the floors,
+    sum_i y_i a_i <= 0 in every column, as no x can enter, and
+    sum_i y_i b_i > 0, a positive multiple of the objective.  Any x >= 0
+    meeting the rows would give 0 >= (sum_i y_i a_i).x >= sum_i y_i b_i > 0.
     """
-    for coeffs, _ in (*equalities, *floors):
-        if len(coeffs) != num_vars:
-            raise ValueError(f"a row has {len(coeffs)} coefficients for {num_vars} variables")
     art_start = num_vars + len(floors)
-    tableau: list[list[int]] = []
-    signs = [-1 if operator.index(rhs) < 0 else 1 for _, rhs in equalities]
-    for (coeffs, rhs), sign in zip(equalities, signs):
-        tableau.append([sign * operator.index(a) for a in coeffs] + [sign * rhs])
-    for coeffs, rhs in floors:
-        if operator.index(rhs) > 0:
-            raise ValueError(f"a floor must hold at the origin, got right-hand side {rhs}")
-        tableau.append([-operator.index(a) for a in coeffs] + [-rhs])
+    tableau = [[*coeffs, rhs] for coeffs, rhs in equalities]
+    tableau += [[-a for a in coeffs] + [-rhs] for coeffs, rhs in floors]
+    if any(row[-1] < 0 for row in tableau):
+        raise ValueError("every row must hold at the origin")
     # Each equality starts on its artificial, each floor on its slack.
     basis = [art_start + i for i in range(len(equalities))] + list(range(num_vars, art_start))
     nonbasic = list(range(num_vars))
@@ -154,12 +147,12 @@ def _solve_feasibility(
             raise BudgetError(f"exact simplex exceeded {_SIMPLEX_ITERATION_CAP} pivots")
         entering = [(var, j) for j, var in enumerate(nonbasic) if var < art_start and obj[j] < 0]
         if not entering:
-            farkas = [sign * det for sign in signs] + [0] * len(floors)
+            farkas = [det] * len(equalities) + [0] * len(floors)
             for j, var in enumerate(nonbasic):
                 if var >= art_start:
-                    farkas[var - art_start] -= signs[var - art_start] * obj[j]
+                    farkas[var - art_start] -= obj[j]
                 elif var >= num_vars:
-                    farkas[len(signs) + var - num_vars] = obj[j]
+                    farkas[len(equalities) + var - num_vars] = obj[j]
             g = math.gcd(*farkas)
             return None, [y // g for y in farkas], pivots
         enter = min(entering)[1]
@@ -283,9 +276,11 @@ def _general_rows(n: int, k: int, c: int, d: int) -> tuple[list[Row], list[Row]]
 # feasibility, the bound walk and the overrides
 
 
-def _check_cell(n: int, k: int, c: int, d: int | None = None) -> None:
-    """Reject a cell outside 1 <= k < n <= MAX_QUBITS and 0 < c <= n - k,
-    and a d given outside 1 <= d <= n, with ``ValueError``."""
+def _check_cell(n: int, k: int, c: int, d: int | None = None) -> tuple:
+    """n, k, c and d by ``operator.index``, so only Python ints reach the row
+    builders.  Reject a cell outside 1 <= k < n <= MAX_QUBITS and
+    0 < c <= n - k, and a d given outside 1 <= d <= n, with ``ValueError``."""
+    n, k, c, d = index(n), index(k), index(c), d if d is None else index(d)
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     if n > MAX_QUBITS:
@@ -294,6 +289,7 @@ def _check_cell(n: int, k: int, c: int, d: int | None = None) -> None:
         raise ValueError(f"need 0 < c <= n - k, got c={c}")
     if d is not None and not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d={d}")
+    return n, k, c, d
 
 
 def lp_feasible_general(n: int, k: int, c: int, d: int) -> bool:
@@ -312,7 +308,7 @@ def lp_feasible_general(n: int, k: int, c: int, d: int) -> bool:
     random codes), and d = 1 fixes no variable, so they are a point of the
     d = 1 system.
     """
-    _check_cell(n, k, c, d)
+    n, k, c, d = _check_cell(n, k, c, d)
     if d == 1:
         return True
     if c == n - k:
@@ -350,9 +346,7 @@ def lp_upper_bound(n: int, k: int, c: int | None = None) -> int:
     code proves feasible (see :func:`lp_feasible_general`), so the bound is
     at least 1.  ``c`` defaults to maximal entanglement n - k.
     """
-    if c is None:
-        c = n - k
-    _check_cell(n, k, c)
+    n, k, c, _ = _check_cell(n, k, n - k if c is None else c)
     return _walk(n, k, c, 1, n + 1)
 
 
@@ -499,6 +493,7 @@ def build_table(n_max: int) -> BoundsTable:
       feasible at (n, k - 1), and bound(n, k - 1) + 1 is infeasible at
       (n, k).
     """
+    n_max = index(n_max)
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
     if n_max > MAX_QUBITS:

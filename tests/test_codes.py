@@ -7,6 +7,7 @@ import random
 import runpy
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,6 +83,20 @@ def test_code_structure_validation():
         match=r"^generator PauliOperator\('ZII'\) acts on 3 qubits, code on 2$",
     ):
         EaqecCode(2, (), (ops[0], zz), ())
+    # n is taken by its index: a numpy count is stored as a Python int, so the
+    # code serializes, and a float is refused
+    not_integer = "cannot be interpreted as an integer"
+    numpy_code = EaqecCode(np.int64(2), ((xx, zi),), (), ((ix, zz),))
+    assert type(numpy_code.n) is int and numpy_code == code
+    with pytest.raises(TypeError, match=not_integer):
+        EaqecCode(2.0, ((xx, zi),), (), ((ix, zz),))
+    five = [PauliOperator.from_string(s) for s in FIVE_QUBIT_GENERATORS]
+    derived = from_generators(np.int64(5), np.int64(1), five)
+    assert type(derived.n) is int and derived == from_generators(5, 1, five)
+    json.dumps(code_to_json_dict(derived))
+    for n, k in ((5.0, 1), (5, 1.0)):
+        with pytest.raises(TypeError, match=not_integer):
+            from_generators(n, k, five)
 
 
 def full_rank_rule(pairs, isotropic, logical) -> str | None:
@@ -430,6 +445,17 @@ def test_registry_entry_validation():
         CodeRegistryEntry(2, 1, 1, 1, "construction", (PauliOperator.from_string("XXX"),))
     with pytest.raises(ValueError, match=r"^\[\[4,2,2;2\]\] has no stored generators$"):
         code_from_entry(CodeRegistryEntry(4, 2, 2, 2, "literature"))
+    # n, k, c and d are taken by their index: numpy integers are stored as
+    # Python ints, and a float is refused rather than carried into extensions
+    entry = CodeRegistryEntry(*map(np.int64, (5, 1, 0, 3)), "literature")
+    assert entry == CodeRegistryEntry(5, 1, 0, 3, "literature")
+    assert all(type(x) is int for x in (entry.n, entry.k, entry.c, entry.d))
+    assert extend_code(entry, "lengthen").params_str == "[[6,1,3;1]]"
+    for i in range(4):
+        fields = [5, 1, 0, 3]
+        fields[i] = float(fields[i])
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            CodeRegistryEntry(*fields, "literature")
 
 
 def test_registry_grid_coverage_and_known_entries():

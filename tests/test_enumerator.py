@@ -513,6 +513,17 @@ def test_macwilliams_transform_rejects_bad_order():
     # an all-zero distribution sums to 0, which is no group's order
     with pytest.raises(ValueError, match="at least 1"):
         macwilliams_transform(WeightEnumerator(1, (0, 0)), 0)
+    # the order is taken by its index, like the coefficients: a float is
+    # refused, and a numpy order gives Python coefficients, also past 64 bits
+    pair = WeightEnumerator(1, (1, 1))
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        macwilliams_transform(pair, 2.0)
+    # Z_1..Z_20 on 40 qubits, a rank-20 group: its transform overflows int64
+    rank20 = WeightEnumerator(40, [math.comb(20, w) for w in range(41)])
+    for enum, order in ((pair, 2), (rank20, 1 << 20)):
+        out = macwilliams_transform(enum, np.int64(order))
+        assert out == macwilliams_transform(enum, order)
+        assert all(type(x) is int for x in out.coeffs)
 
 
 def test_macwilliams_transform_order_is_not_the_coefficient_sum():

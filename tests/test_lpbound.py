@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -291,9 +292,9 @@ def test_solver_reports_infeasibility():
     assert _solve_feasibility(2, [([-1, -1], 1)], [])[:2] == (None, [1])
     # x + y <= 1 is a floor; x + y >= 2 is x + y - t = 2
     assert _solve_feasibility(3, [([1, 1, -1], 2)], [([-1, -1, 0], -1)])[:2] == (None, [1, 1])
-    # two negated rows, 0 = -1 and -x = -1: x enters in place of the second's
-    # artificial, whose entry then counts with the row's sign
-    assert _solve_feasibility(1, [([0], -1), ([-1], -1)], []) == (None, [-1, 0], 1)
+    # 0 = 1 and x = 1: x enters in place of the second's artificial, whose
+    # entry then cancels det in its row's y
+    assert _solve_feasibility(1, [([0], 1), ([1], 1)], []) == (None, [1, 0], 1)
 
 
 def test_solver_handles_inequalities_and_negative_rhs():
@@ -302,9 +303,9 @@ def test_solver_handles_inequalities_and_negative_rhs():
     point = solve(2, equalities, floors)
     assert point is not None and 2 <= point[0] <= 3
     assert_satisfies(point, general_rows(equalities, floors))
-    # an equality with a negative right-hand side is negated: -x + t = -2
-    point = solve(2, [([-1, 1], -2)], [])
-    assert point is not None and point[0] >= 2
+    # an equality with a negative right-hand side is its builder's to negate
+    with pytest.raises(ValueError, match="hold at the origin"):
+        solve(2, [([-1, 1], -2)], [])
     # a floor through the origin keeps its slack in the basis
     assert solve(2, [([1, 1], 2)], [([1, -1], 0)]) == [Fraction(2), Fraction(0)]
     # a floor that fails at the origin would start phase one infeasible
@@ -322,37 +323,22 @@ def test_solver_fractional_point():
     assert _solve_feasibility(2, [([4, 2], 2)], [])[0] == ([1, 0], 2)
 
 
-def test_solver_rejects_non_integer_rows():
-    not_integer = "cannot be interpreted as an integer"
-    with pytest.raises(TypeError, match=not_integer):
-        solve(1, [([Fraction(1, 2)], 1)], [])
-    with pytest.raises(TypeError, match=not_integer):
-        solve(1, [([1.0], 1)], [])
-    with pytest.raises(TypeError, match=not_integer):
-        solve(1, [([1], 0.5)], [])
-    with pytest.raises(TypeError, match=not_integer):
-        solve(1, [], [([Fraction(1, 2)], -1)])
-    with pytest.raises(TypeError, match=not_integer):
-        solve(1, [], [([1], -0.5)])
-
-
-def test_solver_rejects_rows_of_the_wrong_length():
-    # a row is not padded or cut to num_vars: [1, 0] would solve x = 1 but fail x + y = 3
-    with pytest.raises(ValueError, match="1 coefficients for 2 variables"):
-        solve(2, [([1], 1), ([1, 1], 3)], [])
-    with pytest.raises(ValueError, match="3 coefficients for 2 variables"):
-        solve(2, [], [([1, 1, 1], 0)])
-
-
 def _random_rows(m, rhs):
     return st.lists(
         st.tuples(st.lists(st.integers(-5, 5), min_size=m, max_size=m), rhs), max_size=6
     )
 
 
+def _hold_at_origin(equalities):
+    """The equalities with each b < 0 negated, as the solver takes them."""
+    return [(a, b) if b >= 0 else ([-x for x in a], -b) for a, b in equalities]
+
+
 _small_system = st.integers(1, 4).flatmap(
     lambda m: st.tuples(
-        st.just(m), _random_rows(m, st.integers(-8, 8)), _random_rows(m, st.integers(-8, 0))
+        st.just(m),
+        _random_rows(m, st.integers(-8, 8)).map(_hold_at_origin),
+        _random_rows(m, st.integers(-8, 0)),
     )
 )
 
@@ -480,6 +466,24 @@ def test_lp_cell_validation():
     ):
         with pytest.raises(ValueError, match=message):
             lp_feasible_general(5, k, c, d)
+    # numpy integers are taken by their index, floats are refused
+    assert lp_upper_bound(np.int64(10), np.int64(9)) == 2 == lp_upper_bound(10, 9)
+    for n, k, c in ((7, 1, 3), (5, 2, 3), (9, 4, 2)):
+        for d in range(1, n + 1):
+            cell = map(np.int64, (n, k, c, d))
+            assert lp_feasible_general(*cell) is lp_feasible_general(n, k, c, d)
+    table = build_table(np.int64(9))
+    assert type(table.n_max) is int and table == build_table(9)
+    json.dumps(table.to_json_dict())
+    not_integer = "cannot be interpreted as an integer"
+    for call in (
+        lambda: lp_upper_bound(10.0, 9),
+        lambda: lp_feasible(5, 2, 3.0),
+        lambda: lp_feasible_general(5, 2, 1.0, 3),
+        lambda: build_table(9.0),
+    ):
+        with pytest.raises(TypeError, match=not_integer):
+            call()
 
 
 def test_maximal_point_solves_full_system():
