@@ -46,6 +46,7 @@ from .pauli import (
     PauliGroup,
     PauliOperator,
     _check_qubit_count,
+    _unchecked,
     canonicalize,
     orthogonal_group,
     symplectic_gram_schmidt,
@@ -73,12 +74,13 @@ class EaqecCode:
     whose input may be anything, and :func:`from_generators` with supplied
     logical pairs.  The codes that :func:`dual` and the derived branch of
     :func:`from_generators` build are valid by construction, so they skip
-    the checks; each of those docstrings gives the proof.
+    the checks (``pauli._unchecked``); those docstrings give the proofs.
 
-    At c = 0 the views that add only the symplectic pairs are the smaller
-    views' objects: S' is S_I, and L x S_S x S_I is L x S_I.  A stabilizer
-    code then builds each of its distinct groups, and counts its weight
-    enumerator, once.
+    Every view but the logical group spans some pairs times S_I through one
+    ``_span``.  At c = 0 the views that add only the symplectic pairs are
+    the smaller views' objects: S' is S_I, and L x S_S x S_I is L x S_I.  A
+    stabilizer code then builds each of its distinct groups, and counts its
+    weight enumerator, once.
     """
 
     n: int  # stored by its operator.index value
@@ -124,17 +126,19 @@ class EaqecCode:
 
     # --- group views -------------------------------------------------------
 
-    @cached_property
-    def stabilizer_group(self) -> PauliGroup:
-        """S' = S_S x S_I, the full simplified stabilizer."""
-        if not self.symplectic_pairs:
-            return self.isotropic_group
-        flat = [g for pair in self.symplectic_pairs for g in pair]
+    def _span(self, *pair_sets: tuple[Pair, ...]) -> PauliGroup:
+        """The group of the pairs in ``pair_sets`` times S_I."""
+        flat = [g for pairs in pair_sets for pair in pairs for g in pair]
         return canonicalize(flat + list(self.isotropic_gens), self.n)
 
     @cached_property
+    def stabilizer_group(self) -> PauliGroup:
+        """S' = S_S x S_I, the full simplified stabilizer."""
+        return self._span(self.symplectic_pairs) if self.c else self.isotropic_group
+
+    @cached_property
     def isotropic_group(self) -> PauliGroup:
-        return canonicalize(self.isotropic_gens, self.n)
+        return self._span()
 
     @cached_property
     def logical_group(self) -> PauliGroup:
@@ -143,16 +147,14 @@ class EaqecCode:
     @cached_property
     def normalizer_group(self) -> PauliGroup:
         """L x S_I, the symplectic orthogonal of the simplified stabilizer."""
-        flat = [g for pair in self.logical_pairs for g in pair]
-        return canonicalize(flat + list(self.isotropic_gens), self.n)
+        return self._span(self.logical_pairs)
 
     @cached_property
     def combined_group(self) -> PauliGroup:
         """L x S_S x S_I, everything commuting with the isotropic subgroup."""
-        if not self.symplectic_pairs:
+        if not self.c:
             return self.normalizer_group
-        flat = [g for pair in self.logical_pairs + self.symplectic_pairs for g in pair]
-        return canonicalize(flat + list(self.isotropic_gens), self.n)
+        return self._span(self.logical_pairs, self.symplectic_pairs)
 
     def params_str(self) -> str:
         return f"[[{self.n},{self.k},?;{self.c}]]"
@@ -202,9 +204,10 @@ def from_generators(
         )
     if logical_pairs is None:
         normalizer = orthogonal_group(group)
-        code = _assemble(n, pairs, iso, symplectic_gram_schmidt(normalizer)[0])
-        # the cached views; frozen fields alone define equality
-        vars(code)["normalizer_group"] = normalizer
+        # valid by the proof above; equality reads the fields, not the cached view
+        code = _unchecked(EaqecCode, n=n, symplectic_pairs=pairs, isotropic_gens=iso,
+                          logical_pairs=symplectic_gram_schmidt(normalizer)[0],
+                          normalizer_group=normalizer)
     else:
         code = EaqecCode(n, pairs, iso, tuple(logical_pairs))
     if c:
@@ -224,23 +227,8 @@ def dual(code: EaqecCode) -> EaqecCode:
     commute, which no reordering of whole pairs changes.  The generators
     are the same ones, so they keep full rank.
     """
-    return _assemble(code.n, code.logical_pairs, code.isotropic_gens, code.symplectic_pairs)
-
-
-def _assemble(
-    n: int,
-    symplectic_pairs: tuple[Pair, ...],
-    isotropic_gens: tuple[PauliOperator, ...],
-    logical_pairs: tuple[Pair, ...],
-) -> EaqecCode:
-    """An :class:`EaqecCode` from generators its caller has proved valid,
-    built without running the constructor's checks."""
-    code = object.__new__(EaqecCode)
-    object.__setattr__(code, "n", n)
-    object.__setattr__(code, "symplectic_pairs", symplectic_pairs)
-    object.__setattr__(code, "isotropic_gens", isotropic_gens)
-    object.__setattr__(code, "logical_pairs", logical_pairs)
-    return code
+    return _unchecked(EaqecCode, n=code.n, symplectic_pairs=code.logical_pairs,
+                      isotropic_gens=code.isotropic_gens, logical_pairs=code.symplectic_pairs)
 
 
 def min_distance(code: EaqecCode, budget_log2: int | None = None) -> int:
@@ -337,6 +325,7 @@ def ea_repetition_code(n: int) -> EaqecCode:
     splits into n - 1 hyperbolic pairs: an [[n, 1, n; n-1]] code for odd n and
     an [[n, 1, n-1; n-1]] code for even n.
     """
+    n = index(n)
     if n < 2:
         raise ValueError("repetition code needs n >= 2")
     mask = (1 << n) - 1

@@ -73,7 +73,7 @@ from operator import index, mul
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetError, InconsistencyError
-from .pauli import MAX_QUBITS, PauliGroup, _echelon, _lsb
+from .pauli import MAX_QUBITS, PauliGroup, _echelon, _lsb, _unchecked
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -125,20 +125,8 @@ class WeightEnumerator:
         return sum(self.coeffs)
 
 
-def _enumerator(n: int, coeffs: tuple[int, ...]) -> WeightEnumerator:
-    """A :class:`WeightEnumerator` built without the constructor's checks.
-
-    Each caller passes n + 1 nonnegative Python ints for a checked n: the
-    ``tolist`` of a count, whose weights are popcounts of n bits, or the
-    quotients :func:`macwilliams_transform` has checked.
-    """
-    enum = object.__new__(WeightEnumerator)
-    vars(enum).update(n=n, coeffs=coeffs)
-    return enum
-
-
 def _check_budget(rank: int, budget_log2: int | None) -> None:
-    budget = DEFAULT_BUDGET_LOG2 if budget_log2 is None else budget_log2
+    budget = DEFAULT_BUDGET_LOG2 if budget_log2 is None else index(budget_log2)
     if rank > budget:
         raise BudgetError(
             f"group has 2^{rank} elements, more than the enumeration budget of 2^{budget}"
@@ -362,8 +350,9 @@ def weight_enumerator(group: PauliGroup, budget_log2: int | None = None) -> Weig
     _check_budget(group.rank, budget_log2)
     memo = vars(group)  # frozen fields alone define equality and hash
     enum = memo.get("_weight_enumerator")
-    if enum is None:
-        enum = memo["_weight_enumerator"] = _enumerator(group.n, tuple(_count(group)))
+    if enum is None:  # n + 1 counts of weights of n bits, Python ints by ``tolist``
+        enum = _unchecked(WeightEnumerator, n=group.n, coeffs=tuple(_count(group)))
+        memo["_weight_enumerator"] = enum
     return enum
 
 
@@ -437,7 +426,8 @@ def macwilliams_transform(enum: WeightEnumerator, group_order: int) -> WeightEnu
                 "not a nonnegative integer"
             )
         out.append(q)
-    return _enumerator(n, tuple(out))
+    # n + 1 quotients, each checked a nonnegative Python int above
+    return _unchecked(WeightEnumerator, n=n, coeffs=tuple(out))
 
 
 def verify_macwilliams(group: PauliGroup, budget_log2: int | None = None) -> bool:

@@ -72,7 +72,7 @@ from typing import Sequence
 
 from .codes import registry
 from .enumerator import _krawtchouk_table
-from .errors import BudgetError, EaqecError
+from .errors import BudgetError
 from .pauli import MAX_QUBITS
 
 Row = tuple[Sequence[int], int]
@@ -127,6 +127,12 @@ def _solve_feasibility(
     sum_i y_i a_i <= 0 in every column, as no x can enter, and
     sum_i y_i b_i > 0, a positive multiple of the objective.  Any x >= 0
     meeting the rows would give 0 >= (sum_i y_i a_i).x >= sum_i y_i b_i > 0.
+
+    The ratio test always finds a pivot row.  As the entering variable
+    rises to t, row i's basic variable is its right-hand side minus t times
+    its entry, and det > 0 makes the entries' signs true.  Were none
+    positive, every t >= 0 would be feasible, and the objective, a sum of
+    nonnegative artificials, would fall without bound along that ray.
     """
     art_start = num_vars + len(floors)
     tableau = [[*coeffs, rhs] for coeffs, rhs in equalities]
@@ -168,11 +174,6 @@ def _solve_feasibility(
                 rhs = best[-1] * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[pivot_row]):
                     pivot_row = i
-        if pivot_row < 0:
-            raise EaqecError(
-                "exact simplex found no positive entry in an entering column; a "
-                "sum of nonnegative artificials cannot be unbounded below"
-            )
         prow = tableau[pivot_row]
         piv = prow[enter]
         for row in tableau:  # in place, so obj stays row m

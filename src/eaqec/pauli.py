@@ -25,14 +25,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import index
-from typing import Iterable
+from typing import Iterable, TypeVar
 
 from .errors import DimensionError
 
 MAX_QUBITS = 64
 
+_T = TypeVar("_T")
+
 _CHAR_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_CHAR = {v: k for k, v in _CHAR_TO_BITS.items()}
+
+
+def _unchecked(cls: type[_T], **fields: object) -> _T:
+    """An instance of the frozen dataclass ``cls`` with ``fields`` as its
+    attributes, skipping its constructor's checks: every derived value, from
+    operator products to the codes that ``dual`` and ``from_generators``
+    derive, is built here.  Each call site states why its fields are valid."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
 
 
 def _check_qubit_count(n: int) -> None:
@@ -93,7 +105,8 @@ class PauliOperator:
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
         if self.n != other.n:
             raise DimensionError(f"cannot multiply operators on {self.n} and {other.n} qubits")
-        return _operator(self.n, self.u ^ other.u, self.v ^ other.v)
+        # the XOR of two checked operators on the same n qubits stays in range
+        return _unchecked(PauliOperator, n=self.n, u=self.u ^ other.u, v=self.v ^ other.v)
 
     @property
     def weight(self) -> int:
@@ -120,17 +133,6 @@ def _vec(op: PauliOperator) -> int:
     return op.u | (op.v << op.n)
 
 
-def _operator(n: int, u: int, v: int) -> PauliOperator:
-    """A :class:`PauliOperator` built without the constructor's checks.
-
-    Each caller passes Python ints within range: the XOR of two operators on
-    the same n qubits, or the halves of a packed row (:func:`_op`).
-    """
-    op = object.__new__(PauliOperator)
-    vars(op).update(n=n, u=u, v=v)
-    return op
-
-
 def _op(n: int, vec: int) -> PauliOperator:
     """The operator of the packed row ``vec``, without the constructor's checks.
 
@@ -139,7 +141,7 @@ def _op(n: int, vec: int) -> PauliOperator:
     against [0, 4^n), and XOR stays in that range, so ``vec & mask`` and
     ``vec >> n`` are Python ints in [0, 2^n).
     """
-    return _operator(n, vec & ((1 << n) - 1), vec >> n)
+    return _unchecked(PauliOperator, n=n, u=vec & ((1 << n) - 1), v=vec >> n)
 
 
 def _swap_halves(vec: int, n: int) -> int:

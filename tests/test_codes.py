@@ -361,6 +361,13 @@ def test_repetition_family_distances():
         assert min_distance(code) == (n if n % 2 else n - 1)
     with pytest.raises(ValueError):
         ea_repetition_code(1)
+    # n is taken by its operator.index value: the all-ones mask of 64 qubits
+    # is a Python int, not a numpy shift past bit 63
+    code = ea_repetition_code(np.int64(64))
+    assert code == ea_repetition_code(64) and type(code.n) is int
+    assert min_distance(code) == 63
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        ea_repetition_code(5.0)
 
 
 def test_dual_repetition_distances():

@@ -30,6 +30,7 @@ from eaqec import (
     ea_repetition_code,
     krawtchouk,
     macwilliams_transform,
+    min_distance,
     orthogonal_group,
     verify_macwilliams,
     weight_enumerator,
@@ -96,6 +97,18 @@ def test_weight_enumerator_frozen_small_groups():
     assert weight_enumerator(canonicalize([xx, zz], 2)).coeffs == (1, 0, 3)
 
 
+def assert_count_is_checked_value(group: PauliGroup, expected: tuple[int, ...]) -> None:
+    """The count of ``group`` is ``expected``, and it and its transform,
+    both built past the constructor's checks, equal their validated rebuilds
+    and hold Python ints; ``==`` alone would pass numpy integers too."""
+    count = weight_enumerator(group)
+    assert count.coeffs == expected
+    for enum in (count, macwilliams_transform(count, group.order)):
+        assert enum == WeightEnumerator(enum.n, enum.coeffs)
+        assert type(enum.n) is int
+        assert all(type(c) is int for c in enum.coeffs)
+
+
 def test_weight_enumerator_matches_closure_oracle():
     rng = random.Random(11)
     for _ in range(60):
@@ -104,7 +117,7 @@ def test_weight_enumerator_matches_closure_oracle():
         expected = naive_weight_distribution(
             naive_closure(list(group.generators), n), n
         )
-        assert weight_enumerator(group).coeffs == expected
+        assert_count_is_checked_value(group, expected)
 
 
 def _kernel_blocks(monkeypatch) -> list[int]:
@@ -244,6 +257,19 @@ def test_weight_enumerator_budget():
     assert group.rank > 3
     with pytest.raises(BudgetError):
         weight_enumerator(group, budget_log2=3)
+    # the budget is taken by its operator.index value
+    with pytest.raises(BudgetError, match=r"budget of 2\^3$"):
+        weight_enumerator(group, budget_log2=np.int64(3))
+    assert weight_enumerator(group, np.int64(group.rank)) == weight_enumerator(group)
+    code = ea_repetition_code(5)
+    assert min_distance(code, np.int64(2)) == 5
+    with pytest.raises(BudgetError):
+        min_distance(code, np.int64(1))
+    for bad in (2.5, float(group.rank), "3"):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            weight_enumerator(group, bad)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            min_distance(code, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +283,11 @@ def _random_group_of_rank(rng: random.Random, n: int, rank: int):
     return group
 
 
-def test_split_counts_match_closure_oracle():
+def test_split_counts_match_closure_oracle(monkeypatch):
     # the split is called directly, past the routing rule, so groups of
-    # every shape and size are counted through their halves
+    # every shape and size are counted through their halves; weight_enumerator
+    # is routed through the split too, for the value it builds
+    monkeypatch.setattr(enumerator, "_count", lambda g: _split_counts(g.n, *_split(g)))
     rng = random.Random(29)
     for _ in range(80):
         n = rng.randint(1, 6)
@@ -273,6 +301,7 @@ def test_split_counts_match_closure_oracle():
             naive_closure(list(group.generators), n), n
         )
         assert tuple(_split_counts(n, in_a, in_b, reps)) == expected
+        assert_count_is_checked_value(group, expected)
 
 
 def test_whole_pauli_group_closed_form(monkeypatch):
