@@ -13,21 +13,23 @@ weight below d lies in S_I, so a code of distance d has N_w = I_w for
 1 <= w < d.  If no nonnegative real distributions satisfy that for a trial
 distance d, no such code exists; the smallest infeasible d minus one is an
 upper bound on the achievable distance.  Raising d only fixes more variables
-at 0, so feasibility is monotone in d, and :func:`_walk` climbs from a
-trial distance proved feasible until the next one is not.
+at 0, so feasibility is monotone in d.
 
 No solve is made where a proof already gives the verdict.  d = 1 is always
-feasible, by the trivial code (:func:`lp_feasible_general`), so every walk
-has a floor of at least 1.  At maximal entanglement a cell's bound lies
-between two neighbours', bound(n - 1, k) <= bound(n, k) <= bound(n, k - 1):
-a point of (n - 1, k, d) padded with B_n = 0 is a point of (n, k, d)
-(lengthening), and a point of (n, k, d) scaled by
-(4^(k-1) - 1) / (4^k - 1) is a point of (n, k - 1, d) (trading), as
-:func:`build_table` proves.  These are the extension rules of Brun, Devetak
-& Hsieh (Science 314, 2006) and Lai & Brun (PRA 88, 012320, 2013), read on
-the LP's points.  :func:`lp_upper_bound` climbs from the floor 1 with no
-ceiling, and :func:`build_table` inside that bracket, which settles every
-cell of n <= 20 in one or two solves and a closed one in none.
+feasible, by the trivial code (:func:`lp_feasible_general`).  At maximal
+entanglement only the sum row's right-hand side, 4^k - 1, depends on k, so
+one maximisation M(n, d) of sum_{w>=d} B_w over the other rows decides
+every k at once: (n, k, d) is feasible iff M(n, d) >= 4^k - 1, and
+bound(n, k) = max{d : M(n, d) >= 4^k - 1}.  :func:`_maximum` proves
+M(n, 2) = 4^(n-1) - 1 and M(n, n) = 3, so only 3 <= d < n take a solve;
+:func:`build_table` reads each row's bounds off these thresholds, and
+:func:`lp_upper_bound` bisects d.  The extension rules of Brun, Devetak &
+Hsieh (Science 314, 2006) and Lai & Brun (PRA 88, 012320, 2013) become
+remarks on M: trading changes only the threshold, and lengthening gives
+M(n - 1, d) <= M(n, d).  This is the Delsarte LP read as in Delsarte
+(Philips Res. Rep. Suppl. 10, 1973) and Ashikhmin & Litsyn (IEEE TIT 45(4),
+1999).  Below maximal entanglement :func:`_walk` climbs from d = 1 until a
+trial distance is infeasible.
 
 The systems are posed on the complement side, where the distance condition
 removes variables instead of adding rows.  Leading coefficients are 1 and
@@ -36,7 +38,7 @@ complement ones, so they enter as rows, read off the Krawtchouk table
 (constant K_w(0), coefficients K_w(1..n)):
 
 - at maximal entanglement (c = n - k) S_I is trivial and N is the logical
-  distribution B; :func:`_maximal_rows` solves for B_d..B_n;
+  distribution B; :func:`_maximal_rows` gives the floors over B_d..B_n;
 - for 0 < c < n - k, :func:`_general_rows` solves for I_1..I_n and the
   excess M_d..M_n = N - I of the normalizer.
 
@@ -48,18 +50,21 @@ direct distributions at the origin are proportional to the 3^w C(n, w)
 Paulis of each weight, so its slack starts in the basis.  Each docstring
 says why the rows it leaves out are implied.
 
-Everything is solved exactly, in integers: a phase-one simplex with Bland's
-rule and fraction-free pivoting on the compact (dictionary) tableau (Edmonds,
-J. Res. NBS 71B, 1967; Avis's lrs), described at :func:`_solve_feasibility`.
-Verdicts carry no floating-point caveats, and each comes with an integer
-certificate that a few lines of integer arithmetic check: a feasible verdict
-with its vertex, reduced integers x over one denominator det > 0, and an
-infeasible one with a Farkas vector.  The rational relaxation is sound for
-upper bounds: any true code gives an integer solution.
+Everything is solved exactly, in integers: a simplex with Bland's rule and
+fraction-free pivoting on the compact (dictionary) tableau (Edmonds, J. Res.
+NBS 71B, 1967; Avis's lrs), described at :func:`_solve_feasibility`, in
+phase one for the partial systems and in phase two from the origin for the
+maximisations.  Verdicts carry no floating-point caveats, and each solve
+comes with integer certificates that a few lines of integer arithmetic
+check: a feasible verdict with its vertex, reduced integers x over one
+denominator det > 0, an infeasible one with a Farkas vector, and a
+maximisation with its vertex and an optimal dual of equal value.  The
+rational relaxation is sound for upper bounds: any true code gives an
+integer solution.
 
-:func:`build_table` assembles the full bounds grid: upper bounds from the LP
-walk plus the even-n overrides, lower bounds from the code registry closed
-under the two extension rules.
+:func:`build_table` assembles the full bounds grid: upper bounds from the
+thresholds plus the even-n overrides, lower bounds from the code registry
+closed under the two extension rules.
 """
 
 from __future__ import annotations
@@ -80,102 +85,110 @@ Row = tuple[Sequence[int], int]
 _SIMPLEX_ITERATION_CAP = 1_000_000
 
 def _solve_feasibility(
-    num_vars: int, equalities: Sequence[Row], floors: Sequence[Row]
-) -> tuple[tuple[list[int], int] | None, list[int] | None, int]:
-    """Exact phase-one simplex: a nonnegative rational vertex x / det with
-    a.x = b det for every equality (a, b) and a.x >= b det for every floor
-    (a, b), or else a Farkas vector y proving there is none, returned with
-    the number of pivots taken as ``((x, det), None, pivots)`` or
-    ``(None, y, pivots)``.  The vertex is integers x over det > 0 with
-    gcd(det, *x) = 1.
+    num_vars: int, equalities: Sequence[Row], floors: Sequence[Row],
+    objective: Sequence[int] | None = None,
+) -> tuple:
+    """Exact simplex in two modes, returning its certificates and the number
+    of pivots taken.
 
-    Every row must hold at the origin, b >= 0 on an equality and b <= 0 on a
-    floor (else ``ValueError``): each equality starts on an artificial, each
-    floor as -a.x + s = -b on its slack s.  Nothing else is checked: both
-    builders emit rows of ``num_vars`` Python ints from indexed cell values,
-    and the tests check every pinned solve's certificate on those rows.
+    - Phase one (``objective`` None): a nonnegative rational vertex x / det
+      with a.x = b det for every equality (a, b) and a.x >= b det for every
+      floor (a, b), or else a Farkas vector y proving there is none, as
+      ``((x, det), None, pivots)`` or ``(None, y, pivots)``.
+    - Phase two (no equalities): the vertex x / det that maximises
+      ``objective``.x over the floors, with the optimal duals on the floors
+      as integers y over their own denominator e > 0, as
+      ``((x, det), (y, e), pivots)``.  Then y >= 0,
+      sum_j y_j a_j <= -e c in every column, c the objective, and
+      sum_j -y_j b_j / e = c.x / det, so for any feasible x',
+      c.x' <= -(sum_j y_j a_j).x' / e <= sum_j -y_j b_j / e: the vertex is
+      optimal by weak duality, which a few integer products check.  The
+      caller's floors must bound the objective.
+
+    The vertex is integers x over det > 0 with gcd(det, *x) = 1, and so is
+    the dual over e.  Every row must hold at the origin, b >= 0 on an
+    equality and b <= 0 on a floor (else ``ValueError``): each equality
+    starts on an artificial, each floor as -a.x + s = -b on its slack s.
+    Nothing else is checked: both builders emit rows of ``num_vars`` Python
+    ints from indexed cell values, and the tests check every pinned solve's
+    certificate on those rows.
 
     The tableau is compact, lrs's dictionary form: a row holds one entry per
     nonbasic variable (``nonbasic[j]`` is column j's; variables are numbered
     x, slacks, artificials) and its right-hand side.  A basic column is a
     unit vector and is not stored, so a slack or artificial is stored only
     once it has left the basis.  Rows 0..m-1 are the constraints and row m
-    the phase-one objective, the sum of the artificials: its reduced costs
-    and minus its value.  Entries are integers over ``det``, the last pivot
-    (1 at first).  A pivot on p = T[r][e] maps every other row, the
-    objective too, to ``(x * p - f * y) // det`` (f its entry in column e, y
-    row r's), then puts -f in column e; row r puts ``det`` there.  Then
-    ``det = p``, and the two variables swap in ``basis`` and ``nonbasic``.
-    Each integer is the full tableau's, det times the true entry and a minor
-    of the initial matrix, so the division is exact; det stays positive, as
-    the cross-multiplied ratio test, over rows 0..m-1, picks only positive
-    pivots.
+    the objective to minimise, the sum of the artificials or -c.x: its
+    reduced costs and minus its value.  Entries are integers over ``det``,
+    the last pivot (1 at first).  A pivot on p = T[r][e] maps every other
+    row, the objective too, to ``(x * p - f * y) // det`` (f its entry in
+    column e, y row r's), then puts -f in column e; row r puts ``det``
+    there.  Then ``det = p``, and the two variables swap in ``basis`` and
+    ``nonbasic``.  Each integer is the full tableau's, det times the true
+    entry and a minor of the initial matrix, so the division is exact; det
+    stays positive, as the cross-multiplied ratio test picks only positive
+    pivots.  It scans row m too, whose entry in the entering column is
+    negative, so never a pivot.
 
     Bland's rule (smallest variable, for entering and ratio-test ties) makes
-    it terminate; it stops once the artificial objective reaches zero, with
-    det times each basic variable's value in its row's right-hand side and
-    the nonbasic ones at 0: that is x, divided with det by their gcd.  A
-    departed artificial never re-enters but keeps its column, so row m ends
-    holding every slack's and artificial's reduced cost.
+    it terminate.  Phase one stops once the artificial objective reaches
+    zero, phase two once no variable can enter, with det times each basic
+    variable's value in its row's right-hand side and the nonbasic ones at
+    0: that is x, divided with det by their gcd.  A departed artificial
+    never re-enters but keeps its column, so row m ends holding every
+    slack's and artificial's reduced cost.  The pivot cap binds on a pivot
+    past it, never on a solve that ends within it.
 
-    When no variable can enter and the objective is still positive, the
-    phase-one duals pi prove infeasibility.  Artificial i's reduced cost is
-    1 - pi_i and slack j's is -pi_j, and row m holds det times each.  So y,
-    one integer per row in the order given, is det - r on equality i, with r
-    artificial i's entry (0 while basic), and slack j's entry r >= 0 (0 while
-    basic) on floor j, divided by their gcd.  Then y >= 0 on the floors,
-    sum_i y_i a_i <= 0 in every column, as no x can enter, and
+    Row m gives the duals pi.  Artificial i's reduced cost is 1 - pi_i and
+    slack j's is -pi_j, and row m holds det times each.  So y, one integer
+    per row in the order given, is det - r on equality i, with r artificial
+    i's entry (0 while basic), and slack j's entry r >= 0 (0 while basic) on
+    floor j.  When no variable can enter in phase one and the objective is
+    still positive, y divided by its gcd is a Farkas vector: y >= 0 on the
+    floors, sum_i y_i a_i <= 0 in every column, as no x can enter, and
     sum_i y_i b_i > 0, a positive multiple of the objective.  Any x >= 0
     meeting the rows would give 0 >= (sum_i y_i a_i).x >= sum_i y_i b_i > 0.
+    In phase two the same read over det is the optimal dual: x_i's reduced
+    cost -c_i - sum_j y_j a_ji / det is at least 0 in every column, and
+    row m's right-hand side is det c.x = sum_j -y_j b_j.
 
     The ratio test always finds a pivot row.  As the entering variable
     rises to t, row i's basic variable is its right-hand side minus t times
     its entry, and det > 0 makes the entries' signs true.  Were none
-    positive, every t >= 0 would be feasible, and the objective, a sum of
-    nonnegative artificials, would fall without bound along that ray.
+    positive, every t >= 0 would be feasible, and the objective would fall
+    without bound along that ray: in phase one a sum of nonnegative
+    artificials, in phase two the caller's bounded one.
     """
     art_start = num_vars + len(floors)
     tableau = [[*coeffs, rhs] for coeffs, rhs in equalities]
     tableau += [[-a for a in coeffs] + [-rhs] for coeffs, rhs in floors]
     if any(row[-1] < 0 for row in tableau):
         raise ValueError("every row must hold at the origin")
-    # Each equality starts on its artificial, each floor on its slack.
     basis = [art_start + i for i in range(len(equalities))] + list(range(num_vars, art_start))
     nonbasic = list(range(num_vars))
-    m = len(tableau)
-    obj = [-sum(col) for col in zip([0] * (num_vars + 1), *tableau[: len(equalities)])]
+    summed = tableau[: len(equalities)] if objective is None else [[*objective, 0]]
+    obj = [-sum(col) for col in zip([0] * (num_vars + 1), *summed)]
     tableau.append(obj)
 
     det = 1
     pivots = 0
-    while obj[-1]:
+    while objective is not None or obj[-1]:
+        enter, best = -1, art_start
+        for j, var in enumerate(nonbasic):
+            if var < best and obj[j] < 0:
+                enter, best = j, var
+        if enter < 0:
+            break
         if pivots == _SIMPLEX_ITERATION_CAP:
             raise BudgetError(f"exact simplex exceeded {_SIMPLEX_ITERATION_CAP} pivots")
-        entering = [(var, j) for j, var in enumerate(nonbasic) if var < art_start and obj[j] < 0]
-        if not entering:
-            farkas = [det] * len(equalities) + [0] * len(floors)
-            for j, var in enumerate(nonbasic):
-                if var >= art_start:
-                    farkas[var - art_start] -= obj[j]
-                elif var >= num_vars:
-                    farkas[len(equalities) + var - num_vars] = obj[j]
-            g = math.gcd(*farkas)
-            return None, [y // g for y in farkas], pivots
-        enter = min(entering)[1]
-        pivot_row = -1
-        for i, row in enumerate(tableau[:m]):
+        pivot_row, piv, rhs = -1, 0, 1  # a ratio every positive entry beats
+        for i, row in enumerate(tableau):
             a = row[enter]
             if a > 0:
-                if pivot_row < 0:
-                    pivot_row = i
-                    continue
-                best = tableau[pivot_row]
-                lhs = row[-1] * best[enter]
-                rhs = best[-1] * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[pivot_row]):
-                    pivot_row = i
+                lhs, cross = row[-1] * piv, rhs * a
+                if lhs < cross or (lhs == cross and basis[i] < basis[pivot_row]):
+                    pivot_row, piv, rhs = i, a, row[-1]
         prow = tableau[pivot_row]
-        piv = prow[enter]
         for row in tableau:  # in place, so obj stays row m
             if row is not prow:
                 f = row[enter]
@@ -186,37 +199,84 @@ def _solve_feasibility(
         basis[pivot_row], nonbasic[enter] = nonbasic[enter], basis[pivot_row]
         pivots += 1
 
+    y = [det] * len(equalities) + [0] * len(floors)
+    for j, var in enumerate(nonbasic):
+        if var >= art_start:
+            y[var - art_start] -= obj[j]
+        elif var >= num_vars:
+            y[len(equalities) + var - num_vars] = obj[j]
+    if objective is None and obj[-1]:
+        g = math.gcd(*y)
+        return None, [v // g for v in y], pivots
     x = [0] * num_vars
     for i, b in enumerate(basis):
         if b < num_vars:
             x[b] = tableau[i][-1]
-    g = math.gcd(det, *x)
-    return ([v // g for v in x], det // g), None, pivots
+    g, e = math.gcd(det, *x), math.gcd(det, *y)
+    dual = None if objective is None else ([v // e for v in y], det // e)
+    return ([v // g for v in x], det // g), dual, pivots
 
 
 # ---------------------------------------------------------------------------
 # the two systems: maximal entanglement, and 0 < c < n - k
 
 
-def _maximal_rows(n: int, k: int, d: int) -> tuple[list[Row], list[Row]]:
-    """The feasibility system for a trial distance d at maximal entanglement.
+def _maximal_rows(n: int, d: int) -> list[Row]:
+    """The n floors of a trial distance d at maximal entanglement.
 
     The variables are B_d..B_n, the logical distribution with B_0 = 1
     substituted in and B_w = 0 below d left out.  The stabilizer
-    distribution A is the linear form 4^k A_w = K_w(0) + sum_w' K_w(w') B_w'.
-    The rows are one equality and n floors,
-
-        sum_{w>=d} B_w = 4^k - 1
-        4^k A_w >= 0  for 1 <= w <= n
-
-    and the simplex keeps B >= 0.  The other constraints on the two
-    distributions are implied, because sum_w K_w(w') = 4^n [w' = 0]:
-    K_0(w') = 1 turns the sum row into A_0 = 1, and summing the forms over w
-    leaves 4^n B_0, so sum_w A_w = 4^(n-k).  Each cap A_w <= 4^(n-k) and
-    B_w <= 4^k then follows from its sum and nonnegativity.
+    distribution A is the linear form 4^k A_w = K_w(0) + sum_w' K_w(w') B_w',
+    and the floors are 4^k A_w >= 0 for 1 <= w <= n; the simplex keeps
+    B >= 0.  A cell (n, k, d) adds the one equality sum_{w>=d} B_w = 4^k - 1,
+    its only number that depends on k, which :func:`_maximum` reads as a
+    threshold.  The other constraints on the two distributions are implied,
+    because sum_w K_w(w') = 4^n [w' = 0]: K_0(w') = 1 turns the sum row into
+    A_0 = 1, and summing the forms over w leaves 4^n B_0, so
+    sum_w A_w = 4^(n-k).  Each cap A_w <= 4^(n-k) and B_w <= 4^k then
+    follows from its sum and nonnegativity.
     """
-    floors = [(row[d:], -row[0]) for row in _krawtchouk_table(n)[1:]]
-    return [([1] * (n - d + 1), 4**k - 1)], floors
+    return [(row[d:], -row[0]) for row in _krawtchouk_table(n)[1:]]
+
+
+def _maximum(n: int, d: int) -> tuple[int, int]:
+    """M(n, d), the largest sum_{w>=d} B_w over the floors of
+    :func:`_maximal_rows`, as integers (total, det) with M = total / det, for
+    2 <= d <= n: one phase-two solve, or none at either end.
+
+    The cell (n, k, d) is feasible iff M(n, d) >= 4^k - 1.  Its floors hold
+    at the origin, since K_w(0) = 3^w C(n, w) > 0, and they are convex, so a
+    point with sum M scaled by (4^k - 1) / M <= 1 stays a point, now with
+    sum 4^k - 1; a point with that sum needs M >= 4^k - 1.  The floors' forms
+    sum to 4^n - 1 - sum B, since sum_w K_w(w') = 4^n [w' = 0], so M is
+    finite.  M does not depend on k, and it falls as d rises: the d + 1
+    floors are the d floors with B_d fixed at 0.
+
+    Proof that M(n, 2) = 4^(n-1) - 1.  The generating function
+    sum_w K_w(w') z^w = (1 + 3z)^(n-w') (1 - z)^w' gives, at z = 1 and in
+    its derivative there, sum_{w>=1} K_w(w') = -1 and
+    sum_{w>=1} w K_w(w') = 0 for every w' >= 2, and
+    sum_{w>=1} (n - w) K_w(0) = n 4^n - n - 3n 4^(n-1) = n (4^(n-1) - 1).
+    So the dual y_w = n - w over e = n has sum_w y_w K_w(w') = -n <= -e on
+    every column and value 4^(n-1) - 1.  The vertex
+    B_w = (3^w + 3 (-1)^w) C(n, w) / 4 for w >= 2, an integer since
+    3^w = (-1)^w mod 4, is a quarter of the full space's distribution plus
+    three quarters of the parity one (-1)^w C(n, w), which extends to w = 0
+    and 1 as 1 and 0.  The transform of 3^w C(n, w) is 4^n [w = 0] and that
+    of (-1)^w C(n, w) is 4^n [w = n], the coefficients of (4z)^n, so the
+    vertex meets every floor, and its sum is (4^n - 4) / 4.
+
+    Proof that M(n, n) = 3.  The vertex B_n = 3 meets every floor, as
+    3^w C(n, w) + 3 (-1)^w C(n, w) >= 0 for w >= 1.  The dual is the w = 1
+    floor alone, y_1 = 1 over e = n: K_1(n) = -n, and its value is
+    K_1(0) / n = 3.
+    """
+    if d == 2:
+        return 4 ** (n - 1) - 1, 1
+    if d == n:
+        return 3, 1
+    (x, det), _, _ = _solve_feasibility(n - d + 1, (), _maximal_rows(n, d), [1] * (n - d + 1))
+    return sum(x), det
 
 
 def _general_rows(n: int, k: int, c: int, d: int) -> tuple[list[Row], list[Row]]:
@@ -295,7 +355,8 @@ def _check_cell(n: int, k: int, c: int, d: int | None = None) -> tuple:
 
 def lp_feasible_general(n: int, k: int, c: int, d: int) -> bool:
     """Whether the rational relaxation for trial distance d has a solution:
-    :func:`_maximal_rows` at c = n - k, :func:`_general_rows` below it.
+    M(n, d) >= 4^k - 1 (:func:`_maximum`) at c = n - k, and
+    :func:`_general_rows` solved below it.
 
     A False verdict proves no [[n, k, d; c]] code exists.  At d = 1 the
     verdict is True without a solve.
@@ -313,7 +374,8 @@ def lp_feasible_general(n: int, k: int, c: int, d: int) -> bool:
     if d == 1:
         return True
     if c == n - k:
-        return _solve_feasibility(n - d + 1, *_maximal_rows(n, k, d))[0] is not None
+        total, det = _maximum(n, d)
+        return total >= (4**k - 1) * det
     return _solve_feasibility(2 * n - d + 1, *_general_rows(n, k, c, d))[0] is not None
 
 
@@ -343,12 +405,24 @@ def lp_upper_bound(n: int, k: int, c: int | None = None) -> int:
     """Largest d not excluded: the smallest infeasible trial distance minus 1,
     or n if every trial distance up to n is feasible.
 
-    The walk of :func:`_walk` climbs from the floor d = 1, which the trivial
-    code proves feasible (see :func:`lp_feasible_general`), so the bound is
-    at least 1.  ``c`` defaults to maximal entanglement n - k.
+    Both searches start from the floor d = 1, which the trivial code proves
+    feasible (see :func:`lp_feasible_general`), so the bound is at least 1.
+    Below maximal entanglement the walk of :func:`_walk` climbs from it.  At
+    c = n - k, M(n, d) falls as d rises (:func:`_maximum`), so the bound is
+    bisected between a feasible and an infeasible d; a maximisation costs
+    about the same at any d.  The first trial is n - k + 2, one past the
+    Singleton distance, which was infeasible at every cell with n <= 30, so
+    a cell such as k = n - 1 takes one maximisation.  Any first trial gives
+    the same bound.  ``c`` defaults to maximal entanglement n - k.
     """
     n, k, c, _ = _check_cell(n, k, n - k if c is None else c)
-    return _walk(n, k, c, 1, n + 1)
+    if c < n - k:
+        return _walk(n, k, c, 1, n + 1)
+    low, high, d = 1, n + 1, min(n, n - k + 2)  # d = low feasible, d = high not
+    while high - low > 1:
+        low, high = (d, high) if lp_feasible_general(n, k, c, d) else (low, d)
+        d = (low + high) // 2
+    return low
 
 
 def apply_overrides(n: int, k: int, lp_bound: int) -> int:
@@ -446,12 +520,10 @@ def _registry_lower_bounds(n_max: int) -> dict[tuple[int, int], tuple[int, str]]
     under lengthening (n-1, k) -> (n, k) and trading (n, k+1) -> (n, k)."""
     best: dict[tuple[int, int], int] = {}
     for entry in registry():
-        if entry.n > n_max:
-            continue
-        if not entry.is_maximal_entanglement:
-            continue  # the extension rules preserve n - k - c, so only
-            # maximal-entanglement seeds can reach maximal-entanglement cells
-        best[(entry.n, entry.k)] = max(entry.d, best.get((entry.n, entry.k), 1))
+        # the extension rules preserve n - k - c, so only maximal-entanglement
+        # seeds can reach maximal-entanglement cells
+        if entry.n <= n_max and entry.is_maximal_entanglement:
+            best[(entry.n, entry.k)] = max(entry.d, best.get((entry.n, entry.k), 1))
     out: dict[tuple[int, int], tuple[int, str]] = {}
     for n in range(2, n_max + 1):
         for k in range(n - 1, 0, -1):
@@ -467,32 +539,27 @@ def _registry_lower_bounds(n_max: int) -> dict[tuple[int, int], tuple[int, str]]
 def build_table(n_max: int) -> BoundsTable:
     """Assemble the bounds grid for all cells 1 <= k < n <= n_max.
 
-    Upper bounds: one :func:`_walk` per cell, capped by
-    :func:`apply_overrides`.  A walk that never hits infeasibility proves
-    nothing, so its d <= n result is tagged trivial.  Each walk climbs
-    inside the bracket bound(n - 1, k) <= bound(n, k) <= bound(n, k - 1) of
-    the two LP bounds already found, from the floor bound(n - 1, k), or
-    from the floor 1 of the trivial code for k = n - 1, which has no
-    (n - 1, k) cell.  Every cell of n <= 20 then takes one or two solves,
-    and a closed bracket none.
+    Upper bounds: each row n reads the thresholds
+    bound(n, k) = max{d : M(n, d) >= 4^k - 1} off M(n, 2..n), one
+    :func:`_maximum` per (n, d), so 3 <= d < n take one solve each and
+    every k shares them.  Each bound is capped by :func:`apply_overrides`;
+    one that no maximisation excludes proves nothing, so its d <= n result
+    is tagged trivial.
     Lower bounds: the registry closed under the extension rules, defaulting
     to the always-achievable d = 1.
 
-    Proof of the two lifts, on the maximal-entanglement rows of
-    :func:`_maximal_rows`, where 4^k A_w = K_w(0) + sum_w' K_w(w') B_w' must
-    be nonnegative and sum B_w = 4^k - 1.
-
-    - Lengthening.  Pad a point B of (n - 1, k, d) with B_n = 0.  The sum is
-      unchanged, and adding a qubit outside every support splits the
-      Krawtchouk values as K_w(w'; n) = K_w(w'; n - 1) + 3 K_(w-1)(w'; n - 1),
-      so the padded point has 4^k A'_w = 4^k (A_w + 3 A_(w-1)) >= 0.  So
-      every d feasible at (n - 1, k) is feasible at (n, k).
-    - Trading.  Scale a point B of (n, k, d) by
-      lambda = (4^(k-1) - 1) / (4^k - 1), in [0, 1).  The sum becomes
-      4^(k-1) - 1, and 4^(k-1) A'_w = (1 - lambda) K_w(0) + lambda 4^k A_w
-      >= 0, since K_w(0) = 3^w C(n, w).  So every d feasible at (n, k) is
-      feasible at (n, k - 1), and bound(n, k - 1) + 1 is infeasible at
-      (n, k).
+    Why the thresholds are the LP bounds.  The floors of (n, d) hold at the
+    origin and are convex, so the sums sum_{w>=d} B_w of their points fill
+    [0, M(n, d)], and (n, k, d) is feasible iff M(n, d) >= 4^k - 1.  M falls
+    as d rises, the d + 1 floors being the d floors with B_d = 0, so the
+    feasible d are 1..bound(n, k); d = 1 is feasible by the trivial code,
+    and d = 2 by M(n, 2) = 4^(n-1) - 1.  The extension rules become remarks
+    on M.  Trading a logical qubit changes only the threshold, as M does not
+    depend on k.  Lengthening pads a point of (n - 1, d) with B_n = 0, which
+    keeps its sum: adding a qubit outside every support splits
+    K_w(w'; n) = K_w(w'; n - 1) + 3 K_(w-1)(w'; n - 1), so each padded floor
+    is a floor of n - 1 plus three times the one below it, and
+    M(n - 1, d) <= M(n, d).
     """
     n_max = index(n_max)
     if n_max < 2:
@@ -501,24 +568,12 @@ def build_table(n_max: int) -> BoundsTable:
         raise ValueError(f"need n_max <= {MAX_QUBITS}, got {n_max}")
     lower = _registry_lower_bounds(n_max)
     cells = []
-    above: list[int] = []  # the LP bounds of row n - 1, by k
     for n in range(2, n_max + 1):
-        row: list[int] = []
+        maxima = [_maximum(n, d) for d in range(2, n + 1)]
         for k in range(1, n):
-            # bound(n - 1, k), or 1 by the trivial code, is feasible here and
-            # bound(n, k - 1) + 1 is not
-            feasible = above[k - 1] if k < n - 1 else 1
-            infeasible = row[-1] + 1 if row else n + 1
-            lp = _walk(n, k, n - k, feasible, infeasible)
-            row.append(lp)
+            lp = 1 + sum(total >= (4**k - 1) * det for total, det in maxima)
             upper = apply_overrides(n, k, lp)
-            if upper < lp:
-                upper_source = "override"
-            elif upper == n:
-                upper_source = "trivial"
-            else:
-                upper_source = "lp"
+            upper_source = "override" if upper < lp else "trivial" if upper == n else "lp"
             low, low_source = lower[(n, k)]
             cells.append(BoundsCell(n, k, low, upper, low_source, upper_source))
-        above = row
     return BoundsTable(n_max, tuple(cells))

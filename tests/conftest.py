@@ -146,6 +146,33 @@ def point_accepts(num_vars, equalities, floors, x, det) -> bool:
     return all(e == 0 for e in excess[:split]) and all(e >= 0 for e in excess[split:])
 
 
+def maximum_accepts(num_vars, floors, objective, vertex, dual) -> bool:
+    """Whether the integer certificates of a maximisation of objective.x over
+    the floors a.x >= b, x >= 0, prove its value: the vertex (x, det) meets
+    the floors (``point_accepts``), the dual (y, e) has y >= 0, e > 0 and
+    sum_j y_j a_j <= -e objective in every column, and the two values
+    objective.x / det and sum_j -y_j b_j / e are equal.  Any feasible x'
+    then has objective.x' <= -(sum_j y_j a_j).x' / e <= sum_j -y_j b_j / e,
+    by weak duality, so the vertex is optimal.  On the maximal-entanglement
+    floors 3^w C(n, w) + sum_w' K_w(w') B_w' >= 0 with the objective
+    sum B, y is a Delsarte polynomial: sum_w y_w K_w(w') <= -e for every
+    variable weight w', and sum_w y_w K_w(0) / e is the maximum."""
+    (x, det), (y, e) = vertex, dual
+    if not point_accepts(num_vars, [], floors, x, det):
+        return False
+    if len(y) != len(floors) or len(objective) != num_vars:
+        return False
+    if not all(isinstance(v, int) for v in (*y, e)):
+        return False
+    if e <= 0 or any(v < 0 for v in y):
+        return False
+    columns = [sum(v * a[col] for v, (a, _) in zip(y, floors)) for col in range(num_vars)]
+    if any(s > -e * c for s, c in zip(columns, objective)):
+        return False
+    primal = sum(c * v for c, v in zip(objective, x))
+    return primal * e == -sum(v * b for v, (_, b) in zip(y, floors)) * det
+
+
 # ---------------------------------------------------------------------------
 # random structures
 

@@ -131,13 +131,37 @@ def test_lp_work_stops_at_64_qubits(capsys):
         assert code == 2 and out == "", argv
         assert err.startswith("error:") and "Traceback" not in err, argv
     # 64 qubits still reach the solver; single trial distances stand in for
-    # the full walk, which takes about 17 s there on a 2-vCPU VM.  d = 1 is
-    # settled by the trivial code, with no solve
+    # the full bisection, whose one maximisation, at d = 3, takes about 6 s
+    # there on a 2-vCPU VM.  d = 1 is settled by the trivial code, and d = 2
+    # and d = n by the proved maxima M(n, 2) = 4^(n-1) - 1 and M(n, n) = 3,
+    # with no solve
     assert run(capsys, "lp-bound", "--n", "64", "--k", "63", "--d", "1") == (0, "feasible\n", "")
+    assert run(capsys, "lp-bound", "--n", "64", "--k", "63", "--d", "2") == (0, "feasible\n", "")
     assert run(capsys, "lp-bound", "--n", "64", "--k", "1", "--d", "64") == (0, "feasible\n", "")
     assert run(capsys, "lp-bound", "--n", "64", "--k", "63", "--d", "64") == (
         0, "infeasible\n", ""
     )
+
+
+def test_lp_bound_on_every_maximal_cell_to_15_qubits(capsys):
+    # `lp-bound` prints each maximal cell's LP bound: the frozen table's
+    # upper bound, except at the override cells listed here, where the LP
+    # allows d = n at k = 1 and d = 2 at k = n - 1 for even n.  The `--d`
+    # verdicts fall as d rises and count up to that bound
+    root = Path(__file__).resolve().parent.parent
+    frozen = json.loads((root / "artifacts" / "bounds_table_n15.json").read_text())["cells"]
+    overrides = {(n, 1): n for n in range(2, 16, 2)} | {(n, n - 1): 2 for n in range(4, 16, 2)}
+    assert set(overrides) == {(c["n"], c["k"]) for c in frozen if c["upper_source"] == "override"}
+    for cell in frozen:
+        n, k = str(cell["n"]), str(cell["k"])
+        bound = overrides.get((cell["n"], cell["k"]), cell["upper"])
+        assert run(capsys, "lp-bound", "--n", n, "--k", k) == (0, f"{bound}\n", ""), (n, k)
+        verdicts = []
+        for d in range(1, cell["n"] + 1):
+            code, out, err = run(capsys, "lp-bound", "--n", n, "--k", k, "--d", str(d))
+            assert code == 0 and err == "" and out in ("feasible\n", "infeasible\n"), (n, k, d)
+            verdicts.append(out == "feasible\n")
+        assert verdicts == sorted(verdicts, reverse=True) and sum(verdicts) == bound, (n, k)
 
 
 def test_extend_command(capsys):

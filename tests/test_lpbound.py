@@ -29,9 +29,9 @@ from eaqec import (
 )
 from eaqec import lpbound
 from eaqec.errors import BudgetError
-from eaqec.lpbound import _general_rows, _maximal_rows, _solve_feasibility
+from eaqec.lpbound import _general_rows, _maximal_rows, _maximum, _solve_feasibility
 
-from conftest import farkas_accepts, point_accepts, random_code
+from conftest import farkas_accepts, maximum_accepts, point_accepts, random_code
 
 
 def as_fractions(vertex):
@@ -65,6 +65,17 @@ def general_rows(equalities, floors):
     return [(a, "=", b) for a, b in equalities] + [
         ([-x for x in a], "<=", -b) for a, b in floors
     ]
+
+
+def maximal_system(n, k, d):
+    """The cell (n, k, d) as one feasibility system: the floors of
+    ``_maximal_rows`` and the sum B_d + ... + B_n = 4^k - 1."""
+    return [([1] * (n - d + 1), 4**k - 1)], _maximal_rows(n, d)
+
+
+def maximise(n, d):
+    """The phase-two solve behind M(n, d): (vertex, dual, pivots)."""
+    return _solve_feasibility(n - d + 1, [], _maximal_rows(n, d), [1] * (n - d + 1))
 
 
 def is_sublist(small, big):
@@ -358,28 +369,61 @@ def test_solver_matches_fraction_reference_on_small_systems(system):
         assert farkas_accepts(num_vars, equalities, floors, farkas)
 
 
+_bounded_system = st.integers(1, 4).flatmap(
+    lambda m: st.tuples(
+        st.just(m),
+        _random_rows(m, st.integers(-8, 0)),
+        st.lists(st.integers(-3, 5), min_size=m, max_size=m),
+        st.integers(0, 8),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bounded_system)
+def test_solver_maximises_with_an_accepted_dual_on_small_systems(system):
+    # phase two from the origin, on random floors with x_1 + ... + x_m <= cap
+    # added to bound the objective: the vertex and dual, each in lowest
+    # terms, must be accepted with equal values, which proves the vertex
+    # optimal with no reference solver
+    num_vars, floors, objective, cap = system
+    floors = floors + [([-1] * num_vars, -cap)]
+    vertex, dual, _ = _solve_feasibility(num_vars, [], floors, objective)
+    assert maximum_accepts(num_vars, floors, objective, vertex, dual)
+    (x, det), (y, e) = vertex, dual
+    assert math.gcd(det, *x) == 1 == math.gcd(e, *y)
+
+
 def _count_pivots(monkeypatch, certificates=None):
     """Patch the solver to append each solve's pivot count to the returned
     list.  Every verdict's certificate must be accepted on the rows as
     built: a feasible one's vertex, reduced over its det, by
     ``point_accepts``, an infeasible one's Farkas vector by
-    ``farkas_accepts``.  ``certificates`` collects each solve's rows with
-    its vertex and its vector, one of them None."""
+    ``farkas_accepts``, and a maximisation's vertex and dual, with equal
+    values, by ``maximum_accepts``.  ``certificates`` collects each solve's
+    rows and objective with its vertex and its vector or dual, a phase-one
+    solve having one of them None."""
     pivots = []
     original = lpbound._solve_feasibility
 
-    def counting_solve(num_vars, equalities, floors):
-        vertex, farkas, count = original(num_vars, equalities, floors)
-        if vertex is None:
-            assert farkas_accepts(num_vars, equalities, floors, farkas)
+    def counting_solve(num_vars, equalities, floors, objective=None):
+        vertex, second, count = original(num_vars, equalities, floors, objective)
+        if objective is not None:
+            assert not equalities
+            assert maximum_accepts(num_vars, floors, objective, vertex, second)
+        elif vertex is None:
+            assert farkas_accepts(num_vars, equalities, floors, second)
         else:
             x, det = vertex
-            assert farkas is None and math.gcd(det, *x) == 1
+            assert second is None
             assert point_accepts(num_vars, equalities, floors, x, det)
+        if vertex is not None:
+            x, det = vertex
+            assert math.gcd(det, *x) == 1
         if certificates is not None:
-            certificates.append((num_vars, equalities, floors, vertex, farkas))
+            certificates.append((num_vars, equalities, floors, objective, vertex, second))
         pivots.append(count)
-        return vertex, farkas, count
+        return vertex, second, count
 
     monkeypatch.setattr(lpbound, "_solve_feasibility", counting_solve)
     return pivots
@@ -387,15 +431,8 @@ def _count_pivots(monkeypatch, certificates=None):
 
 def test_solver_matches_fraction_reference_on_every_scan_solve(monkeypatch):
     solves = []
-    pivots = _count_pivots(monkeypatch)
-    counting_solve = lpbound._solve_feasibility
-
-    def recording(num_vars, equalities, floors):
-        result = counting_solve(num_vars, equalities, floors)
-        solves.append((num_vars, general_rows(equalities, floors), as_fractions(result[0])))
-        return result
-
-    monkeypatch.setattr(lpbound, "_solve_feasibility", recording)
+    certificates = []
+    pivots = _count_pivots(monkeypatch, certificates)
     for n in range(2, 10):
         for k in range(1, n):
             lp_upper_bound(n, k)
@@ -403,13 +440,20 @@ def test_solver_matches_fraction_reference_on_every_scan_solve(monkeypatch):
                 lp_upper_bound(n, k, c)
             # the trivial code settles d = 1 in every cell, with no solve
             assert all(lp_feasible_general(n, k, c, 1) for c in range(1, n - k + 1))
-    # the unseeded scans, solve for solve and pivot for pivot
-    assert (len(solves), sum(pivots)) == (160, 472)
+    # the scans, solve for solve and pivot for pivot: the partial cells' 29
+    # phase-one solves, and the maximal cells' bisections, 67 maximisations
+    # whose vertex and dual were accepted with equal values
+    maximal = [p for p, cert in zip(pivots, certificates) if cert[3] is not None]
+    assert (len(pivots), sum(pivots)) == (96, 401)
+    assert (len(maximal), sum(maximal)) == (67, 266)
+    for num_vars, equalities, floors, objective, vertex, _ in certificates:
+        if objective is None:
+            solves.append((num_vars, general_rows(equalities, floors), as_fractions(vertex)))
     # d = 1 is settled by proof, so its systems are solved here for the same
     # cells, to keep their oracle
     for n in range(2, 10):
         for k in range(1, n):
-            systems = [(n, _maximal_rows(n, k, 1))]
+            systems = [(n, maximal_system(n, k, 1))]
             systems += [(2 * n, _general_rows(n, k, c, 1)) for c in range(1, n - k) if n <= 5]
             for num_vars, (equalities, floors) in systems:
                 point = solve(num_vars, equalities, floors)
@@ -420,15 +464,15 @@ def test_solver_matches_fraction_reference_on_every_scan_solve(monkeypatch):
 
 
 def test_simplex_iteration_cap_boundary(monkeypatch):
-    # a solve that is feasible after exactly the cap's pivots returns its point
-    equalities, floors = _maximal_rows(9, 4, 5)
-    point, _, pivots = _solve_feasibility(5, equalities, floors)
-    assert point is not None and pivots >= 2
+    # a maximisation that is optimal after exactly the cap's pivots returns
+    # its vertex and dual
+    vertex, dual, pivots = maximise(9, 5)
+    assert vertex is not None and pivots >= 2
     monkeypatch.setattr(lpbound, "_SIMPLEX_ITERATION_CAP", pivots)
-    assert _solve_feasibility(5, equalities, floors) == (point, None, pivots)
+    assert maximise(9, 5) == (vertex, dual, pivots)
     monkeypatch.setattr(lpbound, "_SIMPLEX_ITERATION_CAP", pivots - 1)
     with pytest.raises(BudgetError, match=f"{pivots - 1} pivots"):
-        _solve_feasibility(5, equalities, floors)
+        maximise(9, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -487,16 +531,40 @@ def test_lp_cell_validation():
 
 
 def test_maximal_point_solves_full_system():
-    # the reduced point, lifted to A and B, solves the full two-enumerator system
+    # the reduced point, lifted to A and B, solves the full two-enumerator
+    # system, and so does the maximisation's vertex scaled by (4^k - 1) / M
     for n, k, d in ((5, 2, 3), (5, 2, 4), (7, 2, 5), (9, 4, 5), (11, 1, 9)):
-        equalities, floors = _maximal_rows(n, k, d)
-        assert (len(equalities), len(floors)) == (1, n)
+        equalities, floors = maximal_system(n, k, d)
+        assert len(floors) == n
         assert all(len(coeffs) == n - d + 1 for coeffs, _ in equalities + floors)
-        point = solve(n - d + 1, equalities, floors)
-        assert point is not None
-        assert_satisfies(point, general_rows(equalities, floors))
-        b = [Fraction(1)] + [Fraction(0)] * (d - 1) + point
-        assert_satisfies(transform(b, 4**k) + b, full_maximal_rows(n, k, d))
+        (x, det), _, _ = maximise(n, d)
+        scaled = [Fraction((4**k - 1) * v, sum(x)) for v in x]
+        for point in (solve(n - d + 1, equalities, floors), scaled):
+            assert point is not None
+            assert_satisfies(point, general_rows(equalities, floors))
+            b = [Fraction(1)] + [Fraction(0)] * (d - 1) + point
+            assert_satisfies(transform(b, 4**k) + b, full_maximal_rows(n, k, d))
+
+
+def test_proved_ends_of_the_maximum():
+    # M(n, 2) = 4^(n-1) - 1 and M(n, n) = 3 take no solve; the certificates
+    # their proofs give are accepted in integers on the rows as built, for
+    # every n the LP takes, and for n <= 12 a phase-two solve agrees
+    for n in range(2, 65):
+        low = [(3**w + 3 * (-1) ** w) * math.comb(n, w) for w in range(2, n + 1)]
+        assert all(v % 4 == 0 for v in low)
+        ends = [
+            (2, ([v // 4 for v in low], 1), ([n - w for w in range(1, n + 1)], n)),
+            (n, ([3], 1), ([1] + [0] * (n - 1), n)),
+        ]
+        for d, vertex, dual in ends:
+            num_vars = n - d + 1
+            floors = _maximal_rows(n, d)
+            assert maximum_accepts(num_vars, floors, [1] * num_vars, vertex, dual), (n, d)
+            assert _maximum(n, d) == (sum(vertex[0]), 1) == ((4 ** (n - 1) - 1, 1) if d == 2 else (3, 1))
+            if n <= 12:
+                (x, det), _, _ = maximise(n, d)
+                assert sum(x) == sum(vertex[0]) * det, (n, d)
 
 
 def test_lp_verdicts_match_full_system():
@@ -525,46 +593,42 @@ def test_seeded_walk_matches_ascending_scan():
 
 
 def test_build_table_settles_each_cell_in_two_solves(monkeypatch):
+    # each cell's bound b rests on two maximisations of its row,
+    # M(n, b) >= 4^k - 1 > M(n, b + 1), and every k of the row shares them:
+    # the table makes one per (n, d) with 3 <= d < n, as M(n, 2) and
+    # M(n, n) are proved.  The bracketed walk took 53 solves and 164 pivots
     certificates = []
     solves = _count_pivots(monkeypatch, certificates)
-    per_cell = {}
-    walk = lpbound._walk
-
-    def counting_walk(n, k, *args):
-        before = len(solves)
-        bound = walk(n, k, *args)
-        assert (n, k) not in per_cell
-        per_cell[(n, k)] = len(solves) - before
-        return bound
-
-    monkeypatch.setattr(lpbound, "_walk", counting_walk)
     table = build_table(9)
-    # one walk per cell, of at most two solves; the ascending scan took 167
-    assert sorted(per_cell) == [(c.n, c.k) for c in table.cells]
-    assert max(per_cell.values()) <= 2
-    assert (len(solves), sum(solves)) == (53, 164)
-    # the k = n - 1 column climbs from the trivial code's floor of 1
+    assert (len(solves), sum(solves)) == (21, 72)
+    rows = sorted((cert[0], len(cert[2])) for cert in certificates)  # (n - d + 1, n)
+    assert rows == sorted((n - d + 1, n) for n in range(4, 10) for d in range(3, n))
+    for cell in table.cells:
+        n, k = cell.n, cell.k
+        lp = lp_upper_bound(n, k)
+        total, det = _maximum(n, lp)
+        assert total >= (4**k - 1) * det, (n, k)
+        if lp < n:
+            total, det = _maximum(n, lp + 1)
+            assert total < (4**k - 1) * det, (n, k)
+    # 160 solves and 918 pivots before; 78 maximisations now, each one's
+    # vertex and dual accepted in integers with equal values
     solves.clear()
-    per_cell.clear()
     certificates.clear()
     build_table(15)
-    assert (len(solves), sum(solves)) == (160, 918)
-    # 74 verdicts are infeasible and 86 feasible, and each one's vector or
-    # vertex was accepted
-    vectors = [cert for cert in certificates if cert[3] is None]
-    vertices = [cert for cert in certificates if cert[3] is not None]
-    assert (len(vectors), len(vertices)) == (74, 86)
-    # a vector with a floor entry negated is not accepted
-    num_vars, equalities, floors, _, farkas = vectors[-1]
-    j = next(j for j in range(len(equalities), len(farkas)) if farkas[j])
-    negated = farkas[:j] + [-farkas[j]] + farkas[j + 1 :]
-    assert not farkas_accepts(num_vars, equalities, floors, negated)
-    # nor is a vertex over twice its det, which halves the sum B_d + ... + B_n
-    num_vars, equalities, floors, (x, det), _ = vertices[-1]
-    assert not point_accepts(num_vars, equalities, floors, x, 2 * det)
+    assert (len(solves), sum(solves)) == (78, 452)
+    assert all(cert[3] is not None for cert in certificates)
+    # a dual with an entry negated is not accepted
+    num_vars, _, floors, objective, vertex, (y, e) = certificates[-1]
+    j = next(j for j, v in enumerate(y) if v)
+    negated = y[:j] + [-y[j]] + y[j + 1 :]
+    assert not maximum_accepts(num_vars, floors, objective, vertex, (negated, e))
+    # nor is a vertex over twice its det, which halves its value
+    (x, det) = vertex
+    assert not maximum_accepts(num_vars, floors, objective, (x, 2 * det), (y, e))
 
 
-def test_lengthening_and_trading_lift_feasible_points(monkeypatch):
+def test_lengthening_and_trading_lift_feasible_points():
     # each of the 307 feasible points with n <= 12, padded with
     # B_(n+1) = 0, satisfies the (n + 1, k, d) rows, and scaled by
     # lambda = (4^(k-1) - 1) / (4^k - 1) the (n, k - 1, d) rows, checked
@@ -573,15 +637,15 @@ def test_lengthening_and_trading_lift_feasible_points(monkeypatch):
     for n in range(2, 13):
         for k in range(1, n):
             for d in range(1, n + 1):
-                point = solve(n - d + 1, *_maximal_rows(n, k, d))
+                point = solve(n - d + 1, *maximal_system(n, k, d))
                 if point is None:
                     break
-                assert_satisfies(point + [0], general_rows(*_maximal_rows(n + 1, k, d)))
+                assert_satisfies(point + [0], general_rows(*maximal_system(n + 1, k, d)))
                 lifted += 1
                 if k > 1:
                     scale = Fraction(4 ** (k - 1) - 1, 4**k - 1)
                     traded = [scale * x for x in point]
-                    assert_satisfies(traded, general_rows(*_maximal_rows(n, k - 1, d)))
+                    assert_satisfies(traded, general_rows(*maximal_system(n, k - 1, d)))
     assert lifted == 307
     # the same lifts of the 375 feasible partial points with 3 <= n <= 9,
     # over I_1..I_n then M_d..M_n: I and M padded with 0 at weight n + 1
@@ -606,21 +670,17 @@ def test_lengthening_and_trading_lift_feasible_points(monkeypatch):
                         rows = _general_rows(n, k - 1, c + 1, d)
                         assert_satisfies(traded, general_rows(*rows))
     assert lifted == 375
-    # so in the table, bound(n - 1, k), feasible at (n, k) by lengthening,
-    # never exceeds bound(n, k - 1), which caps (n, k) by trading
-    brackets = []
-    walk = lpbound._walk
-
-    def recording_walk(n, k, c, feasible, infeasible):
-        brackets.append((n, k, feasible, infeasible))
-        return walk(n, k, c, feasible, infeasible)
-
-    monkeypatch.setattr(lpbound, "_walk", recording_walk)
-    table = build_table(20)
-    assert len(brackets) == 190
-    for n, k, feasible, infeasible in brackets:
-        assert feasible <= infeasible - 1, (n, k)
-    for cell in table.cells:
+    # so at maximal entanglement trading only raises the threshold 4^k - 1,
+    # and lengthening never lowers the maximum: M(n - 1, d) <= M(n, d) on
+    # every (n, d) with n <= 20, and M falls as d rises
+    maxima = {(n, d): _maximum(n, d) for n in range(2, 21) for d in range(2, n + 1)}
+    for (n, d), (total, det) in maxima.items():
+        if d < n:
+            shorter, shorter_det = maxima[(n - 1, d)]
+            assert shorter * det <= total * shorter_det, (n, d)
+            above, above_det = maxima[(n, d + 1)]
+            assert above * det <= total * above_det, (n, d)
+    for cell in build_table(20).cells:
         assert 1 <= cell.lower <= cell.upper <= cell.n, (cell.n, cell.k)
 
 
@@ -695,13 +755,13 @@ def test_apply_overrides_caps_match_exhaustive_search():
 
 def test_general_system_matches_maximal_at_boundary():
     # at c = n - k the isotropic group is trivial, so the partial builder's
-    # system poses the maximal cell too, and both give the same verdict
+    # system poses the maximal cell too, and its phase-one verdict is the
+    # threshold M(n, d) >= 4^k - 1
     for n in range(2, 10):
         for k in range(1, n):
             for d in range(1, n + 1):
                 general = solve(2 * n - d + 1, *_general_rows(n, k, n - k, d))
-                maximal = solve(n - d + 1, *_maximal_rows(n, k, d))
-                assert (general is None) == (maximal is None), (n, k, d)
+                assert (general is not None) == lp_feasible(n, k, d), (n, k, d)
 
 
 def test_real_codes_are_feasible_points():
@@ -717,7 +777,7 @@ def test_real_codes_are_feasible_points():
                     d = min_distance(code)
                     norm = weight_enumerator(code.normalizer_group).coeffs
                     if c == n - k:  # B_d..B_n
-                        point, (equalities, floors) = norm[d:], _maximal_rows(n, k, d)
+                        point, (equalities, floors) = norm[d:], maximal_system(n, k, d)
                     else:  # I_1..I_n, then M_d..M_n = N - I
                         iso = weight_enumerator(code.isotropic_group).coeffs
                         point = iso[1:] + tuple(x - y for x, y in zip(norm[d:], iso[d:]))
@@ -777,7 +837,7 @@ def test_general_bounds_match_pinned_values(monkeypatch):
     frozen = json.loads((root / "perfbench" / "expected.json").read_text())["lp_general"]
     assert [row for row in pinned["lp_general"] if row[0] <= 5] == frozen
     # each scan climbs to its first infeasible d, unless its bound is n
-    vectors = [cert for cert in certificates if cert[3] is None]
+    vectors = [cert for cert in certificates if cert[4] is None]
     assert len(vectors) == sum(bound < n for n, _, _, bound in pinned["lp_general"]) == 120
 
 
