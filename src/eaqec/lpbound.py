@@ -42,25 +42,28 @@ complement ones, so they enter as rows, read off the Krawtchouk table
 - for 0 < c < n - k, :func:`_general_rows` solves for I_1..I_n and the
   excess M_d..M_n = N - I of the normalizer.
 
-Both return the one row form the solver takes, rows that hold at the
-origin: equalities a.x = b with b >= 0 (a builder negates any other) and
-floors a.x >= b with b <= 0; any other a.x >= b is the equality a.x - t = b
-over one more variable t >= 0.  Every floor here holds strictly, as the
-direct distributions at the origin are proportional to the 3^w C(n, w)
-Paulis of each weight, so its slack starts in the basis.  Each docstring
-says why the rows it leaves out are implied.
+Both return floors, the one row form the solver takes: a.x >= b with
+b <= 0, which hold at the origin.  Every dominance and transform floor
+holds strictly there, as the direct distributions at the origin are
+proportional to the 3^w C(n, w) Paulis of each weight, so its slack starts
+in the basis.  Each docstring says why the rows it leaves out are implied.
+A verdict is a maximisation of sum x over the floors from the origin: a
+cell is feasible iff that maximum reaches its target, 4^k - 1 at maximal
+entanglement and |N| - 1 below it, since the floors are convex and hold at
+the origin, so a point scaled by target / maximum <= 1 is a point with the
+target's sum.  Below maximal entanglement the ratio of the two sums is the
+homogeneous row that turns them into floors (:func:`_general_rows`).
 
 Everything is solved exactly, in integers: a simplex with Bland's rule and
 fraction-free pivoting on the compact (dictionary) tableau (Edmonds, J. Res.
-NBS 71B, 1967; Avis's lrs), described at :func:`_solve_feasibility`, in
-phase one for the partial systems and in phase two from the origin for the
-maximisations.  Verdicts carry no floating-point caveats, and each solve
-comes with integer certificates that a few lines of integer arithmetic
-check: a feasible verdict with its vertex, reduced integers x over one
-denominator det > 0, an infeasible one with a Farkas vector, and a
-maximisation with its vertex and an optimal dual of equal value.  The
-rational relaxation is sound for upper bounds: any true code gives an
-integer solution.
+NBS 71B, 1967; Avis's lrs), described at :func:`_maximise`, from the origin
+in one mode.  Verdicts carry no floating-point caveats, and each solve comes
+with integer certificates that a few lines of integer arithmetic check: a
+vertex, reduced integers x over one denominator det > 0, and, on a solve
+that ends below its target or has none, an optimal dual of equal value,
+which proves the maximum.  A feasible verdict is its vertex scaled to the
+target; an infeasible one is its dual.  The rational relaxation is sound
+for upper bounds: any true code gives an integer solution.
 
 :func:`build_table` assembles the full bounds grid: upper bounds from the
 thresholds plus the even-n overrides, lower bounds from the code registry
@@ -84,96 +87,78 @@ Row = tuple[Sequence[int], int]
 
 _SIMPLEX_ITERATION_CAP = 1_000_000
 
-def _solve_feasibility(
-    num_vars: int, equalities: Sequence[Row], floors: Sequence[Row],
-    objective: Sequence[int] | None = None,
+def _maximise(
+    num_vars: int, floors: Sequence[Row], objective: Sequence[int], stop: int | None = None
 ) -> tuple:
-    """Exact simplex in two modes, returning its certificates and the number
-    of pivots taken.
+    """Exact simplex from the origin: maximise ``objective``.x over the
+    floors a.x >= b, x >= 0, until the value reaches ``stop`` or, with no
+    stop, until it is optimal.  Returns ``((x, det), (y, e), pivots)``.
 
-    - Phase one (``objective`` None): a nonnegative rational vertex x / det
-      with a.x = b det for every equality (a, b) and a.x >= b det for every
-      floor (a, b), or else a Farkas vector y proving there is none, as
-      ``((x, det), None, pivots)`` or ``(None, y, pivots)``.
-    - Phase two (no equalities): the vertex x / det that maximises
-      ``objective``.x over the floors, with the optimal duals on the floors
-      as integers y over their own denominator e > 0, as
-      ``((x, det), (y, e), pivots)``.  Then y >= 0,
-      sum_j y_j a_j <= -e c in every column, c the objective, and
-      sum_j -y_j b_j / e = c.x / det, so for any feasible x',
-      c.x' <= -(sum_j y_j a_j).x' / e <= sum_j -y_j b_j / e: the vertex is
-      optimal by weak duality, which a few integer products check.  The
-      caller's floors must bound the objective.
+    The vertex x / det meets every floor.  The dual, integers y over their
+    own denominator e > 0, is optimal when the solve ends below ``stop``
+    (always, with no stop), and then a proof: y >= 0,
+    sum_j y_j a_j <= -e c in every column, c the objective, and
+    sum_j -y_j b_j / e = c.x / det, so for any feasible x',
+    c.x' <= -(sum_j y_j a_j).x' / e <= sum_j -y_j b_j / e, by weak duality,
+    which a few integer products check.  A solve stopped at c.x >= stop det
+    has proved that value reachable, and its y proves nothing.  The
+    caller's floors must bound the objective.
 
     The vertex is integers x over det > 0 with gcd(det, *x) = 1, and so is
-    the dual over e.  Every row must hold at the origin, b >= 0 on an
-    equality and b <= 0 on a floor (else ``ValueError``): each equality
-    starts on an artificial, each floor as -a.x + s = -b on its slack s.
-    Nothing else is checked: both builders emit rows of ``num_vars`` Python
-    ints from indexed cell values, and the tests check every pinned solve's
+    the dual over e.  Every floor must hold at the origin, b <= 0 (else
+    ``ValueError``), and starts as -a.x + s = -b on its slack s.  Nothing
+    else is checked: both builders emit rows of ``num_vars`` Python ints
+    from indexed cell values, and the tests check every pinned solve's
     certificate on those rows.
 
     The tableau is compact, lrs's dictionary form: a row holds one entry per
     nonbasic variable (``nonbasic[j]`` is column j's; variables are numbered
-    x, slacks, artificials) and its right-hand side.  A basic column is a
-    unit vector and is not stored, so a slack or artificial is stored only
-    once it has left the basis.  Rows 0..m-1 are the constraints and row m
-    the objective to minimise, the sum of the artificials or -c.x: its
-    reduced costs and minus its value.  Entries are integers over ``det``,
-    the last pivot (1 at first).  A pivot on p = T[r][e] maps every other
-    row, the objective too, to ``(x * p - f * y) // det`` (f its entry in
-    column e, y row r's), then puts -f in column e; row r puts ``det``
-    there.  Then ``det = p``, and the two variables swap in ``basis`` and
-    ``nonbasic``.  Each integer is the full tableau's, det times the true
-    entry and a minor of the initial matrix, so the division is exact; det
-    stays positive, as the cross-multiplied ratio test picks only positive
-    pivots.  It scans row m too, whose entry in the entering column is
-    negative, so never a pivot.
+    x, then slacks) and its right-hand side.  A basic column is a unit
+    vector and is not stored, so a slack is stored only once it has left the
+    basis.  Rows 0..m-1 are the floors and row m the objective to minimise,
+    -c.x: its reduced costs and minus its value, det c.x.  Entries are
+    integers over ``det``, the last pivot (1 at first).  A pivot on
+    p = T[r][e] maps every other row, the objective too, to
+    ``(x * p - f * y) // det`` (f its entry in column e, y row r's), then
+    puts -f in column e; row r puts ``det`` there.  Then ``det = p``, and
+    the two variables swap in ``basis`` and ``nonbasic``.  Each integer is
+    the full tableau's, det times the true entry and a minor of the initial
+    matrix, so the division is exact; det stays positive, as the
+    cross-multiplied ratio test picks only positive pivots.  It scans row m
+    too, whose entry in the entering column is negative, so never a pivot.
 
     Bland's rule (smallest variable, for entering and ratio-test ties) makes
-    it terminate.  Phase one stops once the artificial objective reaches
-    zero, phase two once no variable can enter, with det times each basic
-    variable's value in its row's right-hand side and the nonbasic ones at
-    0: that is x, divided with det by their gcd.  A departed artificial
-    never re-enters but keeps its column, so row m ends holding every
-    slack's and artificial's reduced cost.  The pivot cap binds on a pivot
-    past it, never on a solve that ends within it.
+    it terminate.  It stops once row m's value reaches stop det, or once no
+    variable can enter, with det times each basic variable's value in its
+    row's right-hand side and the nonbasic ones at 0: that is x, divided
+    with det by their gcd.  The pivot cap binds on a pivot past it, never on
+    a solve that ends within it.
 
-    Row m gives the duals pi.  Artificial i's reduced cost is 1 - pi_i and
-    slack j's is -pi_j, and row m holds det times each.  So y, one integer
-    per row in the order given, is det - r on equality i, with r artificial
-    i's entry (0 while basic), and slack j's entry r >= 0 (0 while basic) on
-    floor j.  When no variable can enter in phase one and the objective is
-    still positive, y divided by its gcd is a Farkas vector: y >= 0 on the
-    floors, sum_i y_i a_i <= 0 in every column, as no x can enter, and
-    sum_i y_i b_i > 0, a positive multiple of the objective.  Any x >= 0
-    meeting the rows would give 0 >= (sum_i y_i a_i).x >= sum_i y_i b_i > 0.
-    In phase two the same read over det is the optimal dual: x_i's reduced
-    cost -c_i - sum_j y_j a_ji / det is at least 0 in every column, and
-    row m's right-hand side is det c.x = sum_j -y_j b_j.
+    Row m gives the duals: slack j's reduced cost is -pi_j, and row m holds
+    det times it, so y_j is slack j's entry (0 while basic) over det.  At
+    the optimum no variable can enter, so every reduced cost is at least 0:
+    y >= 0, and x_i's, -c_i - sum_j y_j a_ji / det, in every column.  Row
+    m's right-hand side is det c.x = sum_j -y_j b_j.
 
     The ratio test always finds a pivot row.  As the entering variable
     rises to t, row i's basic variable is its right-hand side minus t times
     its entry, and det > 0 makes the entries' signs true.  Were none
-    positive, every t >= 0 would be feasible, and the objective would fall
-    without bound along that ray: in phase one a sum of nonnegative
-    artificials, in phase two the caller's bounded one.
+    positive, every t >= 0 would be feasible, and the objective would grow
+    without bound along that ray, which the caller's floors forbid.
     """
-    art_start = num_vars + len(floors)
-    tableau = [[*coeffs, rhs] for coeffs, rhs in equalities]
-    tableau += [[-a for a in coeffs] + [-rhs] for coeffs, rhs in floors]
+    tableau = [[-a for a in coeffs] + [-rhs] for coeffs, rhs in floors]
     if any(row[-1] < 0 for row in tableau):
-        raise ValueError("every row must hold at the origin")
-    basis = [art_start + i for i in range(len(equalities))] + list(range(num_vars, art_start))
+        raise ValueError("every floor must hold at the origin")
+    top = num_vars + len(floors)
+    basis = list(range(num_vars, top))
     nonbasic = list(range(num_vars))
-    summed = tableau[: len(equalities)] if objective is None else [[*objective, 0]]
-    obj = [-sum(col) for col in zip([0] * (num_vars + 1), *summed)]
+    obj = [-c for c in objective] + [0]
     tableau.append(obj)
 
     det = 1
     pivots = 0
-    while objective is not None or obj[-1]:
-        enter, best = -1, art_start
+    while stop is None or obj[-1] < stop * det:
+        enter, best = -1, top
         for j, var in enumerate(nonbasic):
             if var < best and obj[j] < 0:
                 enter, best = j, var
@@ -199,22 +184,15 @@ def _solve_feasibility(
         basis[pivot_row], nonbasic[enter] = nonbasic[enter], basis[pivot_row]
         pivots += 1
 
-    y = [det] * len(equalities) + [0] * len(floors)
+    x, y = [0] * num_vars, [0] * len(floors)
+    for i, var in enumerate(basis):
+        if var < num_vars:
+            x[var] = tableau[i][-1]
     for j, var in enumerate(nonbasic):
-        if var >= art_start:
-            y[var - art_start] -= obj[j]
-        elif var >= num_vars:
-            y[len(equalities) + var - num_vars] = obj[j]
-    if objective is None and obj[-1]:
-        g = math.gcd(*y)
-        return None, [v // g for v in y], pivots
-    x = [0] * num_vars
-    for i, b in enumerate(basis):
-        if b < num_vars:
-            x[b] = tableau[i][-1]
+        if var >= num_vars:
+            y[var - num_vars] = obj[j]
     g, e = math.gcd(det, *x), math.gcd(det, *y)
-    dual = None if objective is None else ([v // e for v in y], det // e)
-    return ([v // g for v in x], det // g), dual, pivots
+    return ([v // g for v in x], det // g), ([v // e for v in y], det // e), pivots
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +220,7 @@ def _maximal_rows(n: int, d: int) -> list[Row]:
 def _maximum(n: int, d: int) -> tuple[int, int]:
     """M(n, d), the largest sum_{w>=d} B_w over the floors of
     :func:`_maximal_rows`, as integers (total, det) with M = total / det, for
-    2 <= d <= n: one phase-two solve, or none at either end.
+    2 <= d <= n: one :func:`_maximise` with no stop, or none at either end.
 
     The cell (n, k, d) is feasible iff M(n, d) >= 4^k - 1.  Its floors hold
     at the origin, since K_w(0) = 3^w C(n, w) > 0, and they are convex, so a
@@ -275,27 +253,36 @@ def _maximum(n: int, d: int) -> tuple[int, int]:
         return 4 ** (n - 1) - 1, 1
     if d == n:
         return 3, 1
-    (x, det), _, _ = _solve_feasibility(n - d + 1, (), _maximal_rows(n, d), [1] * (n - d + 1))
+    (x, det), _, _ = _maximise(n - d + 1, _maximal_rows(n, d), [1] * (n - d + 1))
     return sum(x), det
 
 
-def _general_rows(n: int, k: int, c: int, d: int) -> tuple[list[Row], list[Row]]:
-    """The partial-entanglement system over I_1..I_n then M_d..M_n.
+def _general_rows(n: int, k: int, c: int, d: int) -> list[Row]:
+    """The 3n - d + 3 floors of a partial-entanglement cell, over I_1..I_n
+    then M_d..M_n.
 
     I is the isotropic distribution and M = N - I the normalizer's excess
     over it: M >= 0 is the dominance N >= I of nested groups, and a code of
     distance d has N_w = I_w below d, so M_1..M_(d-1) are not variables.
     With I_0 = N_0 = 1 substituted in, the direct distributions are the forms
     |N| S_w = K_w(0) + sum_w' K_w(w') (I + M)_w' and |I| C_w = K_w(0) +
-    sum_w' K_w(w') I_w'.  The rows are two sums and 3n - d + 1 dominance
-    floors, scaled to integers using |N| / |I| = 4^k:
+    sum_w' K_w(w') I_w'.  The cell is the two sums
+    sum_{w>=1} I_w = |I| - 1 and sum_{w>=1} I_w + sum_{w>=d} M_w = |N| - 1
+    with the dominance floors, scaled to integers using |N| / |I| = 4^k,
 
-        sum_{w>=1} I_w = |I| - 1,   sum_{w>=1} I_w + sum_{w>=d} M_w = |N| - 1
         S_w >= I_w,   C_w >= S_w    for 1 <= w <= n
         C_w >= N_w                  for d <= w <= n
 
-    Each dominance row holds strictly at the origin: normalized, its
-    right-hand side is -K_w(0) or -(4^k - 1) K_w(0).
+    each holding strictly at the origin: normalized, its right-hand side is
+    -K_w(0) or -(4^k - 1) K_w(0).  The two sums are posed by their ratio,
+    (|N| - |I|) sum I = (|I| - 1) sum M, a homogeneous row, so it is the two
+    floors of right-hand side 0 that close the list; the sum of I + M is the
+    objective that :func:`lp_feasible_general` maximises.  A point with
+    both sums meets the ratio.  A point with the ratio and
+    sum (I + M) = |N| - 1 has (|N| - 1) sum I = (|I| - 1)(|N| - 1), so it
+    has both sums.  The objective is bounded: summing the forms over
+    w >= 1 gives sum_{w>=1} |N| S_w = 4^n - 1 - sum (I + M), as
+    sum_{w>=1} K_w(w') is 4^n - 1 at w' = 0 and -1 after, and S >= I >= 0.
 
     Below d, C_w >= N_w is implied: there N_w = I_w, and 4^k times the row
     |I| (C_w - N_w) >= -K_w(0) is the sum of the rows |N| (S_w - I_w) >=
@@ -313,10 +300,6 @@ def _general_rows(n: int, k: int, c: int, d: int) -> tuple[list[Row], list[Row]]
     norm_order = 1 << (n + k - c)
     scale = norm_order // iso_order - 1  # 4^k - 1
     excess = n - d + 1
-    equalities: list[Row] = [
-        ([1] * n + [0] * excess, iso_order - 1),
-        ([1] * (n + excess), norm_order - 1),
-    ]
     floors: list[Row] = []
     for w, krow in enumerate(_krawtchouk_table(n)[1:], 1):
         const, coeffs, tail = krow[0], krow[1:], krow[d:]
@@ -330,7 +313,9 @@ def _general_rows(n: int, k: int, c: int, d: int) -> tuple[list[Row], list[Row]]
             floors.append((row, -const))
         row = [scale * x for x in coeffs] + [-x for x in tail]  # |N| (C_w - S_w)
         floors.append((row, -scale * const))
-    return equalities, floors
+    ratio = [norm_order - iso_order] * n + [1 - iso_order] * excess
+    floors += [(ratio, 0), ([-x for x in ratio], 0)]
+    return floors
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +340,22 @@ def _check_cell(n: int, k: int, c: int, d: int | None = None) -> tuple:
 
 def lp_feasible_general(n: int, k: int, c: int, d: int) -> bool:
     """Whether the rational relaxation for trial distance d has a solution:
-    M(n, d) >= 4^k - 1 (:func:`_maximum`) at c = n - k, and
-    :func:`_general_rows` solved below it.
+    M(n, d) >= 4^k - 1 (:func:`_maximum`) at c = n - k, and below it
+    max sum (I + M) >= |N| - 1 over the floors of :func:`_general_rows`.
 
     A False verdict proves no [[n, k, d; c]] code exists.  At d = 1 the
     verdict is True without a solve.
+
+    Proof of the partial verdict.  A point of the cell has the sum
+    |N| - 1, so the maximum reaches it.  The floors hold at the origin and
+    are convex, the ratio pair being homogeneous, so a point whose sum is
+    the maximum, scaled by (|N| - 1) / maximum <= 1, meets them with sum
+    |N| - 1, and the ratio then gives it both sums of the cell.  The
+    maximisation stops once it reaches |N| - 1, the vertex proving the
+    verdict True; below it, the solve ends at the optimum, whose dual
+    proves it False.  The objective is sum (I + M), not sum I: at
+    s = n - k - c = 0 the target of sum I, |I| - 1, is 0, which the origin
+    already reaches.
 
     Proof that d = 1 is feasible.  The trivial [[n, k, 1; c]] code exists
     for every 1 <= k < n and 0 < c <= n - k: k bare qubits, c qubits each
@@ -376,7 +372,9 @@ def lp_feasible_general(n: int, k: int, c: int, d: int) -> bool:
     if c == n - k:
         total, det = _maximum(n, d)
         return total >= (4**k - 1) * det
-    return _solve_feasibility(2 * n - d + 1, *_general_rows(n, k, c, d))[0] is not None
+    num_vars, target = 2 * n - d + 1, (1 << (n + k - c)) - 1
+    (x, det), _, _ = _maximise(num_vars, _general_rows(n, k, c, d), [1] * num_vars, target)
+    return sum(x) >= target * det
 
 
 def lp_feasible(n: int, k: int, d: int) -> bool:

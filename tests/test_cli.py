@@ -164,6 +164,28 @@ def test_lp_bound_on_every_maximal_cell_to_15_qubits(capsys):
         assert verdicts == sorted(verdicts, reverse=True) and sum(verdicts) == bound, (n, k)
 
 
+def test_lp_bound_on_every_partial_cell_to_7_qubits(capsys):
+    # `lp-bound --c` prints each pinned partial-entanglement bound, and its
+    # `--d` verdicts fall as d rises and count up to that bound
+    root = Path(__file__).resolve().parent.parent
+    pinned = json.loads((root / "tests" / "data" / "lp_general_n10.json").read_text())
+    cells = [row for row in pinned["lp_general"] if row[0] <= 7]
+    assert len(cells) == 35
+    for n, k, c, bound in cells:
+        argv = ("lp-bound", "--n", str(n), "--k", str(k), "--c", str(c))
+        assert run(capsys, *argv) == (0, f"{bound}\n", ""), (n, k, c)
+        verdicts = []
+        for d in range(1, n + 1):
+            code, out, err = run(capsys, *argv, "--d", str(d))
+            assert code == 0 and err == "" and out in ("feasible\n", "infeasible\n"), (n, k, c, d)
+            verdicts.append(out == "feasible\n")
+        assert verdicts == sorted(verdicts, reverse=True) and sum(verdicts) == bound, (n, k, c)
+    code, out, _ = run(capsys, "lp-bound", "--n", "7", "--k", "2", "--c", "2", "--d", "4",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"n": 7, "k": 2, "c": 2, "d": 4, "feasible": True}
+
+
 def test_extend_command(capsys):
     code, out, _ = run(
         capsys, "extend", "--n", "13", "--k", "3", "--c", "10", "--d", "9",

@@ -1,9 +1,10 @@
-"""Exact feasibility solver, the LP systems, and the bounds table.
+"""Exact simplex, the LP systems, and the bounds table.
 
-Oracles: the original ``fractions.Fraction`` simplex, kept here verbatim as a
-reference for the integer-pivoting solver, and the original full systems over
-all two (maximal entanglement) or four (partial) weight distributions, which
-the reduced systems' points are lifted back into with ``krawtchouk``.
+Oracles: the original ``fractions.Fraction`` phase-one simplex, kept here
+verbatim as a reference whose verdicts the maximisations must match, and the
+original full systems over all two (maximal entanglement) or four (partial)
+weight distributions, which the reduced systems' points are lifted back into
+with ``krawtchouk``.
 """
 
 import json
@@ -29,22 +30,9 @@ from eaqec import (
 )
 from eaqec import lpbound
 from eaqec.errors import BudgetError
-from eaqec.lpbound import _general_rows, _maximal_rows, _maximum, _solve_feasibility
+from eaqec.lpbound import _general_rows, _maximal_rows, _maximise, _maximum
 
-from conftest import farkas_accepts, maximum_accepts, point_accepts, random_code
-
-
-def as_fractions(vertex):
-    """A solver's vertex (x, det) as the point x / det, or None for None."""
-    if vertex is None:
-        return None
-    x, det = vertex
-    return [Fraction(v, det) for v in x]
-
-
-def solve(num_vars, equalities, floors):
-    """The solver's point x / det, or None, without its pivot count."""
-    return as_fractions(_solve_feasibility(num_vars, equalities, floors)[0])
+from conftest import maximum_accepts, point_accepts, random_code
 
 
 def assert_satisfies(point, rows):
@@ -60,8 +48,9 @@ def assert_satisfies(point, rows):
 
 
 def general_rows(equalities, floors):
-    """The solver's rows in ``fraction_simplex``'s form, each floor a.x >= b
-    written as -a.x <= -b, so its slack starts in the basis there too."""
+    """Equalities a.x = b and floors a.x >= b in ``fraction_simplex``'s form,
+    each floor written as -a.x <= -b, so its slack starts in the basis there
+    too."""
     return [(a, "=", b) for a, b in equalities] + [
         ([-x for x in a], "<=", -b) for a, b in floors
     ]
@@ -73,9 +62,45 @@ def maximal_system(n, k, d):
     return [([1] * (n - d + 1), 4**k - 1)], _maximal_rows(n, d)
 
 
+def partial_system(n, k, c, d):
+    """The partial cell (n, k, c, d) as one feasibility system over
+    I_1..I_n then M_d..M_n: its two sums, sum I = |I| - 1 and
+    sum (I + M) = |N| - 1, and the dominance floors of ``_general_rows``,
+    without the ratio pair that stands in for the sums there."""
+    excess = n - d + 1
+    equalities = [
+        ([1] * n + [0] * excess, (1 << (n - k - c)) - 1),
+        ([1] * (n + excess), (1 << (n + k - c)) - 1),
+    ]
+    return equalities, _general_rows(n, k, c, d)[:-2]
+
+
 def maximise(n, d):
-    """The phase-two solve behind M(n, d): (vertex, dual, pivots)."""
-    return _solve_feasibility(n - d + 1, [], _maximal_rows(n, d), [1] * (n - d + 1))
+    """The solve behind M(n, d): (vertex, dual, pivots)."""
+    return _maximise(n - d + 1, _maximal_rows(n, d), [1] * (n - d + 1))
+
+
+def partial_solve(n, k, c, d):
+    """The stopped maximisation behind a partial verdict: sum (I + M) over
+    the floors of ``_general_rows``, stopped at |N| - 1."""
+    num_vars = 2 * n - d + 1
+    return _maximise(num_vars, _general_rows(n, k, c, d), [1] * num_vars, (1 << (n + k - c)) - 1)
+
+
+def scaled(vertex, target):
+    """The vertex (x, det) of a maximisation of sum x, scaled to the sum
+    ``target`` as the point target x / sum x, or None if its value is below
+    the target."""
+    x, det = vertex
+    if sum(x) < target * det:
+        return None
+    return [Fraction(target * v, sum(x)) for v in x]
+
+
+def partial_point(n, k, c, d):
+    """A point of the partial cell: its stopped maximisation's vertex scaled
+    to sum (I + M) = |N| - 1, or None if the maximum falls short."""
+    return scaled(partial_solve(n, k, c, d)[0], (1 << (n + k - c)) - 1)
 
 
 def is_sublist(small, big):
@@ -291,47 +316,20 @@ def lift_general(n, k, c, d, point):
 # the solver itself
 
 
-def test_solver_finds_exact_point():
-    point = solve(2, [([1, 1], 1), ([1, -1], 1)], [])
-    assert point == [Fraction(1), Fraction(0)]
-
-
-def test_solver_reports_infeasibility():
-    # each verdict carries its Farkas vector, one integer per row
-    assert _solve_feasibility(1, [([1], 1), ([1], 2)], [])[:2] == (None, [-1, 1])
-    # x <= -1 is -x >= 1, which fails at the origin: -x - t = 1
-    assert _solve_feasibility(2, [([-1, -1], 1)], [])[:2] == (None, [1])
-    # x + y <= 1 is a floor; x + y >= 2 is x + y - t = 2
-    assert _solve_feasibility(3, [([1, 1, -1], 2)], [([-1, -1, 0], -1)])[:2] == (None, [1, 1])
-    # 0 = 1 and x = 1: x enters in place of the second's artificial, whose
-    # entry then cancels det in its row's y
-    assert _solve_feasibility(1, [([0], 1), ([1], 1)], []) == (None, [1, 0], 1)
-
-
 def test_solver_handles_inequalities_and_negative_rhs():
-    # x >= 2 fails at the origin, so it is x - t = 2; x <= 3 is the floor -x >= -3
-    equalities, floors = [([1, -1], 2)], [([-1, 0], -3)]
-    point = solve(2, equalities, floors)
-    assert point is not None and 2 <= point[0] <= 3
-    assert_satisfies(point, general_rows(equalities, floors))
-    # an equality with a negative right-hand side is its builder's to negate
+    # x0 <= 3 and x1 <= 5 are the floors -x0 >= -3 and -x1 >= -5: maximising
+    # x1 leaves x0 at 0, and the dual is the second floor alone
+    assert _maximise(2, [([-1, 0], -3), ([0, -1], -5)], [0, 1]) == (([0, 5], 1), ([0, 1], 1), 1)
+    # a floor through the origin keeps its slack in the basis, and x1 <= x0
+    # binds at the optimum of x1 under x0 + x1 <= 2
+    assert _maximise(2, [([1, -1], 0), ([-1, -1], -2)], [0, 1]) == (([1, 1], 1), ([1, 1], 2), 2)
+    # a floor that fails at the origin would start the solve infeasible
     with pytest.raises(ValueError, match="hold at the origin"):
-        solve(2, [([-1, 1], -2)], [])
-    # a floor through the origin keeps its slack in the basis
-    assert solve(2, [([1, 1], 2)], [([1, -1], 0)]) == [Fraction(2), Fraction(0)]
-    # a floor that fails at the origin would start phase one infeasible
-    with pytest.raises(ValueError, match="hold at the origin"):
-        solve(1, [], [([1], 2)])
+        _maximise(1, [([1], 2)], [1])
 
 
 def test_solver_trivial_system():
-    assert solve(3, [], []) == [Fraction(0)] * 3
-
-
-def test_solver_fractional_point():
-    # the vertex is integers over one positive denominator, in lowest terms
-    assert _solve_feasibility(1, [([2], 1)], [])[0] == ([1], 2)
-    assert _solve_feasibility(2, [([4, 2], 2)], [])[0] == ([1, 0], 2)
+    assert _maximise(3, [], [0, 0, 0]) == (([0, 0, 0], 1), ([], 1), 0)
 
 
 def _random_rows(m, rhs):
@@ -340,41 +338,13 @@ def _random_rows(m, rhs):
     )
 
 
-def _hold_at_origin(equalities):
-    """The equalities with each b < 0 negated, as the solver takes them."""
-    return [(a, b) if b >= 0 else ([-x for x in a], -b) for a, b in equalities]
-
-
-_small_system = st.integers(1, 4).flatmap(
-    lambda m: st.tuples(
-        st.just(m),
-        _random_rows(m, st.integers(-8, 8)).map(_hold_at_origin),
-        _random_rows(m, st.integers(-8, 0)),
-    )
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_small_system)
-def test_solver_matches_fraction_reference_on_small_systems(system):
-    num_vars, equalities, floors = system
-    vertex, farkas, _ = _solve_feasibility(num_vars, equalities, floors)
-    rows = general_rows(equalities, floors)
-    assert as_fractions(vertex) == fraction_simplex(num_vars, rows)
-    if vertex is not None:
-        x, det = vertex
-        assert farkas is None and math.gcd(det, *x) == 1
-        assert point_accepts(num_vars, equalities, floors, x, det)
-    else:
-        assert farkas_accepts(num_vars, equalities, floors, farkas)
-
-
 _bounded_system = st.integers(1, 4).flatmap(
     lambda m: st.tuples(
         st.just(m),
         _random_rows(m, st.integers(-8, 0)),
         st.lists(st.integers(-3, 5), min_size=m, max_size=m),
         st.integers(0, 8),
+        st.none() | st.integers(-4, 40),
     )
 )
 
@@ -382,55 +352,77 @@ _bounded_system = st.integers(1, 4).flatmap(
 @settings(max_examples=300, deadline=None)
 @given(_bounded_system)
 def test_solver_maximises_with_an_accepted_dual_on_small_systems(system):
-    # phase two from the origin, on random floors with x_1 + ... + x_m <= cap
-    # added to bound the objective: the vertex and dual, each in lowest
-    # terms, must be accepted with equal values, which proves the vertex
-    # optimal with no reference solver
-    num_vars, floors, objective, cap = system
+    # from the origin, on random floors with x_1 + ... + x_m <= cap added to
+    # bound the objective, and a random stop.  The vertex and dual are each
+    # in lowest terms.  A solve that reaches its stop returns a vertex that
+    # meets the floors; any other returns a vertex and dual accepted with
+    # equal values, which proves the vertex optimal, and below the stop,
+    # with no reference solver.  The stopped solve follows the unstopped
+    # one's pivots, and reaches its stop iff the optimum does
+    num_vars, floors, objective, cap, stop = system
     floors = floors + [([-1] * num_vars, -cap)]
-    vertex, dual, _ = _solve_feasibility(num_vars, [], floors, objective)
-    assert maximum_accepts(num_vars, floors, objective, vertex, dual)
+    vertex, dual, pivots = _maximise(num_vars, floors, objective, stop)
     (x, det), (y, e) = vertex, dual
     assert math.gcd(det, *x) == 1 == math.gcd(e, *y)
+    value = sum(c * v for c, v in zip(objective, x))
+    reached = stop is not None and value >= stop * det
+    if reached:
+        assert point_accepts(num_vars, [], floors, x, det)
+    else:
+        assert maximum_accepts(num_vars, floors, objective, vertex, dual)
+    best, best_dual, most = _maximise(num_vars, floors, objective)
+    assert pivots <= most
+    if stop is not None:
+        optimum = sum(c * v for c, v in zip(objective, best[0]))
+        assert reached == (optimum >= stop * best[1])
+    if not reached:
+        assert (vertex, dual, pivots) == (best, best_dual, most)
 
 
 def _count_pivots(monkeypatch, certificates=None):
     """Patch the solver to append each solve's pivot count to the returned
     list.  Every verdict's certificate must be accepted on the rows as
-    built: a feasible one's vertex, reduced over its det, by
-    ``point_accepts``, an infeasible one's Farkas vector by
-    ``farkas_accepts``, and a maximisation's vertex and dual, with equal
-    values, by ``maximum_accepts``.  ``certificates`` collects each solve's
-    rows and objective with its vertex and its vector or dual, a phase-one
-    solve having one of them None."""
+    built.  A solve with no stop, or one ending below its stop, must have
+    its vertex and dual accepted with equal values by ``maximum_accepts``.
+    A partial cell's stop is |N| - 1, and its rows are the ones
+    ``_general_rows`` built last: a solve that reaches the stop must have
+    its vertex, scaled to that sum, meet the cell's two sum equalities and
+    its floors (``point_accepts``).  ``certificates`` collects each solve's
+    rows, objective and stop with its vertex and dual, and the partial
+    cell (n, k, c, d) or None."""
     pivots = []
-    original = lpbound._solve_feasibility
+    built = []
+    solve, rows = lpbound._maximise, lpbound._general_rows
 
-    def counting_solve(num_vars, equalities, floors, objective=None):
-        vertex, second, count = original(num_vars, equalities, floors, objective)
-        if objective is not None:
-            assert not equalities
-            assert maximum_accepts(num_vars, floors, objective, vertex, second)
-        elif vertex is None:
-            assert farkas_accepts(num_vars, equalities, floors, second)
+    def building_rows(n, k, c, d):
+        built.append((n, k, c, d))
+        return rows(n, k, c, d)
+
+    def counting_solve(num_vars, floors, objective, stop=None):
+        vertex, dual, count = solve(num_vars, floors, objective, stop)
+        x, det = vertex
+        assert math.gcd(det, *x) == 1
+        cell = None
+        if stop is not None:
+            cell = n, k, c, d = built[-1]
+            assert floors == rows(*cell) and objective == [1] * num_vars
+            assert stop == (1 << (n + k - c)) - 1
+        if stop is not None and sum(x) >= stop * det:
+            equalities = partial_system(*cell)[0]
+            assert point_accepts(num_vars, equalities, floors, [stop * v for v in x], sum(x))
         else:
-            x, det = vertex
-            assert second is None
-            assert point_accepts(num_vars, equalities, floors, x, det)
-        if vertex is not None:
-            x, det = vertex
-            assert math.gcd(det, *x) == 1
+            assert maximum_accepts(num_vars, floors, objective, vertex, dual)
         if certificates is not None:
-            certificates.append((num_vars, equalities, floors, objective, vertex, second))
+            certificates.append((num_vars, floors, objective, stop, vertex, dual, cell))
         pivots.append(count)
-        return vertex, second, count
+        return vertex, dual, count
 
-    monkeypatch.setattr(lpbound, "_solve_feasibility", counting_solve)
+    monkeypatch.setattr(lpbound, "_maximise", counting_solve)
+    monkeypatch.setattr(lpbound, "_general_rows", building_rows)
     return pivots
 
 
 def test_solver_matches_fraction_reference_on_every_scan_solve(monkeypatch):
-    solves = []
     certificates = []
     pivots = _count_pivots(monkeypatch, certificates)
     for n in range(2, 10):
@@ -441,38 +433,47 @@ def test_solver_matches_fraction_reference_on_every_scan_solve(monkeypatch):
             # the trivial code settles d = 1 in every cell, with no solve
             assert all(lp_feasible_general(n, k, c, 1) for c in range(1, n - k + 1))
     # the scans, solve for solve and pivot for pivot: the partial cells' 29
-    # phase-one solves, and the maximal cells' bisections, 67 maximisations
-    # whose vertex and dual were accepted with equal values
-    maximal = [p for p, cert in zip(pivots, certificates) if cert[3] is not None]
-    assert (len(pivots), sum(pivots)) == (96, 401)
+    # stopped maximisations, and the maximal cells' bisections, 67
+    # maximisations whose vertex and dual were accepted with equal values
+    maximal = [p for p, cert in zip(pivots, certificates) if cert[3] is None]
+    assert (len(pivots), sum(pivots)) == (96, 389)
     assert (len(maximal), sum(maximal)) == (67, 266)
-    for num_vars, equalities, floors, objective, vertex, _ in certificates:
-        if objective is None:
-            solves.append((num_vars, general_rows(equalities, floors), as_fractions(vertex)))
-    # d = 1 is settled by proof, so its systems are solved here for the same
-    # cells, to keep their oracle
+    # the reference's verdict on every system the scans posed, each M(n, d)
+    # deciding every k of its row, and on every cell's d = 1 system, which
+    # the trivial code settles with no solve
+    systems = []
+    for num_vars, floors, _, stop, (x, det), _, cell in certificates:
+        if cell is None:
+            n = len(floors)
+            d = n - num_vars + 1
+            systems += [(maximal_system(n, k, d), sum(x) >= (4**k - 1) * det) for k in range(1, n)]
+        else:
+            systems.append((partial_system(*cell), sum(x) >= stop * det))
     for n in range(2, 10):
         for k in range(1, n):
-            systems = [(n, maximal_system(n, k, 1))]
-            systems += [(2 * n, _general_rows(n, k, c, 1)) for c in range(1, n - k) if n <= 5]
-            for num_vars, (equalities, floors) in systems:
-                point = solve(num_vars, equalities, floors)
-                assert point is not None, (n, k)
-                solves.append((num_vars, general_rows(equalities, floors), point))
-    for num_vars, rows, point in solves:
-        assert point == fraction_simplex(num_vars, rows)
+            systems.append((maximal_system(n, k, 1), True))
+            systems += [(partial_system(n, k, c, 1), True) for c in range(1, n - k) if n <= 5]
+    for (equalities, floors), verdict in systems:
+        num_vars = len(floors[0][0])
+        point = fraction_simplex(num_vars, general_rows(equalities, floors))
+        assert (point is not None) == verdict
 
 
 def test_simplex_iteration_cap_boundary(monkeypatch):
     # a maximisation that is optimal after exactly the cap's pivots returns
-    # its vertex and dual
-    vertex, dual, pivots = maximise(9, 5)
-    assert vertex is not None and pivots >= 2
-    monkeypatch.setattr(lpbound, "_SIMPLEX_ITERATION_CAP", pivots)
-    assert maximise(9, 5) == (vertex, dual, pivots)
-    monkeypatch.setattr(lpbound, "_SIMPLEX_ITERATION_CAP", pivots - 1)
-    with pytest.raises(BudgetError, match=f"{pivots - 1} pivots"):
-        maximise(9, 5)
+    # its vertex and dual, and so does one that reaches its stop on the
+    # cap's last pivot, short of the optimum
+    stopped = lambda: partial_solve(9, 2, 3, 4)
+    assert stopped()[2] < _maximise(14, _general_rows(9, 2, 3, 4), [1] * 14)[2]
+    for solve in (lambda: maximise(9, 5), stopped):
+        monkeypatch.setattr(lpbound, "_SIMPLEX_ITERATION_CAP", 1_000_000)
+        vertex, dual, pivots = solve()
+        assert pivots >= 2
+        monkeypatch.setattr(lpbound, "_SIMPLEX_ITERATION_CAP", pivots)
+        assert solve() == (vertex, dual, pivots)
+        monkeypatch.setattr(lpbound, "_SIMPLEX_ITERATION_CAP", pivots - 1)
+        with pytest.raises(BudgetError, match=f"{pivots - 1} pivots"):
+            solve()
 
 
 # ---------------------------------------------------------------------------
@@ -531,19 +532,17 @@ def test_lp_cell_validation():
 
 
 def test_maximal_point_solves_full_system():
-    # the reduced point, lifted to A and B, solves the full two-enumerator
-    # system, and so does the maximisation's vertex scaled by (4^k - 1) / M
+    # the maximisation's vertex scaled by (4^k - 1) / M is a point of the
+    # cell, and lifted to A and B it solves the full two-enumerator system
     for n, k, d in ((5, 2, 3), (5, 2, 4), (7, 2, 5), (9, 4, 5), (11, 1, 9)):
         equalities, floors = maximal_system(n, k, d)
         assert len(floors) == n
         assert all(len(coeffs) == n - d + 1 for coeffs, _ in equalities + floors)
-        (x, det), _, _ = maximise(n, d)
-        scaled = [Fraction((4**k - 1) * v, sum(x)) for v in x]
-        for point in (solve(n - d + 1, equalities, floors), scaled):
-            assert point is not None
-            assert_satisfies(point, general_rows(equalities, floors))
-            b = [Fraction(1)] + [Fraction(0)] * (d - 1) + point
-            assert_satisfies(transform(b, 4**k) + b, full_maximal_rows(n, k, d))
+        point = scaled(maximise(n, d)[0], 4**k - 1)
+        assert point is not None
+        assert_satisfies(point, general_rows(equalities, floors))
+        b = [Fraction(1)] + [Fraction(0)] * (d - 1) + point
+        assert_satisfies(transform(b, 4**k) + b, full_maximal_rows(n, k, d))
 
 
 def test_proved_ends_of_the_maximum():
@@ -596,12 +595,12 @@ def test_build_table_settles_each_cell_in_two_solves(monkeypatch):
     # each cell's bound b rests on two maximisations of its row,
     # M(n, b) >= 4^k - 1 > M(n, b + 1), and every k of the row shares them:
     # the table makes one per (n, d) with 3 <= d < n, as M(n, 2) and
-    # M(n, n) are proved.  The bracketed walk took 53 solves and 164 pivots
+    # M(n, n) are proved
     certificates = []
     solves = _count_pivots(monkeypatch, certificates)
     table = build_table(9)
     assert (len(solves), sum(solves)) == (21, 72)
-    rows = sorted((cert[0], len(cert[2])) for cert in certificates)  # (n - d + 1, n)
+    rows = sorted((cert[0], len(cert[1])) for cert in certificates)  # (n - d + 1, n)
     assert rows == sorted((n - d + 1, n) for n in range(4, 10) for d in range(3, n))
     for cell in table.cells:
         n, k = cell.n, cell.k
@@ -611,15 +610,15 @@ def test_build_table_settles_each_cell_in_two_solves(monkeypatch):
         if lp < n:
             total, det = _maximum(n, lp + 1)
             assert total < (4**k - 1) * det, (n, k)
-    # 160 solves and 918 pivots before; 78 maximisations now, each one's
+    # build_table(15) makes 78 maximisations with no stop, each one's
     # vertex and dual accepted in integers with equal values
     solves.clear()
     certificates.clear()
     build_table(15)
     assert (len(solves), sum(solves)) == (78, 452)
-    assert all(cert[3] is not None for cert in certificates)
+    assert all(cert[3] is None for cert in certificates)
     # a dual with an entry negated is not accepted
-    num_vars, _, floors, objective, vertex, (y, e) = certificates[-1]
+    num_vars, floors, objective, _, vertex, (y, e), _ = certificates[-1]
     j = next(j for j, v in enumerate(y) if v)
     negated = y[:j] + [-y[j]] + y[j + 1 :]
     assert not maximum_accepts(num_vars, floors, objective, vertex, (negated, e))
@@ -629,15 +628,16 @@ def test_build_table_settles_each_cell_in_two_solves(monkeypatch):
 
 
 def test_lengthening_and_trading_lift_feasible_points():
-    # each of the 307 feasible points with n <= 12, padded with
-    # B_(n+1) = 0, satisfies the (n + 1, k, d) rows, and scaled by
-    # lambda = (4^(k-1) - 1) / (4^k - 1) the (n, k - 1, d) rows, checked
-    # exactly by substitution
+    # each of the 307 feasible points with n <= 12, the maximisations'
+    # vertices scaled to 4^k - 1, padded with B_(n+1) = 0, satisfies the
+    # (n + 1, k, d) rows, and scaled by lambda = (4^(k-1) - 1) / (4^k - 1)
+    # the (n, k - 1, d) rows, checked exactly by substitution
     lifted = 0
     for n in range(2, 13):
+        vertices = [maximise(n, d)[0] for d in range(1, n + 1)]
         for k in range(1, n):
-            for d in range(1, n + 1):
-                point = solve(n - d + 1, *maximal_system(n, k, d))
+            for d, vertex in enumerate(vertices, 1):
+                point = scaled(vertex, 4**k - 1)
                 if point is None:
                     break
                 assert_satisfies(point + [0], general_rows(*maximal_system(n + 1, k, d)))
@@ -648,26 +648,27 @@ def test_lengthening_and_trading_lift_feasible_points():
                     assert_satisfies(traded, general_rows(*maximal_system(n, k - 1, d)))
     assert lifted == 307
     # the same lifts of the 375 feasible partial points with 3 <= n <= 9,
-    # over I_1..I_n then M_d..M_n: I and M padded with 0 at weight n + 1
-    # satisfy the (n + 1, k, c + 1, d) rows, and I kept with M scaled by
-    # lambda the (n, k - 1, c + 1, d) rows
+    # the stopped maximisations' vertices scaled to |N| - 1, over I_1..I_n
+    # then M_d..M_n: I and M padded with 0 at weight n + 1 satisfy the
+    # (n + 1, k, c + 1, d) rows, and I kept with M scaled by lambda the
+    # (n, k - 1, c + 1, d) rows
     lifted = 0
     for n in range(3, 10):
         for k in range(1, n):
             for c in range(1, n - k):
                 for d in range(1, n + 1):
-                    point = solve(2 * n - d + 1, *_general_rows(n, k, c, d))
+                    point = partial_point(n, k, c, d)
                     if point is None:
                         break
                     iso, excess = point[:n], point[n:]
                     lengthened = iso + [0] + excess + [0]
-                    rows = _general_rows(n + 1, k, c + 1, d)
+                    rows = partial_system(n + 1, k, c + 1, d)
                     assert_satisfies(lengthened, general_rows(*rows))
                     lifted += 1
                     if k > 1:
                         scale = Fraction(4 ** (k - 1) - 1, 4**k - 1)
                         traded = iso + [scale * x for x in excess]
-                        rows = _general_rows(n, k - 1, c + 1, d)
+                        rows = partial_system(n, k - 1, c + 1, d)
                         assert_satisfies(traded, general_rows(*rows))
     assert lifted == 375
     # so at maximal entanglement trading only raises the threshold 4^k - 1,
@@ -755,12 +756,14 @@ def test_apply_overrides_caps_match_exhaustive_search():
 
 def test_general_system_matches_maximal_at_boundary():
     # at c = n - k the isotropic group is trivial, so the partial builder's
-    # system poses the maximal cell too, and its phase-one verdict is the
-    # threshold M(n, d) >= 4^k - 1
+    # floors pose the maximal cell too, and its stopped maximisation's
+    # verdict is the threshold M(n, d) >= 4^k - 1.  There s = 0, so sum I
+    # has target |I| - 1 = 0, which the origin meets: an objective of sum I
+    # would call every d feasible
     for n in range(2, 10):
         for k in range(1, n):
             for d in range(1, n + 1):
-                general = solve(2 * n - d + 1, *_general_rows(n, k, n - k, d))
+                general = partial_point(n, k, n - k, d)
                 assert (general is not None) == lp_feasible(n, k, d), (n, k, d)
 
 
@@ -781,7 +784,8 @@ def test_real_codes_are_feasible_points():
                     else:  # I_1..I_n, then M_d..M_n = N - I
                         iso = weight_enumerator(code.isotropic_group).coeffs
                         point = iso[1:] + tuple(x - y for x, y in zip(norm[d:], iso[d:]))
-                        equalities, floors = _general_rows(n, k, c, d)
+                        equalities = partial_system(n, k, c, d)[0]
+                        floors = _general_rows(n, k, c, d)
                     assert point_accepts(len(point), equalities, floors, point, 1)
                     assert bound >= d, (n, k, c)
 
@@ -793,16 +797,21 @@ def test_general_rows_shape_and_lift():
     # full system holds the previous one's rows, so it is infeasible too.
     # Below d the floor C_w >= N_w is left out: there N_w = I_w, and 4^k
     # times it is the sum of the kept S_w >= I_w and C_w >= S_w floors.
+    # The two sums enter as the floors r.x >= 0 and -r.x >= 0 of their
+    # ratio, r = (|N| - |I|) sum I - (|I| - 1) sum M, which close the list
     for n in range(3, 6):
         for k in range(1, n):
             for c in range(1, n - k):
                 full_infeasible = False
                 iso_order = 1 << (n - k - c)
                 for d in range(1, n + 1):
-                    equalities, floors = _general_rows(n, k, c, d)
+                    equalities, dominance = partial_system(n, k, c, d)
+                    floors = _general_rows(n, k, c, d)
                     num_vars = 2 * n - d + 1
-                    assert (len(equalities), len(floors)) == (2, 3 * n - d + 1)
-                    assert all(len(a) == num_vars for a, _ in equalities + floors)
+                    assert (len(dominance), len(floors)) == (3 * n - d + 1, 3 * n - d + 3)
+                    assert all(len(a) == num_vars for a, _ in floors)
+                    ratio = [(1 << (n + k - c)) - iso_order] * n + [1 - iso_order] * (n - d + 1)
+                    assert floors[-2:] == [(ratio, 0), ([-x for x in ratio], 0)]
                     for w in range(1, d):
                         # |I| (C_w - N_w) >= -K_w(0), over I_1..I_n, M_d..M_n
                         row = [krawtchouk(w, wp, n) for wp in range(1, n + 1)]
@@ -811,7 +820,7 @@ def test_general_rows_shape_and_lift():
                         (s_i, s_rhs), (c_s, c_rhs) = floors[2 * w - 2 : 2 * w]
                         assert [4**k * x for x in row] == [x + y for x, y in zip(s_i, c_s)]
                         assert -(4**k) * krawtchouk(w, 0, n) == s_rhs + c_rhs
-                    point = solve(num_vars, equalities, floors)
+                    point = partial_point(n, k, c, d)
                     full_rows = full_general_rows(n, k, c, d)
                     if point is not None:
                         assert_satisfies(point, general_rows(equalities, floors))
@@ -828,7 +837,7 @@ def test_general_bounds_match_pinned_values(monkeypatch):
     # over S and C; its n <= 5 rows are the benchmark's frozen values.  Each
     # scan's verdict carries a certificate that is accepted
     certificates = []
-    _count_pivots(monkeypatch, certificates)
+    pivots = _count_pivots(monkeypatch, certificates)
     root = Path(__file__).resolve().parent.parent
     pinned = json.loads((root / "tests" / "data" / "lp_general_n10.json").read_text())
     cells = [(n, k, c) for n in range(3, 11) for k in range(1, n) for c in range(1, n - k)]
@@ -836,9 +845,12 @@ def test_general_bounds_match_pinned_values(monkeypatch):
     assert [[n, k, c, lp_upper_bound(n, k, c)] for n, k, c in cells] == pinned["lp_general"]
     frozen = json.loads((root / "perfbench" / "expected.json").read_text())["lp_general"]
     assert [row for row in pinned["lp_general"] if row[0] <= 5] == frozen
-    # each scan climbs to its first infeasible d, unless its bound is n
-    vectors = [cert for cert in certificates if cert[4] is None]
-    assert len(vectors) == sum(bound < n for n, _, _, bound in pinned["lp_general"]) == 120
+    # each scan climbs to its first infeasible d, unless its bound is n:
+    # 580 stopped maximisations taking 4496 pivots, 460 reaching |N| - 1
+    # and 120 proved short of it by their duals
+    assert (len(pivots), sum(pivots)) == (580, 4496)
+    short = [cert for cert in certificates if sum(cert[4][0]) < cert[3] * cert[4][1]]
+    assert len(short) == sum(bound < n for n, _, _, bound in pinned["lp_general"]) == 120
 
 
 def test_general_dominance_of_combined_over_normalizer():
@@ -851,14 +863,12 @@ def test_general_dominance_of_combined_over_normalizer():
     row = coeffs + [0] * n  # |I| (C_1 - N_1) <= -|I|, over I_1..I_n, M_1..M_n
     row[0] -= iso_order
     row[n] -= iso_order
-    # that row fails at the origin, so it enters as an equality with a
-    # surplus column t: -|I| (C_1 - N_1) - t = |I|
-    extra = ([-x for x in row] + [-1], krawtchouk(1, 0, n) + iso_order)
-    equalities, floors = _general_rows(n, k, c, 1)
-    assert solve(2 * n, equalities, floors) is not None
-    equalities = [(a + [0], b) for a, b in equalities] + [extra]
-    floors = [(a + [0], b) for a, b in floors]
-    assert solve(2 * n + 1, equalities, floors) is None
+    # that row fails at the origin, so it is posed to the phase-one
+    # reference: |I| C_1 = K_1(0) + row.x, so row.x <= -|I| - K_1(0)
+    rows = general_rows(*partial_system(n, k, c, 1))
+    assert fraction_simplex(2 * n, rows) is not None
+    extra = (row, "<=", -iso_order - krawtchouk(1, 0, n))
+    assert fraction_simplex(2 * n, rows + [extra]) is None
 
 
 # ---------------------------------------------------------------------------
