@@ -393,7 +393,7 @@ def test_supplied_logical_pairs_are_validated(capsys, tmp_path):
 
 def test_lp_bound_rejects_removed_integrality_flag(capsys):
     # scripts still passing the deleted flag get a usage error, not a
-    # silently different bound; the walk has no start for a flag to set
+    # silently different bound; the bound search takes no start from a flag
     for flag in (["--branch-and-bound"], ["--start", "3"]):
         assert main(["lp-bound", "--n", "5", "--k", "2", *flag]) == 2
         captured = capsys.readouterr()
@@ -481,10 +481,12 @@ def test_stderr_write_error_exits_2(monkeypatch):
 
 
 def test_simplex_iteration_cap_exits_2(capsys, monkeypatch):
+    # on the maximal path and on the partial one
     monkeypatch.setattr(lpbound, "_SIMPLEX_ITERATION_CAP", 1)
-    code, out, err = run(capsys, "lp-bound", "--n", "5", "--k", "2")
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "pivots" in err
+    for cell in (["--k", "2"], ["--k", "1", "--c", "2"]):
+        code, out, err = run(capsys, "lp-bound", "--n", "5", *cell)
+        assert code == 2 and out == "", cell
+        assert err.startswith("error:") and "pivots" in err, cell
 
 
 def test_keyboard_interrupt_exits_130(capsys, monkeypatch):

@@ -432,11 +432,11 @@ def test_solver_matches_fraction_reference_on_every_scan_solve(monkeypatch):
                 lp_upper_bound(n, k, c)
             # the trivial code settles d = 1 in every cell, with no solve
             assert all(lp_feasible_general(n, k, c, 1) for c in range(1, n - k + 1))
-    # the scans, solve for solve and pivot for pivot: the partial cells' 29
-    # stopped maximisations, and the maximal cells' bisections, 67
+    # the bisections, solve for solve and pivot for pivot: the partial
+    # cells' 29 stopped maximisations, 117 pivots, and the maximal cells' 67
     # maximisations whose vertex and dual were accepted with equal values
     maximal = [p for p, cert in zip(pivots, certificates) if cert[3] is None]
-    assert (len(pivots), sum(pivots)) == (96, 389)
+    assert (len(pivots), sum(pivots)) == (96, 383)
     assert (len(maximal), sum(maximal)) == (67, 266)
     # the reference's verdict on every system the scans posed, each M(n, d)
     # deciding every k of its row, and on every cell's d = 1 system, which
@@ -574,11 +574,10 @@ def test_lp_verdicts_match_full_system():
                 assert lp_feasible(n, k, d) == (full is not None), (n, k, d)
 
 
-def test_seeded_walk_matches_ascending_scan():
+def test_bisection_matches_ascending_scan():
     # the verdicts for d = 1..n never increase, so the bound is their sum:
-    # feasible at the bound and infeasible above it.  Any proved floor below
-    # the bound and any ceiling above it give the same bound as the climb
-    # from d = 1 with no ceiling
+    # feasible at the bound and infeasible above it, wherever the
+    # bisection's trials fall
     cells = [(n, k, n - k) for n in range(2, 10) for k in range(1, n)]
     cells += [(n, k, c) for n in range(3, 7) for k in range(1, n) for c in range(1, n - k)]
     for n, k, c in cells:
@@ -586,9 +585,6 @@ def test_seeded_walk_matches_ascending_scan():
         verdicts = [lp_feasible_general(n, k, c, d) for d in range(1, n + 1)]
         assert verdicts == sorted(verdicts, reverse=True), (n, k, c)
         assert sum(verdicts) == bound, (n, k, c)
-        for floor in range(1, bound + 1):
-            for ceiling in range(bound + 1, n + 2):
-                assert lpbound._walk(n, k, c, floor, ceiling) == bound, (n, k, c, floor, ceiling)
 
 
 def test_build_table_settles_each_cell_in_two_solves(monkeypatch):
@@ -845,12 +841,27 @@ def test_general_bounds_match_pinned_values(monkeypatch):
     assert [[n, k, c, lp_upper_bound(n, k, c)] for n, k, c in cells] == pinned["lp_general"]
     frozen = json.loads((root / "perfbench" / "expected.json").read_text())["lp_general"]
     assert [row for row in pinned["lp_general"] if row[0] <= 5] == frozen
-    # each scan climbs to its first infeasible d, unless its bound is n:
-    # 580 stopped maximisations taking 4496 pivots, 460 reaching |N| - 1
-    # and 120 proved short of it by their duals
-    assert (len(pivots), sum(pivots)) == (580, 4496)
-    short = [cert for cert in certificates if sum(cert[4][0]) < cert[3] * cert[4][1]]
-    assert len(short) == sum(bound < n for n, _, _, bound in pinned["lp_general"]) == 120
+    # each bisection: 446 stopped maximisations taking 3246 pivots, 225
+    # reaching |N| - 1 and 221 proved short of it by their duals.  Every
+    # bound rests on two of them: a vertex at d = bound, unless the bound is
+    # the trivial code's 1, and a dual at d = bound + 1, unless it is n
+    assert (len(pivots), sum(pivots)) == (446, 3246)
+    reached, short = set(), set()
+    for _, _, _, stop, (x, det), _, cell in certificates:
+        (reached if sum(x) >= stop * det else short).add(cell)
+    assert (len(reached), len(short)) == (225, 221)
+    for n, k, c, bound in pinned["lp_general"]:
+        assert bound < 2 or (n, k, c, bound) in reached, (n, k, c)
+        assert bound == n or (n, k, c, bound + 1) in short, (n, k, c)
+
+
+def test_partial_bounds_past_n10():
+    # partial cells past the pinned n <= 10 grid: each bound is feasible
+    # and the next trial distance is not
+    for n, k, c, bound in ((16, 6, 4, 6), (24, 6, 6, 12)):
+        assert lp_upper_bound(n, k, c) == bound, (n, k, c)
+        assert lp_feasible_general(n, k, c, bound), (n, k, c)
+        assert not lp_feasible_general(n, k, c, bound + 1), (n, k, c)
 
 
 def test_general_dominance_of_combined_over_normalizer():
