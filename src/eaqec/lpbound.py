@@ -28,8 +28,15 @@ extension rules of Brun, Devetak & Hsieh (Science 314, 2006) and Lai & Brun
 threshold, and lengthening gives M(n - 1, d) <= M(n, d).  This is the
 Delsarte LP read as in Delsarte (Philips Res. Rep. Suppl. 10, 1973) and
 Ashikhmin & Litsyn (IEEE TIT 45(4), 1999).  Below maximal entanglement the
-coefficients depend on k, so each trial distance takes a solve of its own.
-In both regimes :func:`lp_upper_bound` bisects d.
+coefficients depend on k, but the maximal threshold still settles many
+verdicts: padding a code with s = n - k - c qubits each stabilized by Z, the
+propagation rule of Calderbank, Rains, Shor & Sloane (IEEE TIT 44(4), 1998),
+maps a point of the maximal cell (k + c, k, d) to one of (n, k, c, d), so
+M(k + c, d) >= 4^k - 1 proves a partial verdict True
+(:func:`lp_feasible_general`).  Every d = 2 verdict is one of these, as
+M(k + c, 2) = 4^(k+c-1) - 1 >= 4^k - 1.  Only the partial verdicts the
+threshold leaves open take a solve of their own.  In both regimes
+:func:`lp_upper_bound` bisects d.
 
 The systems are posed on the complement side, where the distance condition
 removes variables instead of adding rows.  Leading coefficients are 1 and
@@ -344,7 +351,39 @@ def lp_feasible_general(n: int, k: int, c: int, d: int) -> bool:
     max sum (I + M) >= |N| - 1 over the floors of :func:`_general_rows`.
 
     A False verdict proves no [[n, k, d; c]] code exists.  At d = 1 the
-    verdict is True without a solve.
+    verdict is True without a solve.  Below maximal entanglement, a d with
+    2 <= d <= m = k + c first asks the padded threshold
+    M(m, d) >= 4^k - 1, which proves the verdict True with no partial
+    solve; when it falls short, the partial solve decides.  The threshold
+    is the maximal verdict of (m, k, d), the cell itself at c = n - k, where
+    s = 0.  It needs no solve at d = 2 or d = m, the ends :func:`_maximum`
+    proves, and at d = 2 it always holds, as c >= 1.
+
+    Proof of the padding.  Let s = n - m > 0, and let B be a point of the
+    maximal cell (m, k, d): B_d..B_m >= 0 summing to 4^k - 1, with B_0 = 1
+    and A, 4^k A_w = sum_w' K_w(w'; m) B_w', nonnegative, so A_0 = 1 and
+    sum A = 4^(m-k).  Padding a code with s qubits each stabilized by Z
+    gives the point I_w = C(s, w) and M = B * C(s, .), a convolution over
+    w >= d, of (n, k, c, d).  Its sums are 2^s - 1 = |I| - 1 and
+    2^s - 1 + (4^k - 1) 2^s = |N| - 1, since |N| = 4^k 2^s.  The transform
+    on n = m + s qubits takes a convolution to the convolution of the
+    transforms, and the Z group's enumerator (x + y)^s is self-dual,
+    mapping to 2^s (x + y)^s.  So the direct distributions factor:
+    S = A * C(s, .), and C = F * C(s, .) with F_w = K_w(0; m) = 3^w C(m, w),
+    the transform of the identity on m qubits.  As C(s, .) >= 0, each floor
+    follows from one on m qubits:
+
+    - S >= I from A >= [w = 0];
+    - C >= S from F >= A, since 4^k A_w <= K_w(0) (1 + sum B) = 4^k K_w(0)
+      by |K_w(w')| <= K_w(0);
+    - C >= N from F >= B, the same bound on B as the transform of A, the
+      transform squaring to 4^m times the identity:
+      4^m B_w = 4^k sum_w' K_w(w') A_w' <= 4^k K_w(0) 4^(m-k).
+
+    The ratio pair follows from the two sums.  With M(m, d) >= 4^k - 1 the
+    maximisation's vertex scaled by (4^k - 1) / M(m, d) <= 1 is such a B
+    (see :func:`_maximum`), and padded it is the point that proves the
+    verdict True.
 
     Proof of the partial verdict.  A point of the cell has the sum
     |N| - 1, so the maximum reaches it.  The floors hold at the origin and
@@ -369,9 +408,12 @@ def lp_feasible_general(n: int, k: int, c: int, d: int) -> bool:
     n, k, c, d = _check_cell(n, k, c, d)
     if d == 1:
         return True
+    if d <= k + c:  # the padded maximal threshold
+        total, det = _maximum(k + c, d)
+        if total >= (4**k - 1) * det:
+            return True
     if c == n - k:
-        total, det = _maximum(n, d)
-        return total >= (4**k - 1) * det
+        return False
     num_vars, target = 2 * n - d + 1, (1 << (n + k - c)) - 1
     (x, det), _, _ = _maximise(num_vars, _general_rows(n, k, c, d), [1] * num_vars, target)
     return sum(x) >= target * det
@@ -397,10 +439,11 @@ def lp_upper_bound(n: int, k: int, c: int | None = None) -> int:
     k = n - 1 takes one maximisation.  A maximal maximisation runs to the
     optimum and costs about the same at any d.  A partial one stops once it
     reaches |N| - 1, so a feasible trial is the cheaper one there, and a
-    cell whose bound is 2 to 4 can take more pivots than a climb from d = 1;
-    over the 220 partial cells with n <= 12 the bisection takes 7775 pivots
-    to the climb's 11566.  Any first trial gives the same bound.  ``c``
-    defaults to maximal entanglement n - k.
+    cell whose bound is 2 to 5 can take more pivots than a climb from d = 1;
+    over the 220 partial cells with n <= 12 the bisection takes 7899 pivots,
+    1319 of them in 363 padded thresholds (:func:`lp_feasible_general`), to
+    the climb's 8885.  Any first trial gives the same bound.  ``c`` defaults
+    to maximal entanglement n - k.
     """
     n, k, c, _ = _check_cell(n, k, n - k if c is None else c)
     low, high, d = 1, n + 1, min(n, n - k + 2)  # d = low feasible, d = high not

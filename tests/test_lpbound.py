@@ -97,6 +97,32 @@ def scaled(vertex, target):
     return [Fraction(target * v, sum(x)) for v in x]
 
 
+def proved_end(n, d):
+    """The certificates that ``_maximum`` proves instead of solving, at
+    d = 2 and d = n: (vertex, dual) of M(n, 2) = 4^(n-1) - 1 and
+    M(n, n) = 3."""
+    if d == 2:
+        low = [(3**w + 3 * (-1) ** w) * math.comb(n, w) for w in range(2, n + 1)]
+        return ([v // 4 for v in low], 1), ([n - w for w in range(1, n + 1)], n)
+    return ([3], 1), ([1] + [0] * (n - 1), n)
+
+
+def padded_point(n, k, c, d, vertex):
+    """A vertex (x, det) of M(k + c, d) read as a maximal point B of
+    (k + c, k, d), B scaled to sum 4^k - 1, and padded with s = n - k - c
+    qubits each stabilized by Z: I_w = C(s, w) and M = B * C(s, .), a
+    convolution.  Returned as integers over sum x, I_1..I_n then M_d..M_n,
+    with (point, denominator)."""
+    x, _ = vertex
+    total, s, m = sum(x), n - k - c, k + c
+    iso = [total * math.comb(s, w) for w in range(1, n + 1)]
+    excess = [
+        (4**k - 1) * sum(x[j - d] * math.comb(s, w - j) for j in range(d, min(w, m) + 1))
+        for w in range(d, n + 1)
+    ]
+    return iso + excess, total
+
+
 def partial_point(n, k, c, d):
     """A point of the partial cell: its stopped maximisation's vertex scaled
     to sum (I + M) = |N| - 1, or None if the maximum falls short."""
@@ -384,31 +410,45 @@ def _count_pivots(monkeypatch, certificates=None):
     list.  Every verdict's certificate must be accepted on the rows as
     built.  A solve with no stop, or one ending below its stop, must have
     its vertex and dual accepted with equal values by ``maximum_accepts``.
-    A partial cell's stop is |N| - 1, and its rows are the ones
-    ``_general_rows`` built last: a solve that reaches the stop must have
-    its vertex, scaled to that sum, meet the cell's two sum equalities and
-    its floors (``point_accepts``).  ``certificates`` collects each solve's
-    rows, objective and stop with its vertex and dual, and the partial
-    cell (n, k, c, d) or None."""
+    Inside a partial verdict (n, k, c, d), 0 < c < n - k, a solve with no
+    stop is the padding certificate M(k + c, d) on ``_maximal_rows``: if it
+    reaches 4^k - 1, its padded vertex (``padded_point``) must meet the
+    cell's two sum equalities and its floors (``point_accepts``).  A stopped
+    one is the cell's own, stopped at |N| - 1 on ``_general_rows``: if it
+    reaches the stop, its vertex, scaled to that sum, must meet the same
+    rows.  ``certificates`` collects each solve's rows, objective and stop
+    with its vertex and dual, and the partial cell (n, k, c, d) it served,
+    or None."""
     pivots = []
-    built = []
-    solve, rows = lpbound._maximise, lpbound._general_rows
+    deciding = []
+    solve, decide = lpbound._maximise, lpbound.lp_feasible_general
 
-    def building_rows(n, k, c, d):
-        built.append((n, k, c, d))
-        return rows(n, k, c, d)
+    def recording_verdict(n, k, c, d):
+        deciding.append((n, k, c, d) if c < n - k else None)
+        try:
+            return decide(n, k, c, d)
+        finally:
+            deciding.pop()
 
     def counting_solve(num_vars, floors, objective, stop=None):
         vertex, dual, count = solve(num_vars, floors, objective, stop)
         x, det = vertex
         assert math.gcd(det, *x) == 1
-        cell = None
-        if stop is not None:
-            cell = n, k, c, d = built[-1]
-            assert floors == rows(*cell) and objective == [1] * num_vars
-            assert stop == (1 << (n + k - c)) - 1
-        if stop is not None and sum(x) >= stop * det:
+        assert objective == [1] * num_vars
+        cell = deciding[-1] if deciding else None
+        assert stop is None or cell is not None
+        if cell is not None:
+            n, k, c, d = cell
             equalities = partial_system(*cell)[0]
+            if stop is None:
+                assert floors == _maximal_rows(k + c, d)
+                if sum(x) >= (4**k - 1) * det:
+                    point = padded_point(*cell, vertex)
+                    assert point_accepts(2 * n - d + 1, equalities, _general_rows(*cell), *point)
+            else:
+                assert floors == _general_rows(*cell)
+                assert stop == (1 << (n + k - c)) - 1
+        if stop is not None and sum(x) >= stop * det:
             assert point_accepts(num_vars, equalities, floors, [stop * v for v in x], sum(x))
         else:
             assert maximum_accepts(num_vars, floors, objective, vertex, dual)
@@ -418,7 +458,7 @@ def _count_pivots(monkeypatch, certificates=None):
         return vertex, dual, count
 
     monkeypatch.setattr(lpbound, "_maximise", counting_solve)
-    monkeypatch.setattr(lpbound, "_general_rows", building_rows)
+    monkeypatch.setattr(lpbound, "lp_feasible_general", recording_verdict)
     return pivots
 
 
@@ -432,21 +472,29 @@ def test_solver_matches_fraction_reference_on_every_scan_solve(monkeypatch):
                 lp_upper_bound(n, k, c)
             # the trivial code settles d = 1 in every cell, with no solve
             assert all(lp_feasible_general(n, k, c, 1) for c in range(1, n - k + 1))
-    # the bisections, solve for solve and pivot for pivot: the partial
-    # cells' 29 stopped maximisations, 117 pivots, and the maximal cells' 67
-    # maximisations whose vertex and dual were accepted with equal values
-    maximal = [p for p, cert in zip(pivots, certificates) if cert[3] is None]
-    assert (len(pivots), sum(pivots)) == (96, 383)
-    assert (len(maximal), sum(maximal)) == (67, 266)
+    # the bisections, solve for solve and pivot for pivot: the maximal
+    # cells' 67 maximisations, 266 pivots, whose vertex and dual were
+    # accepted with equal values, the partial cells' 3 padding
+    # maximisations, 6 pivots, and their 19 stopped maximisations, 82 pivots
+    kinds = {"maximal": [], "padding": [], "stopped": []}
+    for p, (*_, stop, _, _, cell) in zip(pivots, certificates):
+        kind = "stopped" if stop is not None else "maximal" if cell is None else "padding"
+        kinds[kind].append(p)
+    assert (len(pivots), sum(pivots)) == (89, 354)
+    counts = {kind: (len(p), sum(p)) for kind, p in kinds.items()}
+    assert counts == {"maximal": (67, 266), "padding": (3, 6), "stopped": (19, 82)}
     # the reference's verdict on every system the scans posed, each M(n, d)
-    # deciding every k of its row, and on every cell's d = 1 system, which
-    # the trivial code settles with no solve
+    # deciding every k of its row, a padding maximum that reaches 4^k - 1
+    # its partial cell, and on every cell's d = 1 system, which the trivial
+    # code settles with no solve
     systems = []
     for num_vars, floors, _, stop, (x, det), _, cell in certificates:
-        if cell is None:
+        if stop is None:
             n = len(floors)
             d = n - num_vars + 1
             systems += [(maximal_system(n, k, d), sum(x) >= (4**k - 1) * det) for k in range(1, n)]
+            if cell is not None and sum(x) >= (4 ** cell[1] - 1) * det:
+                systems.append((partial_system(*cell), True))
         else:
             systems.append((partial_system(*cell), sum(x) >= stop * det))
     for n in range(2, 10):
@@ -552,11 +600,8 @@ def test_proved_ends_of_the_maximum():
     for n in range(2, 65):
         low = [(3**w + 3 * (-1) ** w) * math.comb(n, w) for w in range(2, n + 1)]
         assert all(v % 4 == 0 for v in low)
-        ends = [
-            (2, ([v // 4 for v in low], 1), ([n - w for w in range(1, n + 1)], n)),
-            (n, ([3], 1), ([1] + [0] * (n - 1), n)),
-        ]
-        for d, vertex, dual in ends:
+        for d in (2, n):
+            vertex, dual = proved_end(n, d)
             num_vars = n - d + 1
             floors = _maximal_rows(n, d)
             assert maximum_accepts(num_vars, floors, [1] * num_vars, vertex, dual), (n, d)
@@ -841,18 +886,60 @@ def test_general_bounds_match_pinned_values(monkeypatch):
     assert [[n, k, c, lp_upper_bound(n, k, c)] for n, k, c in cells] == pinned["lp_general"]
     frozen = json.loads((root / "perfbench" / "expected.json").read_text())["lp_general"]
     assert [row for row in pinned["lp_general"] if row[0] <= 5] == frozen
-    # each bisection: 446 stopped maximisations taking 3246 pivots, 225
-    # reaching |N| - 1 and 221 proved short of it by their duals.  Every
-    # bound rests on two of them: a vertex at d = bound, unless the bound is
-    # the trivial code's 1, and a dual at d = bound + 1, unless it is n
-    assert (len(pivots), sum(pivots)) == (446, 3246)
-    reached, short = set(), set()
+    # each bisection: 519 maximisations taking 3236 pivots.  168 of them
+    # are padding maximisations M(k + c, d), 55 reaching 4^k - 1, and the
+    # other 351 are stopped: 130 reach |N| - 1 and 221 are proved short of
+    # it by their duals.  Every bound rests on two certificates: a vertex at
+    # d = bound, a partial one or a padded maximal one, and a dual at
+    # d = bound + 1, unless it is n.  No solve is needed below d = 2, by the
+    # trivial code, or where the padded vertex is one that ``_maximum``
+    # proves, at d = 2 and at k = 1, d = k + c
+    assert (len(pivots), sum(pivots)) == (519, 3236)
+    padding, padded, reached, short = set(), set(), set(), set()
     for _, _, _, stop, (x, det), _, cell in certificates:
-        (reached if sum(x) >= stop * det else short).add(cell)
-    assert (len(reached), len(short)) == (225, 221)
+        if stop is None:
+            padding.add(cell)
+            if sum(x) >= (4 ** cell[1] - 1) * det:
+                padded.add(cell)
+        else:
+            (reached if sum(x) >= stop * det else short).add(cell)
+    assert (len(padding), len(padded), len(reached), len(short)) == (168, 55, 130, 221)
     for n, k, c, bound in pinned["lp_general"]:
-        assert bound < 2 or (n, k, c, bound) in reached, (n, k, c)
+        cell, proved = (n, k, c, bound), bound == 2 or k == 1 and bound == k + c
+        assert bound < 2 or proved or cell in padded or cell in reached, cell
         assert bound == n or (n, k, c, bound + 1) in short, (n, k, c)
+
+
+def test_padded_maximal_points_are_partial_points():
+    # a point of the maximal cell (k + c, k, d), padded with s = n - k - c
+    # qubits each stabilized by Z, is a point of the partial cell
+    # (n, k, c, d), which is how a verdict with M(k + c, d) >= 4^k - 1 is
+    # settled with no partial solve.  Every such cell with n <= 12 and
+    # 2 <= d <= k + c is accepted in integers, 622 padded vertices in all:
+    # 357 of maximisations with 3 <= d < k + c, the rest of the ends that
+    # ``_maximum`` proves, d = 2 and d = k + c
+    vertices = {}
+    accepted = []
+    for n in range(3, 13):
+        for k in range(1, n):
+            for c in range(1, n - k):
+                m = k + c
+                for d in range(2, m + 1):
+                    if (m, d) not in vertices:
+                        vertices[(m, d)] = proved_end(m, d)[0] if d in (2, m) else maximise(m, d)[0]
+                    x, det = vertices[(m, d)]
+                    assert (sum(x), det) == _maximum(m, d)
+                    if sum(x) < (4**k - 1) * det:
+                        break  # M falls as d rises
+                    point = padded_point(n, k, c, d, (x, det))
+                    assert point_accepts(2 * n - d + 1, *partial_system(n, k, c, d), *point)
+                    assert lp_feasible_general(n, k, c, d)
+                    accepted.append(d not in (2, m))
+    assert (sum(accepted), len(accepted)) == (357, 622)
+    # below the threshold the scaled point is no point: M(5, 5) = 3 < 4^2 - 1,
+    # and the padded vertex B_5 = 3 scaled to 15 fails a floor of
+    # (12, 2, 3, 5), which the partial solve then decides
+    assert not point_accepts(20, *partial_system(12, 2, 3, 5), *padded_point(12, 2, 3, 5, ([3], 1)))
 
 
 def test_partial_bounds_past_n10():
